@@ -3,7 +3,7 @@ preconditioning, flexible GMRES with iterative refinement and null-space
 elimination, a hybrid Picard/Newton driver, and a built-in lid-driven
 cavity benchmark."""
 
-from .sparse import Permutation, SparseMatrix, check_matrix, permute_scale, spmv
+from .sparse import Permutation
 from .mmio import MatrixMarketError, mm_read, mm_write
 from .mlilu import (
     FactorParams,
@@ -21,7 +21,6 @@ from .krylov import (
     GmresParams,
     KrylovReport,
     PrecondOperator,
-    apply_precond,
     eta_newton,
     fgmres,
 )
@@ -41,12 +40,12 @@ from . import cavity
 __version__ = "0.1.0"
 
 __all__ = [
-    "Permutation", "SparseMatrix", "check_matrix", "permute_scale", "spmv",
+    "Permutation",
     "MatrixMarketError", "mm_read", "mm_write",
     "FactorParams", "LevelFactor", "MultilevelFactor", "crout_ilu_level",
     "equilibrate", "factorize", "ml_solve", "reassemble", "reorder",
     "static_defer",
-    "GmresParams", "KrylovReport", "PrecondOperator", "apply_precond",
+    "GmresParams", "KrylovReport", "PrecondOperator",
     "eta_newton", "fgmres",
     "LineSearchError", "NonlinearProblem", "NonlinearReport", "SolverConfig",
     "StepRecord", "adapt_thresholds", "armijo_damp", "hybrid_newton",

@@ -24,6 +24,7 @@ import scipy.sparse as sp
 
 from .krylov import GmresParams, PrecondOperator, fgmres
 from .mlilu import FactorParams, factorize
+from .nonlinear import NonlinearProblem
 
 __all__ = [
     "CavityMesh",
@@ -35,7 +36,7 @@ __all__ = [
     "oseen_operator",
     "newton_operator",
     "residual",
-    "assemble_convection",
+    "nonlinear_problem",
     "stokes_initial_guess",
     "split_state",
     "expand_state",
@@ -239,8 +240,6 @@ class CavityProblem:
     pressure_mass: sp.csr_matrix = field(repr=False)
     K: sp.csr_matrix = field(repr=False)                # reduced viscous block
     E: sp.csr_matrix = field(repr=False)                # reduced divergence
-    Mp: sp.csr_matrix = field(repr=False)
-    _conv_scatter: tuple = field(repr=False, default=None)
 
     @property
     def n_unknowns(self) -> int:
@@ -322,7 +321,6 @@ def build_problem(level: int, re: float, bc_kind: str = "standard") -> CavityPro
         pressure_mass=mp,
         K=k_block,
         E=e_red,
-        Mp=mp,
     )
 
 
@@ -385,20 +383,6 @@ def _cross_blocks_full(prob: CavityProblem, ux_full, uy_full):
     return {k: _scatter(nv, nv, r, c, np.concatenate(v)) for k, v in parts.items()}
 
 
-def assemble_convection(prob: CavityProblem, x: np.ndarray):
-    """Reduced linearized convection C and Newton cross term W at the given
-    state (both over the 2*nvi velocity unknowns)."""
-    ux, uy, _ = expand_state(prob, x)
-    intr = prob.mesh.interior
-    c_full = _convection_full(prob, ux, uy)
-    c_red = sp.csr_matrix(c_full[intr, :][:, intr])
-    ck = sp.block_diag([c_red, c_red], format="csr")
-    w = _cross_blocks_full(prob, ux, uy)
-    wr = {k: sp.csr_matrix(m[intr, :][:, intr]) for k, m in w.items()}
-    wk = sp.bmat([[wr["xx"], wr["xy"]], [wr["yx"], wr["yy"]]], format="csr")
-    return ck, wk
-
-
 def residual(prob: CavityProblem, x: np.ndarray) -> np.ndarray:
     """F(x) = [momentum; continuity] with boundary data folded in and zero
     body force."""
@@ -448,6 +432,18 @@ def oseen_operator(prob: CavityProblem, x: np.ndarray) -> sp.csr_matrix:
 def newton_operator(prob: CavityProblem, x: np.ndarray) -> sp.csr_matrix:
     """Full Jacobian of the residual."""
     return _saddle(prob, _velocity_block(prob, x, with_cross=True))
+
+
+def nonlinear_problem(prob: CavityProblem, x0: np.ndarray) -> NonlinearProblem:
+    """The cavity as driver callbacks: Oseen (Picard) then Newton iteration
+    matrices, always factorizing the Oseen operator."""
+    return NonlinearProblem(
+        residual=lambda x: residual(prob, x),
+        operator=lambda x, nt: newton_operator(prob, x) if nt else oseen_operator(prob, x),
+        sparsifier=lambda x, nt: oseen_operator(prob, x),
+        x0=x0,
+        null_basis=null_vector(prob),
+    )
 
 
 def null_vector(prob: CavityProblem) -> np.ndarray:

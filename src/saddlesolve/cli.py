@@ -11,7 +11,6 @@ directory or the SADDLESOLVE_OUTDIR environment variable.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import time
@@ -23,40 +22,54 @@ from . import cavity as cav
 from .krylov import GmresParams, PrecondOperator, fgmres
 from .mlilu import FactorParams, factorize
 from .mmio import mm_read, mm_write
-from .nonlinear import NonlinearProblem, SolverConfig, hybrid_newton
-
-_SOLVER_FIELDS = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
-_FACTOR_FIELDS = {f.name: f.type for f in dataclasses.fields(FactorParams)}
+from .nonlinear import SolverConfig, hybrid_newton
 
 
-def _coerce(name, value):
-    if name == "factor_params":
-        raise argparse.ArgumentTypeError(
-            "set factorization fields directly (e.g. cond_thresh=4)"
-        )
-    for fields, owner in ((_SOLVER_FIELDS, "solver"), (_FACTOR_FIELDS, "factor")):
-        if name in fields:
-            txt = fields[name]
-            if "int" in txt:
-                return owner, int(value)
-            if "float" in txt:
-                return owner, float(value)
-            if "tuple" in txt.lower() or "pair" in name:
-                return owner, tuple(float(v) for v in value.split(","))
-            return owner, value
-    raise argparse.ArgumentTypeError(f"unknown parameter {name!r}")
+def _pair(text):
+    return tuple(float(v) for v in text.split(","))
 
 
-def _apply_overrides(pairs, solver_kwargs, factor_kwargs):
-    for item in pairs or []:
-        if "=" not in item:
-            raise argparse.ArgumentTypeError(f"override must be name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        owner, coerced = _coerce(name.strip(), value.strip())
-        if owner == "solver":
-            solver_kwargs[name.strip()] = coerced
-        else:
-            factor_kwargs[name.strip()] = coerced
+# --set NAME=VALUE parsers, one per SolverConfig / FactorParams field
+# (factor_params itself is set through its own fields)
+_SOLVER_PARSERS = {
+    "sigma": float, "eta_max": float, "beta": float, "epsilon": float,
+    "alpha_pair": _pair, "droptol_pair": _pair, "m": int, "n_trigger": int,
+    "theta": float, "refine_steps": int, "max_nonlinear": int,
+    "max_halvings": int, "gmres_cap": int, "picard_eta": float, "regime": str,
+}
+_FACTOR_PARSERS = {
+    "alpha": float, "droptol": float, "cond_thresh": float,
+    "diag_thresh": float, "dense_switch": int, "max_levels": int,
+    "pivot_floor": float, "ordering": str,
+}
+
+
+def _override(text):
+    """Parse one --set NAME=VALUE into (name, typed value)."""
+    name, sep, value = (part.strip() for part in text.partition("="))
+    if not sep:
+        raise argparse.ArgumentTypeError(f"override must be name=value, got {text!r}")
+    parse = _SOLVER_PARSERS.get(name) or _FACTOR_PARSERS.get(name)
+    if parse is None:
+        raise argparse.ArgumentTypeError(f"unknown parameter {name!r}")
+    try:
+        return name, parse(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad value for {name}: {value!r}") from None
+
+
+def _solver_config(args) -> SolverConfig:
+    """SolverConfig from the cavity flags; raises ValueError on bad values."""
+    regime = args.regime
+    if regime == "auto":
+        regime = "low_re" if args.re < 200 else "high_re"
+    solver_kwargs = {"sigma": args.sigma, "regime": regime}
+    factor_kwargs = {}
+    for name, value in args.set or []:
+        (factor_kwargs if name in _FACTOR_PARSERS else solver_kwargs)[name] = value
+    if factor_kwargs:
+        solver_kwargs["factor_params"] = FactorParams(**factor_kwargs)
+    return SolverConfig(**solver_kwargs)
 
 
 def _out_dir(args) -> Path:
@@ -75,34 +88,18 @@ def _positive_float(text):
 
 def run_cavity(args) -> int:
     out = _out_dir(args)
-    regime = args.regime
-    if regime == "auto":
-        regime = "low_re" if args.re < 200 else "high_re"
-    solver_kwargs = {"sigma": args.sigma, "regime": regime}
-    factor_kwargs = {}
-    _apply_overrides(args.set, solver_kwargs, factor_kwargs)
-    if factor_kwargs:
-        solver_kwargs["factor_params"] = FactorParams(**factor_kwargs)
-    cfg = SolverConfig(**solver_kwargs)
-
+    cfg = args.cfg
     t0 = time.perf_counter()
     prob = cav.build_problem(args.level, args.re, bc_kind=args.bc)
-    x0 = cav.stokes_initial_guess(prob)
-    nlp = NonlinearProblem(
-        residual=lambda x: cav.residual(prob, x),
-        operator=lambda x, nt: cav.newton_operator(prob, x) if nt else cav.oseen_operator(prob, x),
-        sparsifier=lambda x, nt: cav.oseen_operator(prob, x),
-        x0=x0,
-        null_basis=cav.null_vector(prob),
-    )
+    nlp = cav.nonlinear_problem(prob, cav.stokes_initial_guess(prob))
     x, report = hybrid_newton(nlp, cfg)
     elapsed = time.perf_counter() - t0
 
     report.write_csv(out / "convergence.csv")
     cav.write_solution_csv(prob, x, out / "solution.csv")
     summary = (
-        f"command=cavity level={args.level} re={args.re:g} sigma={args.sigma:g} "
-        f"bc={args.bc} regime={regime} converged={int(report.converged)} "
+        f"command=cavity level={args.level} re={args.re:g} sigma={cfg.sigma:g} "
+        f"bc={args.bc} regime={cfg.regime} converged={int(report.converged)} "
         f"nonlinear_iters={len(report.steps)} total_gmres={report.total_gmres} "
         f"final_normF={report.final_normF:.6e} wall_seconds={elapsed:.3f}"
     )
@@ -182,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--sigma", type=float, default=1e-6, help="nonlinear relative tolerance")
     pc.add_argument("--bc", choices=["standard", "regularized"], default="standard")
     pc.add_argument("--regime", choices=["auto", "low_re", "high_re"], default="auto")
-    pc.add_argument("--set", action="append", metavar="NAME=VALUE",
+    pc.add_argument("--set", action="append", type=_override, metavar="NAME=VALUE",
                     help="override a solver or factorization parameter")
     pc.add_argument("--output-dir", default=None)
     pc.set_defaults(func=run_cavity)
@@ -213,6 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "cavity":
+        try:
+            args.cfg = _solver_config(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.func(args)
 
 

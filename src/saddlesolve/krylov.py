@@ -19,7 +19,6 @@ __all__ = [
     "GmresParams",
     "PrecondOperator",
     "KrylovReport",
-    "apply_precond",
     "fgmres",
     "eta_newton",
 ]
@@ -84,10 +83,6 @@ class PrecondOperator:
             r = v - self.j_matvec(z)
             z = z + self._project(ml_solve(self.factor, r))
         return z
-
-
-def apply_precond(p: PrecondOperator, v: np.ndarray) -> np.ndarray:
-    return p.apply(v)
 
 
 @dataclass

@@ -192,14 +192,15 @@ def equilibrate(a: sp.csr_matrix):
     return dr, dc
 
 
-def static_defer(a_scaled: sp.csr_matrix, diag_thresh: float) -> Permutation:
+def static_defer(a_scaled: sp.csr_matrix, diag_thresh: float):
     """Stable symmetric permutation pushing indices whose scaled diagonal
-    magnitude falls below diag_thresh * max_j |A_jj| behind the rest."""
+    magnitude falls below diag_thresh * max_j |A_jj| behind the rest.
+    Returns the permutation and the number of kept (leading) indices."""
     d = np.abs(a_scaled.diagonal())
     thr = diag_thresh * (d.max() if d.size else 0.0)
     keep = d >= thr
     order = np.concatenate([np.flatnonzero(keep), np.flatnonzero(~keep)])
-    return Permutation.from_inverse(order)
+    return Permutation.from_inverse(order), int(np.count_nonzero(keep))
 
 
 def _scale(a: sp.csr_matrix, dr: np.ndarray, dc: np.ndarray) -> sp.csr_matrix:
@@ -524,12 +525,9 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
         scaled = _scale(current, dr, dc)
         p_fill = reorder(scaled, method=params.ordering)
         b = _sym_permute(scaled, p_fill)
-        p_defer = static_defer(b, params.diag_thresh)
+        p_defer, ncand = static_defer(b, params.diag_thresh)
         b = _sym_permute(b, p_defer)
         p_static = p_defer.compose(p_fill)
-        d = np.abs(b.diagonal())
-        thr = params.diag_thresh * (d.max() if d.size else 0.0)
-        ncand = int(np.count_nonzero(d >= thr))
         budget = np.diff(current.indptr)
         budget_row = budget[p_static.inverse]
         budget_col = np.diff(current.tocsc().indptr)[p_static.inverse]

@@ -74,16 +74,19 @@ class SolverConfig:
     factor_params: FactorParams = field(default_factory=FactorParams)
 
     def __post_init__(self):
-        if not (0 < self.sigma < 1):
-            raise ValueError("sigma must be in (0, 1)")
-        if not (0 < self.beta < 1):
-            raise ValueError("beta must be in (0, 1)")
+        for name in ("sigma", "beta", "eta_max", "picard_eta"):
+            if not (0 < getattr(self, name) < 1):
+                raise ValueError(f"{name} must be in (0, 1)")
+        if not self.epsilon > 0:
+            raise ValueError("epsilon must be > 0")
         if not (0 < self.theta < 0.5):
             raise ValueError("theta must be in (0, 0.5)")
         for name in ("m", "n_trigger", "refine_steps", "max_nonlinear",
                      "max_halvings", "gmres_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.m > self.gmres_cap:
+            raise ValueError("m must be <= gmres_cap")
         if self.regime not in _THRESHOLD_DEFAULTS:
             raise ValueError(f"regime must be one of {sorted(_THRESHOLD_DEFAULTS)}")
 
@@ -152,15 +155,17 @@ def armijo_damp(residual: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 max_halvings: int):
     """Damped update by repeated halving: accept the first omega in
     {1, 1/2, 1/4, ...} with ||F(x + omega s)|| <= (1 - theta*omega)*||F(x)||.
-    Raises LineSearchError when max_halvings is exhausted."""
+    Returns (omega, x_new, F(x_new), ||F(x_new)||); raises LineSearchError
+    when max_halvings is exhausted."""
     if not np.all(np.isfinite(s)):
         raise ValueError("search direction must be finite")
     omega = 1.0
     for _ in range(max_halvings + 1):
         trial = x + omega * s
-        norm_trial = np.linalg.norm(residual(trial))
+        f_trial = np.asarray(residual(trial), dtype=np.float64)
+        norm_trial = np.linalg.norm(f_trial)
         if norm_trial <= (1.0 - theta * omega) * normF:
-            return omega, trial, norm_trial
+            return omega, trial, f_trial, norm_trial
         omega *= 0.5
     raise LineSearchError(
         f"no residual decrease after {max_halvings} halvings "
@@ -168,12 +173,10 @@ def armijo_damp(residual: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     )
 
 
-def adapt_thresholds(started_nt: bool, regime: str, cfg: SolverConfig):
+def adapt_thresholds(started_nt: bool, cfg: SolverConfig):
     """Phase- and regime-dependent (alpha, droptol), with config overrides."""
-    if regime not in _THRESHOLD_DEFAULTS:
-        raise ValueError(f"regime must be one of {sorted(_THRESHOLD_DEFAULTS)}")
     phase = "newton" if started_nt else "picard"
-    alpha, droptol = _THRESHOLD_DEFAULTS[regime][phase]
+    alpha, droptol = _THRESHOLD_DEFAULTS[cfg.regime][phase]
     idx = 1 if started_nt else 0
     if cfg.alpha_pair is not None:
         alpha = cfg.alpha_pair[idx]
@@ -185,7 +188,8 @@ def adapt_thresholds(started_nt: bool, regime: str, cfg: SolverConfig):
 def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
     """Run the hybrid outer loop until ||F(x)|| <= sigma * ||F(x0)|| or the
     step budget is exhausted.  Returns the final iterate and a report with
-    one record per accepted step."""
+    one record per accepted step; a failed line search or a non-finite
+    direction ends the loop early with the cause in report.message."""
     cfg = cfg or SolverConfig()
     x = np.asarray(prob.x0, dtype=np.float64).copy()
     fx = np.asarray(prob.residual(x), dtype=np.float64)
@@ -218,7 +222,7 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
             prev_iters, s_prev, x_prev, first_newton, cfg
         )
         if do_refactor:
-            alpha, droptol = adapt_thresholds(started_nt, cfg.regime, cfg)
+            alpha, droptol = adapt_thresholds(started_nt, cfg)
             fp = replace(cfg.factor_params, alpha=alpha, droptol=droptol)
             factor = factorize(prob.sparsifier(x, started_nt), fp)
 
@@ -236,10 +240,10 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
         report.total_gmres += krep.iterations
 
         try:
-            omega, x_new, norm_new = armijo_damp(
+            omega, x_new, f_new, norm_new = armijo_damp(
                 prob.residual, x, s, norm_f, cfg.theta, cfg.max_halvings
             )
-        except LineSearchError as exc:
+        except (LineSearchError, ValueError) as exc:
             report.message = str(exc)
             break
 
@@ -255,7 +259,7 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
         x_prev = x
         s_prev = omega * s
         x = x_new
-        fx = np.asarray(prob.residual(x), dtype=np.float64)
+        fx = f_new
         norm_f_prev = norm_f
         norm_f = norm_new
         eta_prev = eta

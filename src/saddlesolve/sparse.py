@@ -15,16 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = [
-    "SparseMatrix",
-    "Permutation",
-    "as_csr",
-    "check_matrix",
-    "spmv",
-    "permute_scale",
-]
-
-SparseMatrix = sp.csr_matrix
+__all__ = ["Permutation", "as_csr"]
 
 
 def as_csr(a) -> sp.csr_matrix:
@@ -33,25 +24,6 @@ def as_csr(a) -> sp.csr_matrix:
     m.sum_duplicates()
     m.sort_indices()
     return m
-
-
-def check_matrix(a: sp.csr_matrix) -> None:
-    """Validate the structural invariants; raises ValueError on violation."""
-    if a.ndim != 2:
-        raise ValueError("matrix must be 2-D")
-    n, m = a.shape
-    if a.indptr.shape != (n + 1,):
-        raise ValueError("row offsets must have length nrows+1")
-    if a.indptr[0] != 0 or a.indptr[-1] != a.data.size:
-        raise ValueError("row offsets must start at 0 and end at nnz")
-    if np.any(np.diff(a.indptr) < 0):
-        raise ValueError("row offsets must be nondecreasing")
-    if a.indices.size and (a.indices.min() < 0 or a.indices.max() >= m):
-        raise ValueError("column index out of range")
-    for i in range(n):
-        cols = a.indices[a.indptr[i]:a.indptr[i + 1]]
-        if np.any(np.diff(cols) <= 0):
-            raise ValueError(f"row {i}: column indices not strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -64,11 +36,6 @@ class Permutation:
 
     forward: np.ndarray
     inverse: np.ndarray
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        ar = np.arange(n)
-        return Permutation(ar, ar.copy())
 
     @staticmethod
     def from_inverse(inverse) -> "Permutation":
@@ -93,9 +60,6 @@ class Permutation:
         """Return self applied after ``first`` (self o first)."""
         return Permutation.from_forward(self.forward[first.forward])
 
-    def invert(self) -> "Permutation":
-        return Permutation(self.inverse, self.forward)
-
     def check(self) -> None:
         n = self.n
         ar = np.arange(n)
@@ -106,43 +70,3 @@ class Permutation:
         if not np.array_equal(self.forward[self.inverse], ar):
             raise ValueError("forward o inverse is not the identity")
 
-
-def spmv(a: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix times dense vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {a.shape[0]}x{a.shape[1]}, "
-            f"vector has length {x.shape[0] if x.ndim == 1 else x.shape}"
-        )
-    return a @ x
-
-
-def permute_scale(
-    a: sp.csr_matrix,
-    p: Permutation,
-    q: Permutation,
-    dr: np.ndarray,
-    dc: np.ndarray,
-) -> sp.csr_matrix:
-    """Rescale by dr (rows) and dc (columns), then permute rows by p and
-    columns by q.  Entry (i, j) of A lands at (p.forward[i], q.forward[j])
-    scaled by dr[i]*dc[j].
-    """
-    n, m = a.shape
-    dr = np.asarray(dr, dtype=np.float64)
-    dc = np.asarray(dc, dtype=np.float64)
-    if p.n != n or q.n != m or dr.size != n or dc.size != m:
-        raise ValueError("permutation/scaling dimensions inconsistent with matrix")
-    if np.any(dr <= 0) or np.any(dc <= 0):
-        bad = int(np.argmax(dr <= 0)) if np.any(dr <= 0) else int(np.argmax(dc <= 0))
-        raise ValueError(f"nonpositive scaling entry at index {bad}")
-    scaled = sp.csr_matrix(
-        (a.data * np.repeat(dr, np.diff(a.indptr)) * dc[a.indices],
-         a.indices, a.indptr),
-        shape=a.shape,
-    )
-    out = scaled[p.inverse, :][:, q.inverse]
-    out = sp.csr_matrix(out)
-    out.sort_indices()
-    return out

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from saddlesolve import cavity as cav
-from saddlesolve.krylov import PrecondOperator, apply_precond
+from saddlesolve.krylov import PrecondOperator
 from saddlesolve.mlilu import FactorParams, factorize
 
 
@@ -76,14 +76,15 @@ class TestConstantOperators:
 
 class TestConvection:
     def test_zero_velocity_gives_zero_operators(self):
-        # zero lid so the full velocity field (boundary lift included) is 0;
-        # the pattern is retained as explicit zeros
+        # zero lid so the full velocity field (boundary lift included) is 0:
+        # the Jacobian has the Stokes values, with the convection pattern
+        # retained as explicit zeros
         prob_zero = cav.build_problem(4, re=100.0)
         prob_zero.lid_values[:] = 0.0
-        x = np.zeros(prob_zero.n_unknowns)
-        ck, wk = cav.assemble_convection(prob_zero, x)
-        assert ck.nnz > 0 and np.abs(ck.data).max() == 0.0
-        assert wk.nnz > 0 and np.abs(wk.data).max() == 0.0
+        j = cav.newton_operator(prob_zero, np.zeros(prob_zero.n_unknowns))
+        stokes = cav.stokes_operator(prob_zero)
+        assert np.abs(j - stokes).max() == 0.0
+        assert j.nnz > stokes.nnz
 
     def test_skew_row_sums_on_rotational_field(self, cavity_level4):
         # advecting field (y, -x) is divergence free; each row of the full
@@ -262,26 +263,19 @@ class TestPrecondProjection:
         p = PrecondOperator(factor, j_op=a, null_basis=q, refine_steps=2)
         rng = np.random.default_rng(64)
         v = rng.standard_normal(prob.n_unknowns)
-        z = apply_precond(p, v)
+        z = p.apply(v)
         assert abs(z @ q) <= 1e-12 * np.linalg.norm(z)
 
 
 def test_refinement_self_convergence():
     # centerline u_x differences between consecutive levels shrink at
     # Re = 100 (three consecutive levels, full nonlinear solves)
-    from saddlesolve.nonlinear import NonlinearProblem, SolverConfig, hybrid_newton
+    from saddlesolve.nonlinear import SolverConfig, hybrid_newton
 
     profiles = {}
     for level in (3, 4, 5):
         prob = cav.build_problem(level, re=100.0)
-        x0 = cav.stokes_initial_guess(prob)
-        nlp = NonlinearProblem(
-            residual=lambda x, p=prob: cav.residual(p, x),
-            operator=lambda x, nt, p=prob: cav.newton_operator(p, x) if nt else cav.oseen_operator(p, x),
-            sparsifier=lambda x, nt, p=prob: cav.oseen_operator(p, x),
-            x0=x0,
-            null_basis=cav.null_vector(prob),
-        )
+        nlp = cav.nonlinear_problem(prob, cav.stokes_initial_guess(prob))
         x, rep = hybrid_newton(nlp, SolverConfig(sigma=1e-8, regime="low_re"))
         assert rep.converged
         y, u = cav.centerline_profile(prob, x)

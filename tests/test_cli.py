@@ -40,12 +40,61 @@ def test_cavity_rejects_degenerate_re(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_cavity_rejects_unknown_override(tmp_path):
-    with pytest.raises(Exception):
-        main([
-            "cavity", "--level", "3", "--re", "50",
-            "--set", "not_a_param=1", "--output-dir", str(tmp_path),
-        ])
+def test_cavity_rejects_unknown_override(tmp_path, capsys, monkeypatch):
+    # bad names and bad values are usage errors: exit 2 with a one-line
+    # message, before any assembly
+    from saddlesolve import cavity
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembly ran before the overrides were checked")
+
+    monkeypatch.setattr(cavity, "build_problem", no_assembly)
+    cases = [
+        ("not_a_param=1", "unknown parameter 'not_a_param'"),
+        ("sigma=2", "sigma must be in (0, 1)"),
+        ("regime=mid", "regime must be one of"),
+        ("m=abc", "bad value for m"),
+        ("dense_switch=None", "bad value for dense_switch"),
+        ("m=300", "m must be <= gmres_cap"),
+        ("picard_eta=1.5", "picard_eta must be in (0, 1)"),
+        ("eta_max=0", "eta_max must be in (0, 1)"),
+        ("alpha=0.5", "alpha must be >= 1"),
+    ]
+    for override, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(["cavity", "--level", "3", "--re", "50", "--set", override,
+                  "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2, override
+        err = capsys.readouterr().err
+        assert message in err.splitlines()[-1], (override, err)
+        assert "Traceback" not in err
+
+
+def test_override_table_covers_every_config_field():
+    from dataclasses import fields
+
+    from saddlesolve import cli
+    from saddlesolve.mlilu import FactorParams
+    from saddlesolve.nonlinear import SolverConfig
+
+    solver = {f.name for f in fields(SolverConfig)} - {"factor_params"}
+    assert set(cli._SOLVER_PARSERS) == solver
+    assert set(cli._FACTOR_PARSERS) == {f.name for f in fields(FactorParams)}
+
+
+def test_cavity_nonfinite_direction_writes_reports_and_fails(tmp_path, monkeypatch):
+    from saddlesolve import nonlinear
+    from saddlesolve.krylov import KrylovReport
+
+    def nan_fgmres(a_op, precond, b, params, x0=None):
+        return np.full(b.size, np.nan), KrylovReport(iterations=1)
+
+    monkeypatch.setattr(nonlinear, "fgmres", nan_fgmres)
+    rc = main(["cavity", "--level", "3", "--re", "50", "--output-dir", str(tmp_path)])
+    assert rc == 1
+    conv = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert conv == ["step,phase,normF,eta,gmres_iters,refactorized,omega"]
+    assert "converged=0" in (tmp_path / "summary.txt").read_text()
 
 
 def test_cavity_reruns_bit_identical(tmp_path):

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from saddlesolve.krylov import (
-    GmresParams,
-    PrecondOperator,
-    apply_precond,
-    eta_newton,
-    fgmres,
-)
+from saddlesolve.krylov import GmresParams, PrecondOperator, eta_newton, fgmres
 from saddlesolve.mlilu import FactorParams, factorize
 from saddlesolve.sparse import as_csr
 
@@ -29,7 +23,7 @@ class TestApplyPrecond:
         m = make_factor(a, exact=False)
         p = PrecondOperator(m, refine_steps=1)
         v = rng.standard_normal(25)
-        assert np.array_equal(apply_precond(p, v), ml_solve(m, v))
+        assert np.array_equal(p.apply(v), ml_solve(m, v))
 
     def test_projector_annihilates_null_direction(self):
         a, rng = random_sparse(20, 0.3, seed=32, diag_shift=3.0)
@@ -37,7 +31,7 @@ class TestApplyPrecond:
         q = rng.standard_normal(20)
         q /= np.linalg.norm(q)
         p = PrecondOperator(m, j_op=a, null_basis=q, refine_steps=1)
-        z = apply_precond(p, q.copy())
+        z = p.apply(q.copy())
         assert abs(z @ q) <= 1e-12 * max(np.linalg.norm(z), 1.0)
 
     def test_refinement_idempotent_at_exact_limit(self):
@@ -48,7 +42,7 @@ class TestApplyPrecond:
         p = PrecondOperator(m, j_op=a, refine_steps=2)
         v = rng.standard_normal(10)
         oracle = np.linalg.solve(a.toarray(), v)
-        z = apply_precond(p, v)
+        z = p.apply(v)
         assert np.linalg.norm(z - oracle) / np.linalg.norm(oracle) <= 1e-12
 
     def test_refinement_contracts_residual(self):
@@ -59,7 +53,7 @@ class TestApplyPrecond:
         v = rng.standard_normal(30)
         norms = []
         for k in (1, 2, 3, 4):
-            z = apply_precond(PrecondOperator(m, j_op=a, refine_steps=k), v)
+            z = PrecondOperator(m, j_op=a, refine_steps=k).apply(v)
             norms.append(np.linalg.norm(v - a @ z))
         assert all(n2 <= n1 * (1 + 1e-12) for n1, n2 in zip(norms, norms[1:]))
 

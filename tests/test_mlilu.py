@@ -12,7 +12,7 @@ from saddlesolve.mlilu import (
     reassemble,
     static_defer,
 )
-from saddlesolve.sparse import Permutation, as_csr
+from saddlesolve.sparse import as_csr
 
 from conftest import random_saddle, random_sparse
 
@@ -55,16 +55,18 @@ class TestEquilibrate:
 class TestStaticDefer:
     def test_saddle_structure_is_identity(self):
         a = random_saddle(8, 4, seed=3)
-        p = static_defer(a, 1e-2)
+        p, n_keep = static_defer(a, 1e-2)
         assert np.array_equal(p.inverse, np.arange(12))
+        assert n_keep == 8
 
     def test_stable_partition(self):
         a = as_csr(sp.diags([0.0, 1.0, 0.0, 1.0]).tocsr() + sp.eye(4) * 0)
         dense = np.diag([0.0, 1.0, 0.0, 1.0])
         dense[0, 1] = dense[2, 3] = 1e-3  # keep rows structurally nonempty
         a = as_csr(sp.csr_matrix(dense))
-        p = static_defer(a, 1e-2)
+        p, n_keep = static_defer(a, 1e-2)
         assert np.array_equal(p.inverse, [1, 3, 0, 2])
+        assert n_keep == 2
 
     def test_known_zero_positions_land_last(self):
         rng = np.random.default_rng(4)
@@ -74,7 +76,8 @@ class TestStaticDefer:
         for z in zeros:
             dense[z, z] = 0.0
         a = as_csr(sp.csr_matrix(dense))
-        p = static_defer(a, 1e-2)
+        p, n_keep = static_defer(a, 1e-2)
+        assert n_keep == 7
         assert sorted(p.inverse[-3:]) == zeros
         kept = [i for i in range(n) if i not in zeros]
         assert list(p.inverse[:7]) == kept  # stable among the kept
@@ -85,11 +88,12 @@ class TestStaticDefer:
         for z in (3, 11, 19):
             dense[z, z] = 1e-9
         a = as_csr(sp.csr_matrix(dense))
-        p = static_defer(a, 1e-2)
+        p, n_keep = static_defer(a, 1e-2)
         d = np.abs(a.diagonal())
         thr = 1e-2 * d.max()
-        n_keep = int(np.count_nonzero(d >= thr))
+        assert n_keep == int(np.count_nonzero(d >= thr)) == 27
         assert np.all(d[p.inverse[:n_keep]] >= thr)
+        assert np.all(d[p.inverse[n_keep:]] < thr)
 
 
 class TestCroutLevel:
@@ -249,6 +253,21 @@ class TestMlSolve:
         m = factorize(a, FactorParams())
         with pytest.raises(ValueError, match="length"):
             ml_solve(m, np.ones(11))
+
+
+def test_level_stats_rows_match_the_factor():
+    a = random_saddle(80, 40, seed=22)
+    m = factorize(a, FactorParams(alpha=3.0, droptol=0.01, dense_switch=10))
+    rows = m.level_stats()
+    assert len(m.levels) >= 2 and m.tail_n > 1
+    assert len(rows) == len(m.levels) + 1
+    assert [r["level"] for r in rows] == list(range(1, len(rows) + 1))
+    for upper, lower in zip(rows, rows[1:]):
+        assert lower["n"] == upper["n"] - upper["n_b"]
+    assert rows[0]["n"] == a.shape[0]
+    tail = rows[-1]
+    assert tail["n"] == m.tail_n and tail["nnz"] == m.tail_n**2
+    assert sum(r["nnz"] for r in rows) == m.total_nnz
 
 
 def test_reassembly_applies_permutations_and_scalings():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from saddlesolve import nonlinear
+from saddlesolve.krylov import KrylovReport
 from saddlesolve.mlilu import FactorParams
 from saddlesolve.nonlinear import (
     LineSearchError,
@@ -180,6 +182,41 @@ class TestHybridNewton:
         assert not rep.converged
         assert "halvings" in rep.message
 
+    def test_nonfinite_direction_reported_not_raised(self, monkeypatch):
+        def nan_fgmres(a_op, precond, b, params, x0=None):
+            return np.full(b.size, np.nan), KrylovReport(iterations=1)
+
+        monkeypatch.setattr(nonlinear, "fgmres", nan_fgmres)
+        cfg = SolverConfig(factor_params=FactorParams(dense_switch=2))
+        x, rep = hybrid_newton(scalar_problem(), cfg)
+        assert not rep.converged
+        assert rep.steps == []
+        assert "finite" in rep.message
+        assert x[0] == 3.0
+
+    @pytest.mark.parametrize("fixture", ["quadratic", "atan"])
+    def test_one_residual_per_trial(self, fixture):
+        # the accepted trial's residual is the next step's residual: the
+        # driver evaluates F once at x0 and once per Armijo trial.  Newton
+        # on atan(x) from x0 = 1.5 overshoots, so its first step halves.
+        if fixture == "quadratic":
+            prob = scalar_problem()
+        else:
+            def op(x, nt):
+                return as_csr(sp.csr_matrix(np.array([[1.0 / (1.0 + x[0] ** 2)]])))
+
+            prob = NonlinearProblem(residual=lambda x: np.arctan(x), operator=op,
+                                    sparsifier=op, x0=np.array([1.5]))
+        calls = []
+        inner = prob.residual
+        prob.residual = lambda x: calls.append(1) or inner(x)
+        cfg = SolverConfig(sigma=1e-10, factor_params=FactorParams(dense_switch=4))
+        _, rep = hybrid_newton(prob, cfg)
+        assert rep.converged
+        halvings = [round(-np.log2(s.omega)) for s in rep.steps]
+        assert (sum(halvings) >= 1) == (fixture == "atan")
+        assert len(calls) == 1 + sum(h + 1 for h in halvings)
+
     def test_csv_roundtrip(self, tmp_path):
         prob = scalar_problem()
         cfg = SolverConfig(sigma=1e-8, factor_params=FactorParams(dense_switch=2))
@@ -222,10 +259,11 @@ class TestArmijo:
         def res(x):
             return x.copy()
 
-        omega, x_new, norm_new = armijo_damp(res, np.array([1.0]), np.array([-1.0]),
-                                             1.0, 1e-4, 20)
+        omega, x_new, f_new, norm_new = armijo_damp(res, np.array([1.0]), np.array([-1.0]),
+                                                    1.0, 1e-4, 20)
         assert omega == 1.0
         assert x_new[0] == 0.0
+        assert f_new[0] == 0.0
         assert norm_new == 0.0
 
     def test_hand_traced_halving(self):
@@ -234,10 +272,11 @@ class TestArmijo:
         def res(x):
             return x.copy()
 
-        omega, x_new, norm_new = armijo_damp(res, np.array([1.0]), np.array([-4.0]),
-                                             1.0, 1e-4, 20)
+        omega, x_new, f_new, norm_new = armijo_damp(res, np.array([1.0]), np.array([-4.0]),
+                                                    1.0, 1e-4, 20)
         assert omega == 0.25
         assert x_new[0] == 0.0
+        assert f_new[0] == 0.0
         assert norm_new == 0.0
 
     def test_zero_direction_fails(self):
@@ -256,16 +295,41 @@ class TestAdaptThresholds:
         (True, "high_re", (5.0, 0.001)),
     ])
     def test_defaults(self, started_nt, regime, expected):
-        cfg = SolverConfig()
-        assert adapt_thresholds(started_nt, regime, cfg) == expected
+        cfg = SolverConfig(regime=regime)
+        assert adapt_thresholds(started_nt, cfg) == expected
 
     def test_override(self):
-        cfg = SolverConfig(alpha_pair=(3.0, 3.0))
         for regime in ("low_re", "high_re"):
-            alpha, _ = adapt_thresholds(False, regime, cfg)
+            cfg = SolverConfig(alpha_pair=(3.0, 3.0), regime=regime)
+            alpha, _ = adapt_thresholds(False, cfg)
             assert alpha == 3.0
 
     def test_droptol_override_by_phase(self):
-        cfg = SolverConfig(droptol_pair=(0.1, 0.005))
-        assert adapt_thresholds(False, "low_re", cfg)[1] == 0.1
-        assert adapt_thresholds(True, "high_re", cfg)[1] == 0.005
+        assert adapt_thresholds(False, SolverConfig(droptol_pair=(0.1, 0.005)))[1] == 0.1
+        cfg = SolverConfig(droptol_pair=(0.1, 0.005), regime="high_re")
+        assert adapt_thresholds(True, cfg)[1] == 0.005
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"sigma": 1.0}, "sigma"),
+        ({"beta": 0.0}, "beta"),
+        ({"theta": 0.5}, "theta"),
+        ({"eta_max": 0.0}, "eta_max"),
+        ({"eta_max": 1.0}, "eta_max"),
+        ({"picard_eta": 1.5}, "picard_eta"),
+        ({"picard_eta": 0.0}, "picard_eta"),
+        ({"epsilon": 0.0}, "epsilon"),
+        ({"epsilon": -1.0}, "epsilon"),
+        ({"m": 300}, "gmres_cap"),
+        ({"m": 31, "gmres_cap": 30}, "gmres_cap"),
+        ({"max_halvings": 0}, "max_halvings"),
+        ({"regime": "mid"}, "regime"),
+    ])
+    def test_rejects_invalid(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SolverConfig(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        SolverConfig(m=200, gmres_cap=200, epsilon=1e-12, eta_max=0.999,
+                     picard_eta=1e-3)
