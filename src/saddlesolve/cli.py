@@ -174,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("cavity", help="run the lid-driven cavity benchmark")
-    pc.add_argument("--level", type=int, required=True, help="mesh level (3..12)")
+    pc.add_argument("--level", type=int, choices=range(3, 13), required=True,
+                    metavar="{3..12}", help="mesh level")
     pc.add_argument("--re", type=_positive_float, required=True, help="Reynolds number")
     pc.add_argument("--sigma", type=float, default=1e-6, help="nonlinear relative tolerance")
     pc.add_argument("--bc", choices=["standard", "regularized"], default="standard")

@@ -73,8 +73,11 @@ class PrecondOperator:
         self.null_basis = null_basis
 
     def _project(self, z):
+        # twice: one classical pass leaves about eps * |q.z| along q, and
+        # q.z can dwarf |z| on a singular saddle system
         if self.null_basis is not None:
-            z = z - self.null_basis * (self.null_basis @ z)
+            for _ in range(2):
+                z = z - self.null_basis * (self.null_basis @ z)
         return z
 
     def apply(self, v: np.ndarray) -> np.ndarray:

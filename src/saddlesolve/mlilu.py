@@ -51,7 +51,9 @@ class FactorParams:
     diag_thresh is the relative static-deferring threshold on scaled
     diagonals; pivot_floor is the absolute post-equilibration magnitude
     below which a pivot is deferred.  dense_switch=None resolves to
-    min(max(500, sqrt(n)), 2000).
+    min(max(500, sqrt(n)), 2000).  ordering is the per-level fill-reducing
+    ordering: "amd" for SuperLU's multiple minimum degree on A + A^T, or
+    "rcm" for reverse Cuthill-McKee.
     """
 
     alpha: float = 2.0
@@ -64,11 +66,11 @@ class FactorParams:
     ordering: str = "amd"
 
     def __post_init__(self):
-        if self.alpha < 1:
+        if not (self.alpha >= 1):
             raise ValueError("alpha must be >= 1")
         if not (0 <= self.droptol < 1):
             raise ValueError("droptol must be in [0, 1)")
-        if self.cond_thresh <= 1:
+        if not (self.cond_thresh > 1):
             raise ValueError("cond_thresh must exceed 1")
         if not (0 < self.diag_thresh < 1):
             raise ValueError("diag_thresh must be in (0, 1)")
@@ -76,6 +78,10 @@ class FactorParams:
             raise ValueError("dense_switch must be >= 1")
         if self.max_levels < 1:
             raise ValueError("max_levels must be >= 1")
+        if not (self.pivot_floor >= 0):
+            raise ValueError("pivot_floor must be >= 0")
+        if self.ordering not in ("amd", "rcm"):
+            raise ValueError("ordering must be 'amd' or 'rcm'")
 
     def resolve_dense_switch(self, n: int) -> int:
         if self.dense_switch is not None:

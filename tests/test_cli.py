@@ -49,24 +49,31 @@ def test_cavity_rejects_unknown_override(tmp_path, capsys, monkeypatch):
         raise AssertionError("assembly ran before the overrides were checked")
 
     monkeypatch.setattr(cavity, "build_problem", no_assembly)
+
+    def override(text):
+        return ["--level", "3", "--set", text]
+
     cases = [
-        ("not_a_param=1", "unknown parameter 'not_a_param'"),
-        ("sigma=2", "sigma must be in (0, 1)"),
-        ("regime=mid", "regime must be one of"),
-        ("m=abc", "bad value for m"),
-        ("dense_switch=None", "bad value for dense_switch"),
-        ("m=300", "m must be <= gmres_cap"),
-        ("picard_eta=1.5", "picard_eta must be in (0, 1)"),
-        ("eta_max=0", "eta_max must be in (0, 1)"),
-        ("alpha=0.5", "alpha must be >= 1"),
+        (override("not_a_param=1"), "unknown parameter 'not_a_param'"),
+        (override("sigma=2"), "sigma must be in (0, 1)"),
+        (override("regime=mid"), "regime must be one of"),
+        (override("m=abc"), "bad value for m"),
+        (override("dense_switch=None"), "bad value for dense_switch"),
+        (override("m=300"), "m must be <= gmres_cap"),
+        (override("picard_eta=1.5"), "picard_eta must be in (0, 1)"),
+        (override("eta_max=0"), "eta_max must be in (0, 1)"),
+        (override("alpha=0.5"), "alpha must be >= 1"),
+        (override("ordering=bogus"), "ordering must be 'amd' or 'rcm'"),
+        (override("cond_thresh=nan"), "cond_thresh must exceed 1"),
+        (override("pivot_floor=nan"), "pivot_floor must be >= 0"),
+        (["--level", "2"], "argument --level: invalid choice: 2"),
     ]
-    for override, message in cases:
+    for tail, message in cases:
         with pytest.raises(SystemExit) as exc:
-            main(["cavity", "--level", "3", "--re", "50", "--set", override,
-                  "--output-dir", str(tmp_path)])
-        assert exc.value.code == 2, override
+            main(["cavity", "--re", "50", *tail, "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2, tail
         err = capsys.readouterr().err
-        assert message in err.splitlines()[-1], (override, err)
+        assert message in err.splitlines()[-1], (tail, err)
         assert "Traceback" not in err
 
 

@@ -57,6 +57,23 @@ class TestApplyPrecond:
             norms.append(np.linalg.norm(v - a @ z))
         assert all(n2 <= n1 * (1 + 1e-12) for n1, n2 in zip(norms, norms[1:]))
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_projection_removes_null_component_of_stokes_solve(self, cavity_level4, k):
+        # on the singular L4 Stokes system M^-1 v is dominated by the null
+        # vector q; the projected result must keep no more than rounding of
+        # |z| along q, not rounding of |q.M^-1 v|
+        from saddlesolve import cavity as cav
+        a = cav.stokes_operator(cavity_level4)
+        q = cav.null_vector(cavity_level4)
+        q = q / np.linalg.norm(q)
+        factor = factorize(a, FactorParams(alpha=5.0, droptol=0.01))
+        p = PrecondOperator(factor, j_op=a, null_basis=q, refine_steps=k)
+        rng = np.random.default_rng(71)
+        for _ in range(5):
+            v = rng.standard_normal(a.shape[0])
+            z = p.apply(v / np.linalg.norm(v))
+            assert abs(q @ z) <= 1e-15 * np.linalg.norm(z)
+
     def test_requires_operator_for_refinement(self):
         a, _ = random_sparse(10, 0.4, seed=35, diag_shift=3.0)
         with pytest.raises(ValueError, match="refinement"):

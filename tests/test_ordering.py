@@ -85,3 +85,19 @@ def test_reorder_deterministic():
     p1 = reorder(a)
     p2 = reorder(a)
     assert np.array_equal(p1.inverse, p2.inverse)
+
+
+def test_saddle_matrix_orders_deterministically():
+    # zero (2,2) block and a structurally unsymmetric (1,2)/(2,1) pair: the
+    # ordering works on A + A^T and its diagonally dominant stand-in, so the
+    # LU behind it meets no zero pivot
+    nb, ne = 12, 5
+    a = sp.lil_matrix((nb + ne, nb + ne))
+    a[:nb, :nb] = laplacian_2d(4)[:nb, :nb]
+    for k in range(ne):
+        a[nb + k, 2 * k] = 1.0        # E
+        a[2 * k + 1, nb + k] = 1.0    # F^T, a different pattern from E^T
+    a = as_csr(a.tocsr())
+    p1 = reorder(a)
+    p1.check()
+    assert np.array_equal(p1.inverse, reorder(a).inverse)
