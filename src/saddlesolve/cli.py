@@ -108,37 +108,50 @@ def run_cavity(args) -> int:
     return 0 if report.converged else 1
 
 
+class _BadInput(Exception):
+    """An input file that cannot be used: one 'error:' line, exit 2."""
+
+
+def _read(path, kind):
+    """mm_read, with a missing or malformed file as _BadInput."""
+    try:
+        return mm_read(path, kind=kind)
+    except (OSError, ValueError) as exc:
+        raise _BadInput(exc) from None
+
+
+def _read_square(path):
+    a = _read(path, "matrix")
+    if a.shape[0] != a.shape[1]:
+        raise _BadInput(f"matrix must be square, got {a.shape}")
+    return a
+
+
+def _read_vector(path, what, n):
+    v = _read(path, "vector")
+    if v.size != n:
+        raise _BadInput(f"{what} length {v.size} does not match matrix size {n}")
+    return v
+
+
 def run_linsolve(args) -> int:
     out = _out_dir(args)
-    a = mm_read(args.matrix, kind="matrix")
-    if a.shape[0] != a.shape[1]:
-        print(f"error: matrix must be square, got {a.shape}", file=sys.stderr)
-        return 2
-    if args.rhs:
-        b = mm_read(args.rhs, kind="vector")
-        if b.size != a.shape[0]:
-            print(
-                f"error: rhs length {b.size} does not match matrix size {a.shape[0]}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        b = a @ np.ones(a.shape[0])
-    null = mm_read(args.null_vector, kind="vector") if args.null_vector else None
+    a = _read_square(args.matrix)
+    n = a.shape[0]
+    b = _read_vector(args.rhs, "rhs", n) if args.rhs else a @ np.ones(n)
+    null = _read_vector(args.null_vector, "null vector", n) if args.null_vector else None
 
-    params = FactorParams(alpha=args.alpha, droptol=args.droptol)
     t0 = time.perf_counter()
-    factor = factorize(a, params)
+    factor = factorize(a, args.params)
     precond = PrecondOperator(factor, j_op=a, null_basis=null,
                               refine_steps=args.refine_steps)
-    gp = GmresParams(restart=args.restart, max_iters=args.max_iters, rtol=args.rtol)
-    x, rep = fgmres(a, precond, b, gp)
+    x, rep = fgmres(a, precond, b, args.gmres)
     elapsed = time.perf_counter() - t0
 
     mm_write(x, out / "solution.mtx")
     rep.write_history_csv(out / "residual_history.csv")
     summary = (
-        f"command=linsolve matrix={args.matrix} n={a.shape[0]} nnz={a.nnz} "
+        f"command=linsolve matrix={args.matrix} n={n} nnz={a.nnz} "
         f"factor_nnz={factor.total_nnz} converged={int(rep.converged)} "
         f"iterations={rep.iterations} relres={rep.final_relres:.6e} "
         f"wall_seconds={elapsed:.3f}"
@@ -150,9 +163,8 @@ def run_linsolve(args) -> int:
 
 def run_factor_stats(args) -> int:
     out = _out_dir(args)
-    a = mm_read(args.matrix, kind="matrix")
-    params = FactorParams(alpha=args.alpha, droptol=args.droptol)
-    factor = factorize(a, params)
+    a = _read_square(args.matrix)
+    factor = factorize(a, args.params)
     path = out / "factor_stats.csv"
     with open(path, "w", encoding="ascii") as f:
         f.write("level,n,n_b,deferred,nnz\n")
@@ -211,12 +223,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "cavity":
-        try:
+    # parameters are checked before any assembly or file read
+    try:
+        if args.command == "cavity":
             args.cfg = _solver_config(args)
-        except ValueError as exc:
-            parser.error(str(exc))
-    return args.func(args)
+        else:
+            args.params = FactorParams(alpha=args.alpha, droptol=args.droptol)
+        if args.command == "linsolve":
+            args.gmres = GmresParams(restart=args.restart, max_iters=args.max_iters,
+                                     rtol=args.rtol)
+            if args.refine_steps < 1:
+                raise ValueError("refine_steps must be >= 1")
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        return args.func(args)
+    except _BadInput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

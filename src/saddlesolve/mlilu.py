@@ -1,10 +1,14 @@
 """Multilevel Crout incomplete-LU factorization.
 
 Each level equilibrates, reorders, statically defers small diagonals, then
-runs a Crout elimination with dynamic deferring of unstable pivots and dual
-dropping (inverse-based drop tolerance plus a per-row/column fill cap).
-The Schur complement over all deferred and trailing indices is factorized
-recursively; a dense LU with partial pivoting terminates the recursion.
+runs a Crout elimination (Li, Saad & Chow, SISC 2003) with dynamic deferring
+of unstable pivots and dual dropping (inverse-based drop tolerance plus a
+per-row/column fill cap).  Each accepted pivot stores its U row and L column
+once, in the level's input indices; an index deferred later simply stays in
+them.  The Schur complement over all deferred and trailing indices,
+S = A_NN - L_NB D U_BN, is one sparse product after the elimination.  It is
+factorized recursively; a dense LU with partial pivoting terminates the
+recursion.
 
 Factorization is single-threaded and builds fresh state per call; the
 returned MultilevelFactor is immutable and safe for concurrent solves.
@@ -228,14 +232,25 @@ def crout_ilu_level(
     n_candidates: int | None = None,
 ):
     """One level of Crout elimination with dynamic deferring and dual
-    dropping.
+    dropping, after Li, Saad & Chow, "Crout versions of ILU for general
+    sparse matrices", SISC 24 (2003).
 
     ``a`` must already be scaled, reordered and statically deferred; only
     the leading ``n_candidates`` indices are pivot candidates (the trailing
     block was statically deferred).  Budgets are the per-row/column nnz of
-    the original sparsifier, in ``a``'s index order.  Returns a LevelFactor
-    (with unit scalings and the dynamic-reordering permutation) and the
-    Schur complement over all non-eliminated indices.
+    the original sparsifier, in ``a``'s index order.
+
+    Step k gathers row k and column k of the active matrix, each as A's
+    entries minus the stored U rows (L columns) of the pivots whose L column
+    (U row) reaches k, summed in a dense accumulator.  An accepted pivot
+    stores its dropped U row and L column once, as sorted index/value
+    arrays in ``a``'s indices, and hands each entry at a pending index to
+    that index's list of (pivot, multiplier) pairs.  A deferred index keeps
+    its entries in the stored factors; they are the L_NB and U_BN blocks of
+    the Schur complement S = A_NN - L_NB diag(D) U_BN over the
+    non-eliminated indices N, formed after the loop with one sparse product
+    and keeping every stored entry of A_NN.  Returns a LevelFactor (with
+    unit scalings and the dynamic-reordering permutation) and S.
     """
     acsr = as_csr(a)
     n = acsr.shape[0]
@@ -252,258 +267,119 @@ def crout_ilu_level(
     # status: 0 pending candidate, 1 eliminated, 2 deferred or trailing
     status = np.zeros(n, dtype=np.int8)
     status[ncand:] = 2
-
-    diag = np.zeros(n)
-    v_low = np.zeros(n)  # incremental inverse-norm estimator state for L
-    v_up = np.zeros(n)   # and for U
+    elim: list[int] = []
+    # by elimination rank t: the pivot, the incremental inverse-norm
+    # estimator states for L and U, and the stored U row and L column
+    # (index arrays, value arrays, lengths)
+    diag = np.zeros(ncand)
+    v_low = np.zeros(ncand)
+    v_up = np.zeros(ncand)
     est_low = 1.0
     est_up = 1.0
+    upper = ([], [], np.zeros(ncand, dtype=np.intp))
+    lower = ([], [], np.zeros(ncand, dtype=np.intp))
+    # (rank, multiplier) pairs reaching each pending index k: l_kt from the
+    # L columns update row k, u_tk from the U rows update column k
+    row_pairs = [([], []) for _ in range(ncand)]
+    col_pairs = [([], []) for _ in range(ncand)]
+    acc = np.zeros(n)  # dense accumulator, all zero between gathers
+    mark = np.zeros(n, dtype=np.intp)
 
-    # Per-pivot factor columns/rows, indexed by matrix index.  The "cand"
-    # arrays hold entries at candidate indices in ascending order and are
-    # walked once by a pointer; entries at deferred/trailing indices live in
-    # "schur" arrays plus a small overflow list fed by relocations (merged
-    # into the array on first use).
-    l_ci: list = [None] * n
-    l_cv: list = [None] * n
-    l_ptr = np.zeros(n, dtype=np.intp)
-    l_si: list = [None] * n
-    l_sv: list = [None] * n
-    l_extra: list = [None] * n
-    u_ci: list = [None] * n
-    u_cv: list = [None] * n
-    u_ptr = np.zeros(n, dtype=np.intp)
-    u_si: list = [None] * n
-    u_sv: list = [None] * n
-    u_extra: list = [None] * n
-    l_parked: list[list] = [[] for _ in range(n)]
-    u_parked: list[list] = [[] for _ in range(n)]
-    elim: list[int] = []
-
-    def _merge_extra(si, sv, extra, i):
-        pairs = extra[i]
-        si[i] = np.concatenate([si[i], np.array([p[0] for p in pairs], dtype=np.intp)])
-        sv[i] = np.concatenate([sv[i], np.array([p[1] for p in pairs])])
-        extra[i] = []
-
-    def park_l(i):
-        ci = l_ci[i]
-        cv = l_cv[i]
-        p = l_ptr[i]
-        size = ci.size
-        while p < size:
-            j = ci[p]
-            st = status[j]
-            if st == 0:
-                l_parked[j].append(i)
-                break
-            if st == 2:
-                l_extra[i].append((j, cv[p]))
-            p += 1
-        l_ptr[i] = p
-
-    def park_u(i):
-        ci = u_ci[i]
-        cv = u_cv[i]
-        p = u_ptr[i]
-        size = ci.size
-        while p < size:
-            j = ci[p]
-            st = status[j]
-            if st == 0:
-                u_parked[j].append(i)
-                break
-            if st == 2:
-                u_extra[i].append((j, cv[p]))
-            p += 1
-        u_ptr[i] = p
+    def gather(m, k, pairs, stored, v):
+        """Row (CSR ``m``, stored U rows) or column (CSC ``m``, stored L
+        columns) k of the active matrix, sorted and restricted to the
+        non-eliminated indices, and the estimator 1 + |sum_t mult_t v_t|."""
+        (ts, mults), (idx, val, lens) = pairs, stored
+        mults = np.array(mults)
+        lo, hi = m.indptr[k], m.indptr[k + 1]
+        gi = np.concatenate([m.indices[lo:hi], *[idx[t] for t in ts]])
+        gv = np.concatenate([m.data[lo:hi], *[val[t] for t in ts]])
+        gv[hi - lo:] *= np.repeat(-mults * diag[ts], lens[ts])
+        np.add.at(acc, gi, gv)
+        # one position of each repeated index wins the write, so exactly one
+        # copy of every index passes the test below
+        first = np.arange(gi.size)
+        mark[gi] = first
+        uq = np.sort(gi[mark[gi] == first])
+        sums = acc[uq]
+        acc[uq] = 0.0
+        live = status[uq] != 1
+        return uq[live], sums[live], 1.0 + abs(mults @ v[ts])
 
     def _dual_drop(idx, val, est, cap):
         if droptol > 0.0 and idx.size:
             keep = np.abs(val) * est > droptol
-            idx = idx[keep]
-            val = val[keep]
+            idx, val = idx[keep], val[keep]
         if idx.size > cap:
             sel = np.lexsort((idx, -np.abs(val)))[:cap]
             sel.sort()
-            idx = idx[sel]
-            val = val[sel]
+            idx, val = idx[sel], val[sel]
         return idx, val
+
+    def store(t, k, idx, val, est, cap, stored, pairs):
+        """Drop, then store pivot k's U row or L column (``val`` already
+        divided by the pivot) and hand its pending entries to ``pairs``."""
+        keep = idx != k
+        idx, val = _dual_drop(idx[keep], val[keep], est, cap)
+        stored_idx, stored_val, lens = stored
+        stored_idx.append(idx)
+        stored_val.append(val)
+        lens[t] = idx.size
+        pend = status[idx] == 0
+        for j, x in zip(idx[pend].tolist(), val[pend].tolist()):
+            pairs[j][0].append(t)
+            pairs[j][1].append(x)
 
     n_dynamic = 0
     for k in range(ncand):
-        # -- row k (future U row, and the pivot) --
-        lo, hi = acsr.indptr[k], acsr.indptr[k + 1]
-        cols0 = acsr.indices[lo:hi]
-        vals0 = acsr.data[lo:hi]
-        live = status[cols0] != 1
-        ridx_parts = [cols0[live]]
-        rval_parts = [vals0[live]]
-        s_low = 0.0
-        for i in l_parked[k]:
-            lki = l_cv[i][l_ptr[i]]
-            coef = lki * diag[i]
-            s_low += lki * v_low[i]
-            p = u_ptr[i]
-            ci = u_ci[i]
-            if p < ci.size:
-                ridx_parts.append(ci[p:])
-                rval_parts.append(u_cv[i][p:] * (-coef))
-            if u_extra[i]:
-                _merge_extra(u_si, u_sv, u_extra, i)
-            if u_si[i].size:
-                ridx_parts.append(u_si[i])
-                rval_parts.append(u_sv[i] * (-coef))
-        ridx = np.concatenate(ridx_parts)
-        rval = np.concatenate(rval_parts)
-        uq_r, inv_r = np.unique(ridx, return_inverse=True)
-        sum_r = np.bincount(inv_r, weights=rval)
-        pos = np.searchsorted(uq_r, k)
-        pivot = sum_r[pos] if pos < uq_r.size and uq_r[pos] == k else 0.0
-
-        # -- column k (future L column) --
-        lo, hi = acsc.indptr[k], acsc.indptr[k + 1]
-        rows0 = acsc.indices[lo:hi]
-        cvals0 = acsc.data[lo:hi]
-        live = status[rows0] != 1
-        cidx_parts = [rows0[live]]
-        cval_parts = [cvals0[live]]
-        s_up = 0.0
-        for i in u_parked[k]:
-            uki = u_cv[i][u_ptr[i]]
-            coef = uki * diag[i]
-            s_up += uki * v_up[i]
-            p = l_ptr[i]
-            ci = l_ci[i]
-            if p < ci.size:
-                cidx_parts.append(ci[p:])
-                cval_parts.append(l_cv[i][p:] * (-coef))
-            if l_extra[i]:
-                _merge_extra(l_si, l_sv, l_extra, i)
-            if l_si[i].size:
-                cidx_parts.append(l_si[i])
-                cval_parts.append(l_sv[i] * (-coef))
-        cidx = np.concatenate(cidx_parts)
-        cval = np.concatenate(cval_parts)
-        uq_c, inv_c = np.unique(cidx, return_inverse=True)
-        sum_c = np.bincount(inv_c, weights=cval)
-
-        vlk = 1.0 + abs(s_low)
-        vuk = 1.0 + abs(s_up)
+        ridx, rval, vlk = gather(acsr, k, row_pairs[k], upper, v_low)
+        cidx, cval, vuk = gather(acsc, k, col_pairs[k], lower, v_up)
+        row_pairs[k] = col_pairs[k] = None
+        pos = np.searchsorted(ridx, k)
+        pivot = rval[pos] if pos < ridx.size and ridx[pos] == k else 0.0
         if abs(pivot) < pivot_floor or vlk > cond_thresh or vuk > cond_thresh:
             status[k] = 2
             n_dynamic += 1
-        else:
-            status[k] = 1
-            diag[k] = pivot
-            v_low[k] = vlk
-            v_up[k] = vuk
-            est_low = max(est_low, vlk)
-            est_up = max(est_up, vuk)
-            elim.append(k)
+            continue
+        t = len(elim)
+        status[k] = 1
+        elim.append(k)
+        diag[t], v_low[t], v_up[t] = pivot, vlk, vuk
+        est_low = max(est_low, vlk)
+        est_up = max(est_up, vuk)
+        store(t, k, ridx, rval / pivot, est_up, caps_row[k], upper, col_pairs)
+        store(t, k, cidx, cval / pivot, est_low, caps_col[k], lower, row_pairs)
 
-            keep = uq_r != k
-            ucols, uvals = _dual_drop(uq_r[keep], sum_r[keep] / pivot, est_up, caps_row[k])
-            pend = status[ucols] == 0
-            u_ci[k] = ucols[pend]
-            u_cv[k] = uvals[pend]
-            u_si[k] = ucols[~pend]
-            u_sv[k] = uvals[~pend]
-            u_extra[k] = []
-
-            keep = uq_c != k
-            lrows, lvals = _dual_drop(uq_c[keep], sum_c[keep] / pivot, est_low, caps_col[k])
-            pend = status[lrows] == 0
-            l_ci[k] = lrows[pend]
-            l_cv[k] = lvals[pend]
-            l_si[k] = lrows[~pend]
-            l_sv[k] = lvals[~pend]
-            l_extra[k] = []
-
-            park_l(k)
-            park_u(k)
-
-        for i in l_parked[k]:
-            park_l(i)
-        for i in u_parked[k]:
-            park_u(i)
-        l_parked[k] = []
-        u_parked[k] = []
-
-    # -- Schur complement over everything not eliminated --
-    nonelim = np.flatnonzero(status != 1)
-    ns = nonelim.size
-    spos = np.full(n, -1, dtype=np.intp)
-    spos[nonelim] = np.arange(ns)
-    base = acsr[nonelim, :][:, nonelim].tocoo()
-    s_rows = [base.row.astype(np.intp)]
-    s_cols = [base.col.astype(np.intp)]
-    s_vals = [base.data]
-    for i in elim:
-        if l_extra[i]:
-            _merge_extra(l_si, l_sv, l_extra, i)
-        if u_extra[i]:
-            _merge_extra(u_si, u_sv, u_extra, i)
-        le_i = l_si[i]
-        uf_i = u_si[i]
-        if le_i.size and uf_i.size:
-            s_rows.append(np.repeat(spos[le_i], uf_i.size))
-            s_cols.append(np.tile(spos[uf_i], le_i.size))
-            s_vals.append((-diag[i]) * np.outer(l_sv[i], u_sv[i]).ravel())
-    schur = sp.coo_matrix(
-        (np.concatenate(s_vals), (np.concatenate(s_rows), np.concatenate(s_cols))),
-        shape=(ns, ns),
-    ).tocsr()
-    schur.sum_duplicates()
-    schur.sort_indices()
-
-    # -- assemble the level in elimination-then-deferred order --
+    # -- the level in elimination-then-deferred order, and its Schur complement --
     n_b = len(elim)
-    order = np.concatenate([np.asarray(elim, dtype=np.intp), nonelim])
-    perm = Permutation.from_inverse(order)
-    rank = perm.forward
+    elim_arr = np.asarray(elim, dtype=np.intp)
+    nonelim = np.flatnonzero(status != 1)
+    perm = Permutation.from_inverse(np.concatenate([elim_arr, nonelim]))
 
-    lr, lc, lv, ur, uc, uv = [], [], [], [], [], []
-    for t, i in enumerate(elim):
-        ci = l_ci[i]
-        cmask = status[ci] == 1
-        rows = np.concatenate([rank[ci[cmask]], rank[l_si[i]]])
-        vals = np.concatenate([l_cv[i][cmask], l_sv[i]])
-        lr.append(rows)
-        lc.append(np.full(rows.size, t, dtype=np.intp))
-        lv.append(vals)
-        ci = u_ci[i]
-        cmask = status[ci] == 1
-        cols = np.concatenate([rank[ci[cmask]], rank[u_si[i]]])
-        vals = np.concatenate([u_cv[i][cmask], u_sv[i]])
-        uc.append(cols)
-        ur.append(np.full(cols.size, t, dtype=np.intp))
-        uv.append(vals)
+    def by_pivot(stored):
+        """(rank, factor position, value) of every stored entry."""
+        idx, val, lens = stored
+        return (np.repeat(np.arange(n_b), lens[:n_b]),
+                perm.forward[np.concatenate([np.zeros(0, np.intp), *idx])],
+                np.concatenate([np.zeros(0), *val]))
 
-    def _tocsr(rows, cols, vals):
-        if rows:
-            m = sp.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(n, n),
-            ).tocsr()
-        else:
-            m = sp.csr_matrix((n, n))
-        m.sort_indices()
-        return m
-
+    t, j, x = by_pivot(upper)
+    u_mat = sp.csr_matrix((x, (t, j)), shape=(n, n))
+    t, j, x = by_pivot(lower)
+    l_mat = sp.csr_matrix((x, (j, t)), shape=(n, n))
+    d = diag[:n_b].copy()
+    base = acsr[nonelim, :][:, nonelim].tocoo()
+    prod = (l_mat[n_b:, :n_b] @ sp.diags(d) @ u_mat[:n_b, n_b:]).tocoo()
+    # summed as COO, so the stored zeros of A_NN stay stored
+    schur = sp.csr_matrix(
+        (np.concatenate([base.data, -prod.data]),
+         (np.concatenate([base.row, prod.row]), np.concatenate([base.col, prod.col]))),
+        shape=(nonelim.size, nonelim.size),
+    )
     level = LevelFactor(
-        n=n,
-        n_b=n_b,
-        perm=perm,
-        dr=np.ones(n),
-        dc=np.ones(n),
-        L=_tocsr(lr, lc, lv),
-        U=_tocsr(ur, uc, uv),
-        D=diag[np.asarray(elim, dtype=np.intp)] if n_b else np.zeros(0),
-        caps_row=caps_row[np.asarray(elim, dtype=np.intp)] if n_b else np.zeros(0, np.intp),
-        caps_col=caps_col[np.asarray(elim, dtype=np.intp)] if n_b else np.zeros(0, np.intp),
-        n_static_deferred=n - ncand,
-        n_dynamic_deferred=n_dynamic,
+        n=n, n_b=n_b, perm=perm, dr=np.ones(n), dc=np.ones(n), L=l_mat, U=u_mat, D=d,
+        caps_row=caps_row[elim_arr], caps_col=caps_col[elim_arr],
+        n_static_deferred=n - ncand, n_dynamic_deferred=n_dynamic,
     )
     return level, schur
 

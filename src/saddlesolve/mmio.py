@@ -68,10 +68,11 @@ def mm_read(path, kind: str = "matrix"):
             nrows, ncols, nnz = (int(t) for t in size_tok)
         except ValueError:
             _fail(path, pos + 1, lines[pos], "size line entries must be integers")
-        rows = np.empty(nnz, dtype=np.intp)
-        cols = np.empty(nnz, dtype=np.intp)
-        vals = np.empty(nnz, dtype=np.float64)
-        k = 0
+        if min(nrows, ncols, nnz) < 0:
+            _fail(path, pos + 1, lines[pos], "sizes must be nonnegative")
+        # grown from the entries present, never allocated from the declared
+        # count, so an impossible count fails without a huge allocation
+        rows, cols, vals = [], [], []
         for lineno in range(pos + 1, len(lines)):
             line = lines[lineno]
             if line.startswith("%") or not line.strip():
@@ -79,7 +80,7 @@ def mm_read(path, kind: str = "matrix"):
             tok = line.split()
             if len(tok) != 3:
                 _fail(path, lineno + 1, line, "coordinate entry needs 'row col value'")
-            if k >= nnz:
+            if len(vals) >= nnz:
                 _fail(path, lineno + 1, line, f"more than the declared {nnz} entries")
             try:
                 i, j, v = int(tok[0]), int(tok[1]), float(tok[2])
@@ -87,11 +88,13 @@ def mm_read(path, kind: str = "matrix"):
                 _fail(path, lineno + 1, line, "malformed coordinate entry")
             if not (1 <= i <= nrows and 1 <= j <= ncols):
                 _fail(path, lineno + 1, line, "index out of declared range")
-            rows[k], cols[k], vals[k] = i - 1, j - 1, v
-            k += 1
-        if k != nnz:
-            raise MatrixMarketError(f"{path}: declared {nnz} entries, found {k}")
-        mat = _expand_symmetry(rows, cols, vals, nrows, ncols, symmetry)
+            rows.append(i - 1)
+            cols.append(j - 1)
+            vals.append(v)
+        if len(vals) != nnz:
+            raise MatrixMarketError(f"{path}: declared {nnz} entries, found {len(vals)}")
+        mat = _expand_symmetry(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                               np.array(vals, dtype=np.float64), nrows, ncols, symmetry)
         if kind == "vector":
             if ncols != 1:
                 raise MatrixMarketError(f"{path}: vector requested but file has {ncols} columns")
@@ -110,24 +113,24 @@ def mm_read(path, kind: str = "matrix"):
         _fail(path, pos + 1, lines[pos], "size line entries must be integers")
     if symmetry != "general":
         _fail(path, pos + 1, lines[pos], "symmetric array storage not supported")
+    if min(nrows, ncols) < 0:
+        _fail(path, pos + 1, lines[pos], "sizes must be nonnegative")
     want = nrows * ncols
-    vals = np.empty(want, dtype=np.float64)
-    k = 0
+    vals = []
     for lineno in range(pos + 1, len(lines)):
         line = lines[lineno]
         if line.startswith("%") or not line.strip():
             continue
         for tok in line.split():
-            if k >= want:
+            if len(vals) >= want:
                 _fail(path, lineno + 1, line, f"more than the declared {want} values")
             try:
-                vals[k] = float(tok)
+                vals.append(float(tok))
             except ValueError:
                 _fail(path, lineno + 1, line, f"malformed value {tok!r}")
-            k += 1
-    if k != want:
-        raise MatrixMarketError(f"{path}: declared {want} values, found {k}")
-    dense = vals.reshape((ncols, nrows)).T
+    if len(vals) != want:
+        raise MatrixMarketError(f"{path}: declared {want} values, found {len(vals)}")
+    dense = np.array(vals, dtype=np.float64).reshape((ncols, nrows)).T
     if kind == "vector":
         if ncols != 1:
             raise MatrixMarketError(f"{path}: vector requested but file has {ncols} columns")

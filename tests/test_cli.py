@@ -241,3 +241,51 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     rc = main(["linsolve", "--matrix", str(tmp_path / "eye.mtx")])
     assert rc == 0
     assert (tmp_path / "from_env" / "solution.mtx").exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("linsolve", ["--alpha", "0.5"], "alpha must be >= 1"),
+    ("linsolve", ["--droptol", "2"], "droptol must be in [0, 1)"),
+    ("linsolve", ["--restart", "0"], "restart must be >= 1"),
+    ("linsolve", ["--rtol", "0"], "rtol must be in (0, 1)"),
+    ("linsolve", ["--max-iters", "10"], "max_iters must be >= restart"),
+    ("linsolve", ["--refine-steps", "0"], "refine_steps must be >= 1"),
+    ("factor-stats", ["--alpha", "0.5"], "alpha must be >= 1"),
+    ("factor-stats", ["--droptol", "2"], "droptol must be in [0, 1)"),
+])
+def test_bad_flags_are_usage_errors(tmp_path, capsys, command, flags, message):
+    # checked before the matrix is read: the file does not exist
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--matrix", str(tmp_path / "absent.mtx"), *flags,
+              "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err.splitlines()[-1]
+    assert "Traceback" not in err
+
+
+def _bad_input_files(tmp_path):
+    mm_write(as_csr(sp.eye(4, format="csr")), tmp_path / "a.mtx")
+    mm_write(as_csr(sp.csr_matrix(np.ones((2, 3)))), tmp_path / "wide.mtx")
+    mm_write(np.ones(5), tmp_path / "v5.mtx")
+    (tmp_path / "bad.mtx").write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["linsolve", "--matrix", "absent.mtx"], "No such file or directory"),
+    (["factor-stats", "--matrix", "absent.mtx"], "No such file or directory"),
+    (["linsolve", "--matrix", "bad.mtx"], "malformed coordinate entry"),
+    (["factor-stats", "--matrix", "bad.mtx"], "malformed coordinate entry"),
+    (["linsolve", "--matrix", "a.mtx", "--rhs", "absent.mtx"], "No such file or directory"),
+    (["linsolve", "--matrix", "wide.mtx"], "matrix must be square, got (2, 3)"),
+    (["factor-stats", "--matrix", "wide.mtx"], "matrix must be square, got (2, 3)"),
+    (["linsolve", "--matrix", "a.mtx", "--null-vector", "v5.mtx"],
+     "null vector length 5 does not match matrix size 4"),
+])
+def test_bad_input_files_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, message):
+    _bad_input_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert message in err

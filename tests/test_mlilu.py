@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlesolve.krylov import GmresParams, PrecondOperator, fgmres
 from saddlesolve.mlilu import (
@@ -202,6 +204,18 @@ class TestFactorize:
         bound = params.alpha * a.nnz * (1 + n_levels) + 16 * 16 + floor_slack
         assert m.total_nnz <= bound
 
+    def test_explicit_zeros_stay_stored_in_the_schur_complement(self):
+        # the stored zeros of A_NN keep columns of the Schur complement
+        # structurally nonempty, so the next level's equilibrate accepts it
+        rows = [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3]
+        cols = [0, 1, 2, 0, 1, 3, 0, 2, 3, 2, 3]
+        vals = [4.0, 1.0, 1.0, 1.0, 4.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        a = as_csr(sp.csr_matrix((vals, (rows, cols)), shape=(4, 4)))
+        m = factorize(a, FactorParams(alpha=4.0, droptol=0.0, dense_switch=1))
+        assert a.nnz == 11
+        assert len(m.levels) == 2
+        assert m.perturbed
+
     def test_deferral_soundness(self):
         a = random_saddle(40, 15, seed=6)
         params = FactorParams(alpha=3.0, droptol=0.01, dense_switch=8)
@@ -278,3 +292,65 @@ def test_reassembly_applies_permutations_and_scalings():
     assert len(m.levels) >= 2
     r = reassemble(m)
     assert np.linalg.norm(r - dense) / np.linalg.norm(dense) <= 1e-10
+
+
+def _deferring_matrix(n, seed, n_tiny):
+    """Random sparse matrix with ``n_tiny`` tiny diagonals (pivots the floor
+    defers) among entries of unit size; every row and column is nonempty."""
+    rng = np.random.default_rng(seed)
+    dense = rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.3)
+    dense[np.diag_indices(n)] = rng.uniform(1.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
+    tiny = rng.choice(n, size=min(n_tiny, n), replace=False)
+    dense[tiny, tiny] = 1e-6 * rng.uniform(-1.0, 1.0, tiny.size)
+    return as_csr(sp.csr_matrix(dense))
+
+
+@st.composite
+def deferring_levels(draw):
+    n = draw(st.integers(2, 24))
+    return (
+        _deferring_matrix(n, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, n // 2))),
+        draw(st.sampled_from([1.5, 3.0, 5.0])),
+        draw(st.integers(0, min(3, n - 1))),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(deferring_levels())
+def test_crout_level_is_exact_at_zero_droptol(case):
+    # dynamic deferrals mid-sequence move indices that earlier L columns and
+    # U rows already reference into the Schur complement; at droptol=0 with
+    # caps >= n, PAP^T = (L+I) blockdiag(D, S) (U+I) must still hold
+    a, cond_thresh, n_trailing = case
+    n = a.shape[0]
+    params = FactorParams(alpha=1.0, droptol=0.0, cond_thresh=cond_thresh, pivot_floor=1e-2)
+    budgets = np.full(n, n)
+    level, schur = crout_ilu_level(a, params, budgets, budgets, n_candidates=n - n_trailing)
+    nb = level.n_b
+    assert level.n_static_deferred == n_trailing
+    assert nb + level.n_dynamic_deferred + n_trailing == n
+    mid = np.zeros((n, n))
+    mid[:nb, :nb] = np.diag(level.D)
+    mid[nb:, nb:] = schur.toarray()
+    rebuilt = (level.L.toarray() + np.eye(n)) @ mid @ (level.U.toarray() + np.eye(n))
+    order = level.perm.inverse
+    dense = a.toarray()[order][:, order]
+    assert np.linalg.norm(rebuilt - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(deferring_levels())
+def test_factorize_reassembles_exactly_for_any_dense_switch_and_ordering(case):
+    a, cond_thresh, _ = case
+    n = a.shape[0]
+    dense = a.toarray()
+    for ordering in ("amd", "rcm"):
+        for dense_switch in range(1, 9):
+            params = FactorParams(
+                alpha=float(n), droptol=0.0, cond_thresh=cond_thresh, pivot_floor=1e-2,
+                dense_switch=dense_switch, ordering=ordering,
+            )
+            m = factorize(a, params)
+            assert not m.perturbed
+            r = reassemble(m)
+            assert np.linalg.norm(r - dense) <= 1e-10 * np.linalg.norm(dense), (ordering, dense_switch)

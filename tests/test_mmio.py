@@ -145,3 +145,35 @@ def test_index_out_of_range_named(tmp_path):
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n")
     with pytest.raises(MatrixMarketError, match="out of declared range"):
         mm_read(path)
+
+
+@pytest.mark.parametrize("body", [
+    "%%MatrixMarket matrix coordinate real general\n2 2 -1\n",
+    "%%MatrixMarket matrix coordinate real general\n-2 2 0\n",
+    "%%MatrixMarket matrix array real general\n2 -1\n",
+])
+def test_negative_size_rejected(tmp_path, body):
+    path = tmp_path / "neg.mtx"
+    path.write_text(body)
+    with pytest.raises(MatrixMarketError, match=r":2: sizes must be nonnegative"):
+        mm_read(path)
+
+
+def test_missing_entries_counted(tmp_path):
+    path = tmp_path / "short.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n% c\n\n2 2 2.0\n")
+    with pytest.raises(MatrixMarketError, match="declared 3 entries, found 2"):
+        mm_read(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("coordinate real general\n2 2 10000000000000\n1 1 1.0\n", "declared 10000000000000 entries, found 1"),
+    ("array real general\n100000 100000\n1.0 2.0\n3.0\n", "declared 10000000000 values, found 3"),
+])
+def test_impossible_count_fails_before_allocating(tmp_path, body, message):
+    # the declared size would need tens of gigabytes; the entry count is
+    # checked against the file first
+    path = tmp_path / "huge.mtx"
+    path.write_text("%%MatrixMarket matrix " + body)
+    with pytest.raises(MatrixMarketError, match=message):
+        mm_read(path)
