@@ -6,6 +6,7 @@ cavity benchmark."""
 from .sparse import Permutation
 from .mmio import MatrixMarketError, mm_read, mm_write
 from .mlilu import (
+    FactorizationError,
     FactorParams,
     LevelFactor,
     MultilevelFactor,
@@ -42,9 +43,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Permutation",
     "MatrixMarketError", "mm_read", "mm_write",
-    "FactorParams", "LevelFactor", "MultilevelFactor", "crout_ilu_level",
-    "equilibrate", "factorize", "ml_solve", "reassemble", "reorder",
-    "static_defer",
+    "FactorizationError", "FactorParams", "LevelFactor", "MultilevelFactor",
+    "crout_ilu_level", "equilibrate", "factorize", "ml_solve", "reassemble",
+    "reorder", "static_defer",
     "GmresParams", "KrylovReport", "PrecondOperator",
     "eta_newton", "fgmres",
     "LineSearchError", "NonlinearProblem", "NonlinearReport", "SolverConfig",

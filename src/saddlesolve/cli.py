@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cavity as cav
 from .krylov import GmresParams, PrecondOperator, fgmres
-from .mlilu import FactorParams, factorize
+from .mlilu import FactorizationError, FactorParams, factorize
 from .mmio import mm_read, mm_write
 from .nonlinear import SolverConfig, hybrid_newton
 
@@ -140,6 +140,8 @@ def run_linsolve(args) -> int:
     n = a.shape[0]
     b = _read_vector(args.rhs, "rhs", n) if args.rhs else a @ np.ones(n)
     null = _read_vector(args.null_vector, "null vector", n) if args.null_vector else None
+    if null is not None and np.linalg.norm(null) == 0:
+        raise _BadInput("null vector must be nonzero")
 
     t0 = time.perf_counter()
     factor = factorize(a, args.params)
@@ -238,7 +240,7 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     try:
         return args.func(args)
-    except _BadInput as exc:
+    except (_BadInput, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

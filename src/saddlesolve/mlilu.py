@@ -10,8 +10,18 @@ S = A_NN - L_NB D U_BN, is one sparse product after the elimination.  It is
 factorized recursively; a dense LU with partial pivoting terminates the
 recursion.
 
-Factorization is single-threaded and builds fresh state per call; the
-returned MultilevelFactor is immutable and safe for concurrent solves.
+Each level's solve form, (L+I) as CSC and (U+I) as CSR with sorted
+indices, is built once, on the level's first solve, so every later
+application of the preconditioner is SuperLU's compiled substitution with
+no sparse conversion per call.
+
+Factorization is single-threaded and builds fresh state per call.  The
+returned MultilevelFactor is immutable and safe for concurrent solves: a
+solve reads L, U, D, the permutations and the scalings without changing
+them; the solve forms are the only state it adds, and each substitution
+writes 1.0 over their stored unit diagonal and nothing else.  Two first
+solves racing on a level build equal forms.  L, U and D must not be
+changed once a level has been solved with.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -29,6 +40,7 @@ from .ordering import reorder
 from .sparse import Permutation, as_csr
 
 __all__ = [
+    "FactorizationError",
     "FactorParams",
     "LevelFactor",
     "MultilevelFactor",
@@ -43,6 +55,11 @@ __all__ = [
 
 _EPS = np.finfo(np.float64).eps
 _CAP_FLOOR = 5  # retained entries per row/column regardless of the fill cap
+
+
+class FactorizationError(ValueError):
+    """The matrix cannot be factorized as given (a structurally empty row
+    or column)."""
 
 
 @dataclass(frozen=True)
@@ -121,6 +138,19 @@ class LevelFactor:
     def nnz(self) -> int:
         return int(self.L.nnz + self.U.nnz + self.D.size)
 
+    @cached_property
+    def _solve_forms(self):
+        """(L+I) as CSC and (U+I) as CSR, both with sorted indices, built on
+        the first solve.  spsolve_triangular then substitutes on them as they
+        are: no copy, no structural insert, and with overwrite_A its
+        setdiag(1) only rewrites the stored unit diagonal."""
+        lo = self.L.tocsc()
+        up = self.U.copy()
+        for t in (lo, up):
+            t.setdiag(1.0)
+            t.sort_indices()
+        return lo, up
+
 
 @dataclass
 class MultilevelFactor:
@@ -169,17 +199,18 @@ def _row_inf_norms(a: sp.csr_matrix) -> np.ndarray:
 def equilibrate(a: sp.csr_matrix):
     """Iterative row/column infinity-norm scaling (Ruiz sweeps, capped at
     10).  Returns positive (dr, dc) such that every nonzero row and column
-    of diag(dr) A diag(dc) has infinity norm in [1/2, 2]."""
+    of diag(dr) A diag(dc) has infinity norm in [1/2, 2]; raises
+    FactorizationError on a structurally empty row or column."""
     n, m = a.shape
     if n != m:
         raise ValueError("equilibrate requires a square matrix")
     row_counts = np.diff(a.indptr)
     if np.any(row_counts == 0):
-        raise ValueError(f"structurally empty row {int(np.argmax(row_counts == 0))}")
+        raise FactorizationError(f"structurally empty row {int(np.argmax(row_counts == 0))}")
     acsc = a.tocsc()
     col_counts = np.diff(acsc.indptr)
     if np.any(col_counts == 0):
-        raise ValueError(f"structurally empty column {int(np.argmax(col_counts == 0))}")
+        raise FactorizationError(f"structurally empty column {int(np.argmax(col_counts == 0))}")
 
     dr = np.ones(n)
     dc = np.ones(n)
@@ -461,12 +492,15 @@ def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
         return scipy.linalg.lu_solve(m.tail_lu, v, check_finite=False)
     lev = m.levels[li]
     y = (lev.dr * v)[lev.perm.inverse]
-    y = spsolve_triangular(lev.L, y, lower=True, unit_diagonal=True)
+    lo, up = lev._solve_forms
+    y = spsolve_triangular(lo, y, lower=True, unit_diagonal=True,
+                           overwrite_A=True, overwrite_b=True)
     nb = lev.n_b
     if nb:
         y[:nb] /= lev.D
     y[nb:] = _solve_from(m, li + 1, y[nb:])
-    y = spsolve_triangular(lev.U, y, lower=False, unit_diagonal=True)
+    y = spsolve_triangular(up, y, lower=False, unit_diagonal=True,
+                           overwrite_A=True, overwrite_b=True)
     out = np.empty_like(y)
     out[lev.perm.inverse] = y
     return out * lev.dc
@@ -474,7 +508,9 @@ def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
 
 def ml_solve(m: MultilevelFactor, v: np.ndarray) -> np.ndarray:
     """Apply the factored preconditioner: one multilevel forward/backward
-    substitution pass."""
+    substitution pass on each level's solve form (built on the first call,
+    reused after).  Leaves the factor unchanged; concurrent calls on one
+    factor are safe."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (m.n,):
         raise ValueError(f"vector length {v.shape} does not match factor size {m.n}")

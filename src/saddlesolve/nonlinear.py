@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .krylov import GmresParams, PrecondOperator, eta_newton, fgmres
-from .mlilu import FactorParams, factorize
+from .mlilu import FactorizationError, FactorParams, factorize
 
 __all__ = [
     "SolverConfig",
@@ -188,8 +188,9 @@ def adapt_thresholds(started_nt: bool, cfg: SolverConfig):
 def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
     """Run the hybrid outer loop until ||F(x)|| <= sigma * ||F(x0)|| or the
     step budget is exhausted.  Returns the final iterate and a report with
-    one record per accepted step; a failed line search or a non-finite
-    direction ends the loop early with the cause in report.message."""
+    one record per accepted step; a sparsifier that cannot be factorized, a
+    failed line search or a non-finite direction ends the loop early with
+    the cause in report.message."""
     cfg = cfg or SolverConfig()
     x = np.asarray(prob.x0, dtype=np.float64).copy()
     fx = np.asarray(prob.residual(x), dtype=np.float64)
@@ -224,7 +225,11 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
         if do_refactor:
             alpha, droptol = adapt_thresholds(started_nt, cfg)
             fp = replace(cfg.factor_params, alpha=alpha, droptol=droptol)
-            factor = factorize(prob.sparsifier(x, started_nt), fp)
+            try:
+                factor = factorize(prob.sparsifier(x, started_nt), fp)
+            except FactorizationError as exc:
+                report.message = str(exc)
+                break
 
         if started_nt:
             eta = eta_newton(norm_f, norm_f_prev, eta_prev, cfg.eta_max,

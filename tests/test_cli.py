@@ -104,6 +104,21 @@ def test_cavity_nonfinite_direction_writes_reports_and_fails(tmp_path, monkeypat
     assert "converged=0" in (tmp_path / "summary.txt").read_text()
 
 
+def test_cavity_factorization_error_writes_reports_and_fails(tmp_path, monkeypatch):
+    from saddlesolve import nonlinear
+    from saddlesolve.mlilu import FactorizationError
+
+    def failing_factorize(a, params=None):
+        raise FactorizationError("structurally empty row 7")
+
+    monkeypatch.setattr(nonlinear, "factorize", failing_factorize)
+    rc = main(["cavity", "--level", "3", "--re", "50", "--output-dir", str(tmp_path)])
+    assert rc == 1
+    conv = (tmp_path / "convergence.csv").read_text().splitlines()
+    assert conv == ["step,phase,normF,eta,gmres_iters,refactorized,omega"]
+    assert "converged=0" in (tmp_path / "summary.txt").read_text()
+
+
 def test_cavity_reruns_bit_identical(tmp_path):
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
@@ -264,10 +279,19 @@ def test_bad_flags_are_usage_errors(tmp_path, capsys, command, flags, message):
     assert "Traceback" not in err
 
 
+def _last_row_empty(n):
+    """n x n identity without its last diagonal entry: row and column n-1
+    are structurally empty."""
+    return as_csr(sp.diags(np.r_[np.ones(n - 1), 0.0]).tocsr())
+
+
 def _bad_input_files(tmp_path):
     mm_write(as_csr(sp.eye(4, format="csr")), tmp_path / "a.mtx")
     mm_write(as_csr(sp.csr_matrix(np.ones((2, 3)))), tmp_path / "wide.mtx")
     mm_write(np.ones(5), tmp_path / "v5.mtx")
+    mm_write(np.zeros(4), tmp_path / "z4.mtx")
+    # above dense_switch (500 unknowns by default), so a level equilibrates it
+    mm_write(_last_row_empty(600), tmp_path / "empty600.mtx")
     (tmp_path / "bad.mtx").write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n")
 
 
@@ -281,6 +305,10 @@ def _bad_input_files(tmp_path):
     (["factor-stats", "--matrix", "wide.mtx"], "matrix must be square, got (2, 3)"),
     (["linsolve", "--matrix", "a.mtx", "--null-vector", "v5.mtx"],
      "null vector length 5 does not match matrix size 4"),
+    (["linsolve", "--matrix", "a.mtx", "--null-vector", "z4.mtx"],
+     "null vector must be nonzero"),
+    (["linsolve", "--matrix", "empty600.mtx"], "structurally empty row 599"),
+    (["factor-stats", "--matrix", "empty600.mtx"], "structurally empty row 599"),
 ])
 def test_bad_input_files_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, message):
     _bad_input_files(tmp_path)
@@ -289,3 +317,12 @@ def test_bad_input_files_exit_2_with_one_line(tmp_path, capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert message in err
+
+
+def test_structurally_empty_row_below_dense_switch_is_perturbed(tmp_path, capsys):
+    # the whole matrix goes to the dense tail, whose zero pivot is perturbed
+    mm_write(_last_row_empty(6), tmp_path / "a.mtx")
+    rc = main(["factor-stats", "--matrix", str(tmp_path / "a.mtx"),
+               "--output-dir", str(tmp_path)])
+    assert rc == 0
+    assert "perturbed=1" in capsys.readouterr().out

@@ -1,11 +1,17 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve_triangular
 
 from saddlesolve.krylov import GmresParams, PrecondOperator, fgmres
 from saddlesolve.mlilu import (
+    FactorizationError,
     FactorParams,
     crout_ilu_level,
     equilibrate,
@@ -51,6 +57,11 @@ class TestEquilibrate:
     def test_empty_row_rejected(self):
         a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="empty"):
+            equilibrate(a)
+
+    def test_empty_column_is_a_factorization_error(self):
+        a = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(FactorizationError, match="structurally empty column 1"):
             equilibrate(a)
 
 
@@ -267,6 +278,120 @@ class TestMlSolve:
         m = factorize(a, FactorParams())
         with pytest.raises(ValueError, match="length"):
             ml_solve(m, np.ones(11))
+
+
+def _saddle_factor():
+    """Two or more levels and a dense tail on a random saddle system."""
+    m = factorize(random_saddle(80, 40, seed=22),
+                  FactorParams(alpha=3.0, droptol=0.01, dense_switch=10))
+    assert len(m.levels) >= 2 and m.tail_n > 1
+    return m
+
+
+def _substitute_on_stored_factors(m, v):
+    """The multilevel substitution spelled out on each level's strictly
+    triangular CSR factors L and U."""
+
+    def walk(li, v):
+        if li == len(m.levels):
+            return scipy.linalg.lu_solve(m.tail_lu, v, check_finite=False)
+        lev = m.levels[li]
+        y = (lev.dr * v)[lev.perm.inverse]
+        y = spsolve_triangular(lev.L, y, lower=True, unit_diagonal=True)
+        y[:lev.n_b] /= lev.D
+        y[lev.n_b:] = walk(li + 1, y[lev.n_b:])
+        y = spsolve_triangular(lev.U, y, lower=False, unit_diagonal=True)
+        out = np.empty_like(y)
+        out[lev.perm.inverse] = y
+        return out * lev.dc
+
+    return walk(0, v)
+
+
+def _fingerprint(*matrices):
+    return [(a.tobytes(), a.dtype.str)
+            for mat in matrices for a in (mat.data, mat.indices, mat.indptr)]
+
+
+class TestSolvePath:
+    def test_same_bits_as_substitution_on_the_stored_factors(self):
+        m = _saddle_factor()
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            v = rng.standard_normal(m.n)
+            assert np.array_equal(ml_solve(m, v), _substitute_on_stored_factors(m, v))
+
+    def test_solves_leave_the_factor_unchanged(self):
+        m = _saddle_factor()
+        rng = np.random.default_rng(24)
+
+        def state():  # reading the solve forms builds them, before any solve
+            return [(_fingerprint(lev.L, lev.U, *lev._solve_forms), lev.D.tobytes())
+                    for lev in m.levels]
+
+        before = state()
+        for _ in range(50):
+            ml_solve(m, rng.standard_normal(m.n))
+        assert state() == before
+
+    def test_concurrent_solves_match_serial_solves(self):
+        m = _saddle_factor()  # fresh: the threads also race to build the solve forms
+        rng = np.random.default_rng(25)
+        vs = rng.standard_normal((4, 20, m.n))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(vs)) as pool:
+                futures = [pool.submit(lambda batch: [ml_solve(m, v) for v in batch], batch)
+                           for batch in vs]
+                threaded = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for batch, results in zip(vs, threaded):
+            for v, x in zip(batch, results):
+                assert np.array_equal(x, ml_solve(m, v))
+
+
+@st.composite
+def saddle_factors(draw):
+    nb = draw(st.integers(8, 40))
+    ne = draw(st.integers(1, nb // 2))
+    a = random_saddle(nb, ne, seed=draw(st.integers(0, 2**32 - 1)))
+    params = FactorParams(
+        alpha=draw(st.sampled_from([1.5, 3.0, 10.0])),
+        droptol=draw(st.sampled_from([0.0, 0.01, 0.1])),
+        dense_switch=draw(st.integers(1, nb // 2)),
+        ordering=draw(st.sampled_from(["amd", "rcm"])),
+    )
+    return factorize(a, params), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+# far smaller coefficients underflow inside the substitution
+coefficients = st.floats(-4, 4).filter(lambda x: x == 0 or abs(x) >= 1e-3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(saddle_factors(), coefficients, coefficients)
+def test_ml_solve_is_linear(case, alpha, beta):
+    m, rng = case
+    u, v = rng.standard_normal((2, m.n))
+    mu, mv = ml_solve(m, u), ml_solve(m, v)
+    lhs = ml_solve(m, alpha * u + beta * v)
+    scale = abs(alpha) * np.linalg.norm(mu) + abs(beta) * np.linalg.norm(mv)
+    assert np.linalg.norm(lhs - (alpha * mu + beta * mv)) <= 1e-12 * max(scale, 1e-300)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(saddle_factors())
+def test_projected_preconditioner_is_orthogonal_to_the_null_vector(case):
+    m, rng = case
+    q = rng.standard_normal(m.n)
+    q /= np.linalg.norm(q)
+    p = PrecondOperator(m, null_basis=q)
+    for _ in range(3):
+        v = rng.standard_normal(m.n)
+        z = p.apply(v / np.linalg.norm(v))
+        assert abs(q @ z) <= 1e-15 * np.linalg.norm(z)
 
 
 def test_level_stats_rows_match_the_factor():

@@ -194,6 +194,23 @@ class TestHybridNewton:
         assert "finite" in rep.message
         assert x[0] == 3.0
 
+    def test_factorization_error_reported_not_raised(self):
+        # a sparsifier with a structurally empty row cannot be equilibrated
+        def op(x, nt):
+            return as_csr(sp.eye(2, format="csr"))
+
+        def empty_row(x, nt):
+            return as_csr(sp.csr_matrix(([1.0], ([0], [0])), shape=(2, 2)))
+
+        prob = NonlinearProblem(residual=lambda x: x - np.array([1.0, 2.0]), operator=op,
+                                sparsifier=empty_row, x0=np.zeros(2))
+        cfg = SolverConfig(factor_params=FactorParams(dense_switch=1))
+        x, rep = hybrid_newton(prob, cfg)
+        assert not rep.converged
+        assert rep.steps == []
+        assert rep.message == "structurally empty row 1"
+        assert np.array_equal(x, np.zeros(2))
+
     @pytest.mark.parametrize("fixture", ["quadratic", "atan"])
     def test_one_residual_per_trial(self, fixture):
         # the accepted trial's residual is the next step's residual: the
