@@ -14,7 +14,6 @@ from .mlilu import (
     equilibrate,
     factorize,
     ml_solve,
-    reassemble,
     reorder,
     static_defer,
 )
@@ -44,7 +43,7 @@ __all__ = [
     "Permutation",
     "MatrixMarketError", "mm_read", "mm_write",
     "FactorizationError", "FactorParams", "LevelFactor", "MultilevelFactor",
-    "crout_ilu_level", "equilibrate", "factorize", "ml_solve", "reassemble",
+    "crout_ilu_level", "equilibrate", "factorize", "ml_solve",
     "reorder", "static_defer",
     "GmresParams", "KrylovReport", "PrecondOperator",
     "eta_newton", "fgmres",

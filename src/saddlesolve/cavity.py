@@ -237,7 +237,6 @@ class CavityProblem:
     stiffness_full: sp.csr_matrix = field(repr=False)   # scalar grad-grad
     div_x_full: sp.csr_matrix = field(repr=False)       # negative divergence
     div_y_full: sp.csr_matrix = field(repr=False)
-    pressure_mass: sp.csr_matrix = field(repr=False)
     K: sp.csr_matrix = field(repr=False)                # reduced viscous block
     E: sp.csr_matrix = field(repr=False)                # reduced divergence
 
@@ -271,15 +270,13 @@ def build_problem(level: int, re: float, bc_kind: str = "standard") -> CavityPro
 
     k_rows, k_cols, k_vals = [], [], []
     e_rows, e_cols, ex_vals, ey_vals = [], [], [], []
-    m_rows, m_cols, m_vals = [], [], []
-    phi, psi = quad.phi, quad.psi
+    psi = quad.psi
     for cls in quad.classes:
         tri, p1, gx, gy, wdet = cls["tri"], cls["p1"], cls["gx"], cls["gy"], cls["wdet"]
         ne = tri.shape[0]
         k_loc = np.einsum("q,qa,qb->ab", wdet, gx, gx) + np.einsum("q,qa,qb->ab", wdet, gy, gy)
         ex_loc = -np.einsum("q,qp,qb->pb", wdet, psi, gx)
         ey_loc = -np.einsum("q,qp,qb->pb", wdet, psi, gy)
-        mp_loc = np.einsum("q,qp,qr->pr", wdet, psi, psi)
         k_rows.append(np.repeat(tri, 6, axis=1).ravel())
         k_cols.append(np.tile(tri, (1, 6)).ravel())
         k_vals.append(np.tile(k_loc.ravel(), ne))
@@ -287,9 +284,6 @@ def build_problem(level: int, re: float, bc_kind: str = "standard") -> CavityPro
         e_cols.append(np.tile(tri, (1, 3)).ravel())
         ex_vals.append(np.tile(ex_loc.ravel(), ne))
         ey_vals.append(np.tile(ey_loc.ravel(), ne))
-        m_rows.append(np.repeat(p1, 3, axis=1).ravel())
-        m_cols.append(np.tile(p1, (1, 3)).ravel())
-        m_vals.append(np.tile(mp_loc.ravel(), ne))
 
     stiff = _scatter(nv, nv, np.concatenate(k_rows), np.concatenate(k_cols),
                      np.concatenate(k_vals))
@@ -297,8 +291,6 @@ def build_problem(level: int, re: float, bc_kind: str = "standard") -> CavityPro
                      np.concatenate(ex_vals))
     div_y = _scatter(npd, nv, np.concatenate(e_rows), np.concatenate(e_cols),
                      np.concatenate(ey_vals))
-    mp = _scatter(npd, npd, np.concatenate(m_rows), np.concatenate(m_cols),
-                  np.concatenate(m_vals))
 
     nu = 2.0 / re
     intr = mesh.interior
@@ -318,7 +310,6 @@ def build_problem(level: int, re: float, bc_kind: str = "standard") -> CavityPro
         stiffness_full=stiff,
         div_x_full=div_x,
         div_y_full=div_y,
-        pressure_mass=mp,
         K=k_block,
         E=e_red,
     )

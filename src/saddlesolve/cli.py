@@ -39,8 +39,7 @@ _SOLVER_PARSERS = {
 }
 _FACTOR_PARSERS = {
     "alpha": float, "droptol": float, "cond_thresh": float,
-    "diag_thresh": float, "dense_switch": int, "max_levels": int,
-    "pivot_floor": float, "ordering": str,
+    "diag_thresh": float, "dense_switch": int, "pivot_floor": float,
 }
 
 

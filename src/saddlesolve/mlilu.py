@@ -50,11 +50,11 @@ __all__ = [
     "crout_ilu_level",
     "factorize",
     "ml_solve",
-    "reassemble",
 ]
 
 _EPS = np.finfo(np.float64).eps
 _CAP_FLOOR = 5  # retained entries per row/column regardless of the fill cap
+_MAX_LEVELS = 30
 
 
 class FactorizationError(ValueError):
@@ -66,15 +66,14 @@ class FactorizationError(ValueError):
 class FactorParams:
     """Controls for one multilevel factorization.
 
-    alpha caps per-row/column fill at ceil(alpha * sparsifier nnz);
-    droptol drives inverse-based dropping; cond_thresh bounds the growth of
-    the incremental inverse-norm estimates before a pivot is deferred;
-    diag_thresh is the relative static-deferring threshold on scaled
-    diagonals; pivot_floor is the absolute post-equilibration magnitude
-    below which a pivot is deferred.  dense_switch=None resolves to
-    min(max(500, sqrt(n)), 2000).  ordering is the per-level fill-reducing
-    ordering: "amd" for SuperLU's multiple minimum degree on A + A^T, or
-    "rcm" for reverse Cuthill-McKee.
+    alpha caps each stored U row and L column at ceil(alpha * nnz) of that
+    row or column of the level's matrix (at least 5); droptol drives
+    inverse-based dropping; cond_thresh bounds the growth of the incremental
+    inverse-norm estimates before a pivot is deferred; diag_thresh is the
+    relative static-deferring threshold on scaled diagonals; pivot_floor is
+    the absolute post-equilibration magnitude below which a pivot is
+    deferred.  dense_switch=None resolves to min(max(500, sqrt(n)), 2000).
+    After 30 levels, whatever is left goes to the dense tail.
     """
 
     alpha: float = 2.0
@@ -82,9 +81,7 @@ class FactorParams:
     cond_thresh: float = 5.0
     diag_thresh: float = 1e-2
     dense_switch: int | None = None
-    max_levels: int = 30
     pivot_floor: float = 1e-10
-    ordering: str = "amd"
 
     def __post_init__(self):
         if not (self.alpha >= 1):
@@ -97,12 +94,8 @@ class FactorParams:
             raise ValueError("diag_thresh must be in (0, 1)")
         if self.dense_switch is not None and self.dense_switch < 1:
             raise ValueError("dense_switch must be >= 1")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
         if not (self.pivot_floor >= 0):
             raise ValueError("pivot_floor must be >= 0")
-        if self.ordering not in ("amd", "rcm"):
-            raise ValueError("ordering must be 'amd' or 'rcm'")
 
     def resolve_dense_switch(self, n: int) -> int:
         if self.dense_switch is not None:
@@ -129,8 +122,6 @@ class LevelFactor:
     L: sp.csr_matrix
     U: sp.csr_matrix
     D: np.ndarray
-    caps_row: np.ndarray
-    caps_col: np.ndarray
     n_static_deferred: int = 0
     n_dynamic_deferred: int = 0
 
@@ -233,11 +224,12 @@ def equilibrate(a: sp.csr_matrix):
     return dr, dc
 
 
-def static_defer(a_scaled: sp.csr_matrix, diag_thresh: float):
+def static_defer(diag: np.ndarray, diag_thresh: float):
     """Stable symmetric permutation pushing indices whose scaled diagonal
-    magnitude falls below diag_thresh * max_j |A_jj| behind the rest.
-    Returns the permutation and the number of kept (leading) indices."""
-    d = np.abs(a_scaled.diagonal())
+    magnitude falls below diag_thresh * max_j |A_jj| behind the rest, given
+    the scaled diagonal.  Returns the permutation and the number of kept
+    (leading) indices."""
+    d = np.abs(diag)
     thr = diag_thresh * (d.max() if d.size else 0.0)
     keep = d >= thr
     order = np.concatenate([np.flatnonzero(keep), np.flatnonzero(~keep)])
@@ -258,8 +250,6 @@ def _sym_permute(a: sp.csr_matrix, p: Permutation) -> sp.csr_matrix:
 def crout_ilu_level(
     a: sp.csr_matrix,
     params: FactorParams,
-    nnz_budget_row: np.ndarray,
-    nnz_budget_col: np.ndarray,
     n_candidates: int | None = None,
 ):
     """One level of Crout elimination with dynamic deferring and dual
@@ -268,8 +258,9 @@ def crout_ilu_level(
 
     ``a`` must already be scaled, reordered and statically deferred; only
     the leading ``n_candidates`` indices are pivot candidates (the trailing
-    block was statically deferred).  Budgets are the per-row/column nnz of
-    the original sparsifier, in ``a``'s index order.
+    block was statically deferred).  Each stored U row (L column) keeps at
+    most max(5, ceil(alpha * nnz)) entries, nnz being the stored entries of
+    that row (column) of ``a``, explicit zeros included.
 
     Step k gathers row k and column k of the active matrix, each as A's
     entries minus the stored U rows (L columns) of the pivots whose L column
@@ -289,8 +280,8 @@ def crout_ilu_level(
     acsc = acsr.tocsc()
     acsc.sort_indices()
 
-    caps_row = np.maximum(_CAP_FLOOR, np.ceil(params.alpha * np.asarray(nnz_budget_row)).astype(np.intp))
-    caps_col = np.maximum(_CAP_FLOOR, np.ceil(params.alpha * np.asarray(nnz_budget_col)).astype(np.intp))
+    counts = np.diff([acsr.indptr, acsc.indptr])
+    u_caps, l_caps = np.maximum(_CAP_FLOOR, np.ceil(params.alpha * counts).astype(np.intp))
     droptol = params.droptol
     pivot_floor = params.pivot_floor
     cond_thresh = params.cond_thresh
@@ -378,14 +369,13 @@ def crout_ilu_level(
         diag[t], v_low[t], v_up[t] = pivot, vlk, vuk
         est_low = max(est_low, vlk)
         est_up = max(est_up, vuk)
-        store(t, k, ridx, rval / pivot, est_up, caps_row[k], upper, col_pairs)
-        store(t, k, cidx, cval / pivot, est_low, caps_col[k], lower, row_pairs)
+        store(t, k, ridx, rval / pivot, est_up, u_caps[k], upper, col_pairs)
+        store(t, k, cidx, cval / pivot, est_low, l_caps[k], lower, row_pairs)
 
     # -- the level in elimination-then-deferred order, and its Schur complement --
     n_b = len(elim)
-    elim_arr = np.asarray(elim, dtype=np.intp)
     nonelim = np.flatnonzero(status != 1)
-    perm = Permutation.from_inverse(np.concatenate([elim_arr, nonelim]))
+    perm = Permutation.from_inverse(np.concatenate([np.asarray(elim, dtype=np.intp), nonelim]))
 
     def by_pivot(stored):
         """(rank, factor position, value) of every stored entry."""
@@ -409,7 +399,6 @@ def crout_ilu_level(
     )
     level = LevelFactor(
         n=n, n_b=n_b, perm=perm, dr=np.ones(n), dc=np.ones(n), L=l_mat, U=u_mat, D=d,
-        caps_row=caps_row[elim_arr], caps_col=caps_col[elim_arr],
         n_static_deferred=n - ncand, n_dynamic_deferred=n_dynamic,
     )
     return level, schur
@@ -430,21 +419,15 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
 
     levels: list[LevelFactor] = []
     current = a
-    for _ in range(params.max_levels):
-        n = current.shape[0]
-        if n <= dense_switch:
+    for _ in range(_MAX_LEVELS):
+        if current.shape[0] <= dense_switch:
             break
         dr, dc = equilibrate(current)
         scaled = _scale(current, dr, dc)
-        p_fill = reorder(scaled, method=params.ordering)
-        b = _sym_permute(scaled, p_fill)
-        p_defer, ncand = static_defer(b, params.diag_thresh)
-        b = _sym_permute(b, p_defer)
+        p_fill = reorder(scaled)
+        p_defer, ncand = static_defer(scaled.diagonal()[p_fill.inverse], params.diag_thresh)
         p_static = p_defer.compose(p_fill)
-        budget = np.diff(current.indptr)
-        budget_row = budget[p_static.inverse]
-        budget_col = np.diff(current.tocsc().indptr)[p_static.inverse]
-        level, schur = crout_ilu_level(b, params, budget_row, budget_col, ncand)
+        level, schur = crout_ilu_level(_sym_permute(scaled, p_static), params, ncand)
         if level.n_b == 0:
             # no pivot was acceptable; stop and hand everything to the tail
             break
@@ -515,39 +498,3 @@ def ml_solve(m: MultilevelFactor, v: np.ndarray) -> np.ndarray:
     if v.shape != (m.n,):
         raise ValueError(f"vector length {v.shape} does not match factor size {m.n}")
     return _solve_from(m, 0, v)
-
-
-def reassemble(m: MultilevelFactor) -> np.ndarray:
-    """Rebuild the dense matrix the factorization represents (testing aid);
-    exact factorizations reproduce the input."""
-
-    def tail_dense():
-        if m.tail_n == 0:
-            return np.zeros((0, 0))
-        lu, piv = m.tail_lu
-        n = m.tail_n
-        low = np.tril(lu, -1) + np.eye(n)
-        up = np.triu(lu)
-        prod = low @ up
-        order = np.arange(n)
-        for i, p in enumerate(piv):
-            order[i], order[p] = order[p], order[i]
-        out = np.empty_like(prod)
-        out[order, :] = prod
-        return out
-
-    def level_dense(li):
-        if li == len(m.levels):
-            return tail_dense()
-        lev = m.levels[li]
-        n, nb = lev.n, lev.n_b
-        lf = lev.L.toarray() + np.eye(n)
-        uf = lev.U.toarray() + np.eye(n)
-        mid = np.zeros((n, n))
-        mid[:nb, :nb] = np.diag(lev.D)
-        mid[nb:, nb:] = level_dense(li + 1)
-        b = lf @ mid @ uf
-        scaled = b[lev.perm.forward][:, lev.perm.forward]
-        return scaled / lev.dr[:, None] / lev.dc[None, :]
-
-    return level_dense(0)

@@ -3,8 +3,9 @@
 Coordinate format (real/integer, general/symmetric/skew-symmetric) for
 sparse matrices and array format for dense vectors.  Values are written
 with 17 significant digits so a write/read round trip is bitwise exact.
-Symmetric storage is expanded to general storage on read.  Indices are
-1-based on disk and 0-based in memory.
+Symmetric storage is expanded to general storage on read, and NaN or
+infinite values are rejected.  Indices are 1-based on disk and 0-based in
+memory.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ class MatrixMarketError(ValueError):
 
 def _fail(path, lineno, line, why):
     raise MatrixMarketError(f"{path}:{lineno}: {why} (line was: {line.strip()!r})")
+
+
+def _finite(path, vals: np.ndarray) -> np.ndarray:
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise MatrixMarketError(f"{path}: value {bad[0] + 1} is not finite ({vals[bad[0]]})")
+    return vals
 
 
 def mm_read(path, kind: str = "matrix"):
@@ -94,7 +102,8 @@ def mm_read(path, kind: str = "matrix"):
         if len(vals) != nnz:
             raise MatrixMarketError(f"{path}: declared {nnz} entries, found {len(vals)}")
         mat = _expand_symmetry(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-                               np.array(vals, dtype=np.float64), nrows, ncols, symmetry)
+                               _finite(path, np.array(vals, dtype=np.float64)), nrows, ncols,
+                               symmetry)
         if kind == "vector":
             if ncols != 1:
                 raise MatrixMarketError(f"{path}: vector requested but file has {ncols} columns")
@@ -130,7 +139,7 @@ def mm_read(path, kind: str = "matrix"):
                 _fail(path, lineno + 1, line, f"malformed value {tok!r}")
     if len(vals) != want:
         raise MatrixMarketError(f"{path}: declared {want} values, found {len(vals)}")
-    dense = np.array(vals, dtype=np.float64).reshape((ncols, nrows)).T
+    dense = _finite(path, np.array(vals, dtype=np.float64)).reshape((ncols, nrows)).T
     if kind == "vector":
         if ncols != 1:
             raise MatrixMarketError(f"{path}: vector requested but file has {ncols} columns")

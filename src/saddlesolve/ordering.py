@@ -1,23 +1,21 @@
-"""Fill-reducing symmetric orderings.
+"""Fill-reducing symmetric ordering.
 
-The default ("amd") is SuperLU's multiple minimum degree on the pattern of
-A + A^T (Liu, Modification of the minimum-degree algorithm by multiple
-elimination, ACM TOMS 1985), a sibling of the approximate minimum degree of
-Amestoy, Davis and Duff, called through scipy's splu.  It is deterministic,
-and a graph with no edges orders as the identity.  Reverse Cuthill-McKee
-(via scipy) is available as a fallback.
+SuperLU's multiple minimum degree on the pattern of A + A^T (Liu,
+Modification of the minimum-degree algorithm by multiple elimination, ACM
+TOMS 1985), a sibling of the approximate minimum degree of Amestoy, Davis
+and Duff, called through scipy's splu.  It is deterministic, and a graph
+with no edges orders as the identity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .sparse import Permutation
 
-__all__ = ["reorder", "min_degree_order", "rcm_order"]
+__all__ = ["reorder", "min_degree_order"]
 
 
 def _symmetric_pattern(a: sp.csr_matrix) -> sp.csr_matrix:
@@ -48,19 +46,8 @@ def min_degree_order(a: sp.csr_matrix) -> np.ndarray:
     return np.argsort(lu.perm_c).astype(np.intp)
 
 
-def rcm_order(a: sp.csr_matrix) -> np.ndarray:
-    pat = _symmetric_pattern(a)
-    return np.asarray(reverse_cuthill_mckee(pat, symmetric_mode=True), dtype=np.intp)
-
-
-def reorder(a: sp.csr_matrix, method: str = "amd") -> Permutation:
+def reorder(a: sp.csr_matrix) -> Permutation:
     """Symmetric fill-reducing ordering of a square sparse matrix."""
     if a.shape[0] != a.shape[1]:
         raise ValueError("reorder requires a square matrix")
-    if method == "amd":
-        order = min_degree_order(a)
-    elif method == "rcm":
-        order = rcm_order(a)
-    else:
-        raise ValueError(f"unknown ordering method {method!r}")
-    return Permutation.from_inverse(order)
+    return Permutation.from_inverse(min_degree_order(a))

@@ -59,14 +59,3 @@ class Permutation:
     def compose(self, first: "Permutation") -> "Permutation":
         """Return self applied after ``first`` (self o first)."""
         return Permutation.from_forward(self.forward[first.forward])
-
-    def check(self) -> None:
-        n = self.n
-        ar = np.arange(n)
-        if self.inverse.size != n:
-            raise ValueError("forward/inverse length mismatch")
-        if not np.array_equal(np.sort(self.forward), ar):
-            raise ValueError("forward is not a bijection")
-        if not np.array_equal(self.forward[self.inverse], ar):
-            raise ValueError("forward o inverse is not the identity")
-

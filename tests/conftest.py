@@ -29,6 +29,51 @@ def random_saddle(nb, ne, seed, shift=4.0):
     return as_csr(sp.csr_matrix(dense))
 
 
+def check_permutation(p):
+    """Assert that p's forward and inverse arrays are mutually inverse
+    bijections on [0, n)."""
+    ar = np.arange(p.n)
+    assert p.inverse.size == p.n, "forward/inverse length mismatch"
+    assert np.array_equal(np.sort(p.forward), ar), "forward is not a bijection"
+    assert np.array_equal(p.forward[p.inverse], ar), "forward o inverse is not the identity"
+
+
+def reassemble(m):
+    """Rebuild the dense matrix a MultilevelFactor represents; exact
+    factorizations reproduce the input."""
+
+    def tail_dense():
+        if m.tail_n == 0:
+            return np.zeros((0, 0))
+        lu, piv = m.tail_lu
+        n = m.tail_n
+        low = np.tril(lu, -1) + np.eye(n)
+        up = np.triu(lu)
+        prod = low @ up
+        order = np.arange(n)
+        for i, p in enumerate(piv):
+            order[i], order[p] = order[p], order[i]
+        out = np.empty_like(prod)
+        out[order, :] = prod
+        return out
+
+    def level_dense(li):
+        if li == len(m.levels):
+            return tail_dense()
+        lev = m.levels[li]
+        n, nb = lev.n, lev.n_b
+        lf = lev.L.toarray() + np.eye(n)
+        uf = lev.U.toarray() + np.eye(n)
+        mid = np.zeros((n, n))
+        mid[:nb, :nb] = np.diag(lev.D)
+        mid[nb:, nb:] = level_dense(li + 1)
+        b = lf @ mid @ uf
+        scaled = b[lev.perm.forward][:, lev.perm.forward]
+        return scaled / lev.dr[:, None] / lev.dc[None, :]
+
+    return level_dense(0)
+
+
 @pytest.fixture(scope="session")
 def cavity_level4():
     from saddlesolve import cavity as cav

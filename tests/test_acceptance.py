@@ -9,10 +9,10 @@ import pytest
 
 from saddlesolve import cavity as cav
 from saddlesolve.krylov import GmresParams, PrecondOperator, eta_newton, fgmres
-from saddlesolve.mlilu import FactorParams, factorize, reassemble
+from saddlesolve.mlilu import FactorParams, factorize
 from saddlesolve.nonlinear import SolverConfig, armijo_damp, hybrid_newton, refactor_needed
 
-from conftest import random_saddle, random_sparse
+from conftest import random_saddle, random_sparse, reassemble
 
 
 def _report(name, elapsed, budget, detail=""):

@@ -61,7 +61,12 @@ class TestConstantOperators:
         assert np.abs(prob.stiffness_full @ ones).max() <= 1e-13
 
     def test_pressure_mass_partition_of_unity(self, cavity_level4):
-        assert cavity_level4.pressure_mass.sum() == pytest.approx(4.0, abs=1e-12)
+        # div_x_full @ x (div_y_full @ y) is minus the integral of each
+        # pressure basis function; the basis sums to one, so the total is
+        # minus the area of the box
+        prob = cavity_level4
+        for div, coord in zip((prob.div_x_full, prob.div_y_full), prob.mesh.nodes.T):
+            assert -(div @ coord).sum() == pytest.approx(4.0, abs=1e-12)
 
     def test_divergence_transpose_kills_constant_pressure(self, cavity_level4):
         # discrete gradient of a constant pressure vanishes on interior

@@ -63,7 +63,7 @@ def test_cavity_rejects_unknown_override(tmp_path, capsys, monkeypatch):
         (override("picard_eta=1.5"), "picard_eta must be in (0, 1)"),
         (override("eta_max=0"), "eta_max must be in (0, 1)"),
         (override("alpha=0.5"), "alpha must be >= 1"),
-        (override("ordering=bogus"), "ordering must be 'amd' or 'rcm'"),
+        (override("ordering=rcm"), "unknown parameter 'ordering'"),
         (override("cond_thresh=nan"), "cond_thresh must exceed 1"),
         (override("pivot_floor=nan"), "pivot_floor must be >= 0"),
         (["--level", "2"], "argument --level: invalid choice: 2"),
@@ -293,6 +293,10 @@ def _bad_input_files(tmp_path):
     # above dense_switch (500 unknowns by default), so a level equilibrates it
     mm_write(_last_row_empty(600), tmp_path / "empty600.mtx")
     (tmp_path / "bad.mtx").write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n")
+    nan = np.ones((3, 3))
+    nan[0, 1] = np.nan
+    mm_write(as_csr(sp.csr_matrix(nan)), tmp_path / "nan.mtx")
+    mm_write(np.array([1.0, np.nan, 1.0, 1.0]), tmp_path / "nan4.mtx")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -309,6 +313,10 @@ def _bad_input_files(tmp_path):
      "null vector must be nonzero"),
     (["linsolve", "--matrix", "empty600.mtx"], "structurally empty row 599"),
     (["factor-stats", "--matrix", "empty600.mtx"], "structurally empty row 599"),
+    (["linsolve", "--matrix", "nan.mtx"], "value 2 is not finite (nan)"),
+    (["factor-stats", "--matrix", "nan.mtx"], "value 2 is not finite (nan)"),
+    (["linsolve", "--matrix", "a.mtx", "--rhs", "nan4.mtx"], "value 2 is not finite (nan)"),
+    (["linsolve", "--matrix", "a.mtx", "--null-vector", "nan4.mtx"], "value 2 is not finite (nan)"),
 ])
 def test_bad_input_files_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, message):
     _bad_input_files(tmp_path)

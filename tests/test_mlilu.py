@@ -17,12 +17,11 @@ from saddlesolve.mlilu import (
     equilibrate,
     factorize,
     ml_solve,
-    reassemble,
     static_defer,
 )
 from saddlesolve.sparse import as_csr
 
-from conftest import random_saddle, random_sparse
+from conftest import random_saddle, random_sparse, reassemble
 
 
 def scale_apply(a, dr, dc):
@@ -68,7 +67,7 @@ class TestEquilibrate:
 class TestStaticDefer:
     def test_saddle_structure_is_identity(self):
         a = random_saddle(8, 4, seed=3)
-        p, n_keep = static_defer(a, 1e-2)
+        p, n_keep = static_defer(a.diagonal(), 1e-2)
         assert np.array_equal(p.inverse, np.arange(12))
         assert n_keep == 8
 
@@ -77,7 +76,7 @@ class TestStaticDefer:
         dense = np.diag([0.0, 1.0, 0.0, 1.0])
         dense[0, 1] = dense[2, 3] = 1e-3  # keep rows structurally nonempty
         a = as_csr(sp.csr_matrix(dense))
-        p, n_keep = static_defer(a, 1e-2)
+        p, n_keep = static_defer(a.diagonal(), 1e-2)
         assert np.array_equal(p.inverse, [1, 3, 0, 2])
         assert n_keep == 2
 
@@ -89,7 +88,7 @@ class TestStaticDefer:
         for z in zeros:
             dense[z, z] = 0.0
         a = as_csr(sp.csr_matrix(dense))
-        p, n_keep = static_defer(a, 1e-2)
+        p, n_keep = static_defer(a.diagonal(), 1e-2)
         assert n_keep == 7
         assert sorted(p.inverse[-3:]) == zeros
         kept = [i for i in range(n) if i not in zeros]
@@ -101,7 +100,7 @@ class TestStaticDefer:
         for z in (3, 11, 19):
             dense[z, z] = 1e-9
         a = as_csr(sp.csr_matrix(dense))
-        p, n_keep = static_defer(a, 1e-2)
+        p, n_keep = static_defer(a.diagonal(), 1e-2)
         d = np.abs(a.diagonal())
         thr = 1e-2 * d.max()
         assert n_keep == int(np.count_nonzero(d >= thr)) == 27
@@ -114,8 +113,7 @@ class TestCroutLevel:
         rng = np.random.default_rng(1)
         dense = rng.random((5, 5)) + 5 * np.eye(5)
         a = as_csr(sp.csr_matrix(dense))
-        budgets = np.full(5, 5)
-        level, schur = crout_ilu_level(a, FactorParams(alpha=5.0, droptol=0.0), budgets, budgets)
+        level, schur = crout_ilu_level(a, FactorParams(alpha=5.0, droptol=0.0))
         assert level.n_b == 5 and schur.shape == (0, 0)
         low = level.L.toarray() + np.eye(5)
         up = level.U.toarray() + np.eye(5)
@@ -125,8 +123,7 @@ class TestCroutLevel:
 
     def test_identity_input(self):
         a = as_csr(sp.eye(6, format="csr"))
-        budgets = np.ones(6, dtype=int)
-        level, schur = crout_ilu_level(a, FactorParams(alpha=1.0, droptol=0.0), budgets, budgets)
+        level, schur = crout_ilu_level(a, FactorParams(alpha=1.0, droptol=0.0))
         assert level.n_b == 6
         assert level.L.nnz == 0 and level.U.nnz == 0
         assert np.allclose(level.D, 1.0)
@@ -134,8 +131,7 @@ class TestCroutLevel:
 
     def test_tiny_pivot_deferred_hand_schur(self):
         a = as_csr(sp.csr_matrix(np.array([[1e-16, 1.0], [1.0, 1.0]])))
-        budgets = np.full(2, 2)
-        level, schur = crout_ilu_level(a, FactorParams(alpha=2.0, droptol=0.0), budgets, budgets, n_candidates=2)
+        level, schur = crout_ilu_level(a, FactorParams(alpha=2.0, droptol=0.0), n_candidates=2)
         assert level.n_b == 1
         assert level.n_dynamic_deferred == 1
         # eliminated block is {index 1}; Schur over {0} is 1e-16 - 1*1*1
@@ -147,8 +143,7 @@ class TestCroutLevel:
         dense[0, 1] = dense[1, 2] = dense[2, 0] = 1e-30
         dense[np.diag_indices(3)] = 1e-30
         a = as_csr(sp.csr_matrix(dense))
-        budgets = np.full(3, 3)
-        level, schur = crout_ilu_level(a, FactorParams(alpha=3.0, droptol=0.0), budgets, budgets)
+        level, schur = crout_ilu_level(a, FactorParams(alpha=3.0, droptol=0.0))
         assert level.n_b == 0
         assert np.allclose(schur.toarray(), dense)
 
@@ -197,14 +192,12 @@ class TestFactorize:
     def test_fill_caps_recorded_and_respected(self):
         a, _ = random_sparse(80, 0.2, seed=10, diag_shift=2.0)
         params = FactorParams(alpha=1.5, droptol=0.01, dense_switch=10)
-        m = factorize(a, params)
-        for lev in m.levels:
-            if lev.n_b == 0:
-                continue
-            col_counts = np.diff(lev.L.tocsc().indptr)[:lev.n_b]
-            row_counts = np.diff(lev.U.indptr)[:lev.n_b]
-            assert np.all(col_counts <= lev.caps_col)
-            assert np.all(row_counts <= lev.caps_row)
+        lev = factorize(a, params).levels[0]
+        pivots = lev.perm.inverse[:lev.n_b]  # input index of each pivot
+        caps_row = np.maximum(5, np.ceil(params.alpha * np.diff(a.indptr)[pivots]))
+        caps_col = np.maximum(5, np.ceil(params.alpha * np.diff(a.tocsc().indptr)[pivots]))
+        assert np.all(np.diff(lev.U.indptr)[:lev.n_b] <= caps_row)
+        assert np.all(np.diff(lev.L.tocsc().indptr)[:lev.n_b] <= caps_col)
 
     def test_fill_bound_aggregate(self):
         a, _ = random_sparse(120, 0.1, seed=11, diag_shift=2.0)
@@ -361,7 +354,6 @@ def saddle_factors(draw):
         alpha=draw(st.sampled_from([1.5, 3.0, 10.0])),
         droptol=draw(st.sampled_from([0.0, 0.01, 0.1])),
         dense_switch=draw(st.integers(1, nb // 2)),
-        ordering=draw(st.sampled_from(["amd", "rcm"])),
     )
     return factorize(a, params), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -448,9 +440,8 @@ def test_crout_level_is_exact_at_zero_droptol(case):
     # caps >= n, PAP^T = (L+I) blockdiag(D, S) (U+I) must still hold
     a, cond_thresh, n_trailing = case
     n = a.shape[0]
-    params = FactorParams(alpha=1.0, droptol=0.0, cond_thresh=cond_thresh, pivot_floor=1e-2)
-    budgets = np.full(n, n)
-    level, schur = crout_ilu_level(a, params, budgets, budgets, n_candidates=n - n_trailing)
+    params = FactorParams(alpha=float(n), droptol=0.0, cond_thresh=cond_thresh, pivot_floor=1e-2)
+    level, schur = crout_ilu_level(a, params, n_candidates=n - n_trailing)
     nb = level.n_b
     assert level.n_static_deferred == n_trailing
     assert nb + level.n_dynamic_deferred + n_trailing == n
@@ -469,13 +460,12 @@ def test_factorize_reassembles_exactly_for_any_dense_switch_and_ordering(case):
     a, cond_thresh, _ = case
     n = a.shape[0]
     dense = a.toarray()
-    for ordering in ("amd", "rcm"):
-        for dense_switch in range(1, 9):
-            params = FactorParams(
-                alpha=float(n), droptol=0.0, cond_thresh=cond_thresh, pivot_floor=1e-2,
-                dense_switch=dense_switch, ordering=ordering,
-            )
-            m = factorize(a, params)
-            assert not m.perturbed
-            r = reassemble(m)
-            assert np.linalg.norm(r - dense) <= 1e-10 * np.linalg.norm(dense), (ordering, dense_switch)
+    for dense_switch in range(1, 9):
+        params = FactorParams(
+            alpha=float(n), droptol=0.0, cond_thresh=cond_thresh, pivot_floor=1e-2,
+            dense_switch=dense_switch,
+        )
+        m = factorize(a, params)
+        assert not m.perturbed
+        r = reassemble(m)
+        assert np.linalg.norm(r - dense) <= 1e-10 * np.linalg.norm(dense), dense_switch

@@ -177,3 +177,14 @@ def test_impossible_count_fails_before_allocating(tmp_path, body, message):
     path.write_text("%%MatrixMarket matrix " + body)
     with pytest.raises(MatrixMarketError, match=message):
         mm_read(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("coordinate real general\n2 2 2\n1 1 1.0\n2 2 nan\n", "value 2 is not finite"),
+    ("array real general\n3 1\n1.0\n-inf\n3.0\n", "value 2 is not finite"),
+])
+def test_non_finite_value_rejected(tmp_path, body, message):
+    path = tmp_path / "nonfinite.mtx"
+    path.write_text("%%MatrixMarket matrix " + body)
+    with pytest.raises(MatrixMarketError, match=message):
+        mm_read(path)

@@ -1,8 +1,10 @@
 import numpy as np
 import scipy.sparse as sp
 
-from saddlesolve.ordering import min_degree_order, rcm_order, reorder
+from saddlesolve.ordering import min_degree_order, reorder
 from saddlesolve.sparse import as_csr
+
+from conftest import check_permutation
 
 
 def laplacian_2d(nx):
@@ -48,21 +50,7 @@ def test_diagonal_matrix_orders_identity():
 
 def test_reorder_is_valid_permutation():
     a = laplacian_2d(8)
-    p = reorder(a)
-    p.check()
-
-
-def bandwidth(a):
-    coo = a.tocoo()
-    return int(np.abs(coo.row - coo.col).max()) if coo.nnz else 0
-
-
-def test_rcm_tridiagonal_bandwidth():
-    n = 30
-    a = as_csr(sp.diags([np.ones(n), np.ones(n - 1), np.ones(n - 1)], [0, 1, -1]).tocsr())
-    order = rcm_order(a)
-    perm = a[order, :][:, order]
-    assert bandwidth(perm) <= bandwidth(a)
+    check_permutation(reorder(a))
 
 
 def test_min_degree_beats_natural_ordering_fill():
@@ -99,5 +87,5 @@ def test_saddle_matrix_orders_deterministically():
         a[2 * k + 1, nb + k] = 1.0    # F^T, a different pattern from E^T
     a = as_csr(a.tocsr())
     p1 = reorder(a)
-    p1.check()
+    check_permutation(p1)
     assert np.array_equal(p1.inverse, reorder(a).inverse)

@@ -1,0 +1,50 @@
+"""The benchmark's tracer still reaches every layer it times.
+
+perfbench/spans.py times the package by replacing module attributes, so a
+renamed function, or a call that stops resolving through a module global,
+silently drops a layer from the benchmark.  This loads the tracer as it is
+and checks that one small factorize-and-solve records a span per layer."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import saddlesolve
+from saddlesolve.krylov import GmresParams
+from saddlesolve.mlilu import FactorParams
+
+from conftest import random_saddle
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class is built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_every_factorization_and_solve_layer(monkeypatch):
+    spans = _load_spans(monkeypatch)
+    factorize = saddlesolve.mlilu.factorize
+    tracer = spans.Tracer("hooks")
+    spans.install(tracer, saddlesolve)
+    try:
+        a = random_saddle(40, 15, seed=3)
+        with tracer.group("solve"):
+            m = saddlesolve.mlilu.factorize(a, FactorParams(dense_switch=10))
+            precond = saddlesolve.krylov.PrecondOperator(m)
+            _, rep = saddlesolve.krylov.fgmres(a, precond, a @ np.ones(a.shape[0]), GmresParams())
+    finally:
+        tracer.restore()
+    assert saddlesolve.mlilu.factorize is factorize
+    assert rep.converged and len(m.levels) >= 1
+    assert {s.name for s in tracer.spans} >= {
+        "mlilu.factorize", "mlilu.equilibrate", "ordering.reorder", "mlilu.static_defer",
+        "mlilu.crout_ilu_level", "mlilu.ml_solve", "krylov.precond_apply", "krylov.fgmres",
+    }

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from saddlesolve.mlilu import _scale, _sym_permute
 from saddlesolve.sparse import Permutation, as_csr
 
-from conftest import random_sparse
+from conftest import check_permutation, random_sparse
 
 
 def permute_scale(a, p, dr, dc):
@@ -15,7 +15,7 @@ def permute_scale(a, p, dr, dc):
 
 def test_permutation_roundtrip():
     p = Permutation.from_inverse([2, 0, 3, 1])
-    p.check()
+    check_permutation(p)
     assert np.array_equal(p.forward[p.inverse], np.arange(4))
     assert np.array_equal(Permutation.from_forward(p.forward).inverse, p.inverse)
 
