@@ -3,7 +3,6 @@ preconditioning, flexible GMRES with iterative refinement and null-space
 elimination, a hybrid Picard/Newton driver, and a built-in lid-driven
 cavity benchmark."""
 
-from .sparse import Permutation
 from .mmio import MatrixMarketError, mm_read, mm_write
 from .mlilu import (
     FactorizationError,
@@ -40,7 +39,6 @@ from . import cavity
 __version__ = "0.1.0"
 
 __all__ = [
-    "Permutation",
     "MatrixMarketError", "mm_read", "mm_write",
     "FactorizationError", "FactorParams", "LevelFactor", "MultilevelFactor",
     "crout_ilu_level", "equilibrate", "factorize", "ml_solve",

@@ -192,7 +192,10 @@ def build_mesh(level: int) -> CavityMesh:
 
 class _Quadrature:
     """Per-element-class basis tables; the mesh has two congruent triangle
-    shapes (even/odd triangle index) with constant affine maps."""
+    shapes (even/odd triangle index) with constant affine maps.  The global
+    (rows, cols, shape) of every P2 x P2 (``vv``) and P1 x P2 (``pv``)
+    element entry are built once, class by class, so every assembly
+    scatters only its values, in the same class-by-class order."""
 
     def __init__(self, mesh: CavityMesh):
         phi, dphi = _p2_basis(_QP)
@@ -200,6 +203,7 @@ class _Quadrature:
         self.phi = phi
         self.psi = psi
         self.classes = []
+        vv, pv = ([], []), ([], [])
         for c in (0, 1):
             tri = mesh.triangles[c::2]
             v = mesh.nodes[mesh.triangles[c, :3]]
@@ -209,18 +213,20 @@ class _Quadrature:
             grad = dphi @ jinv            # (nq, 6, 2) physical gradients
             wdet = 0.5 * _QW * abs(det)   # reference area folded in
             self.classes.append(
-                dict(
-                    tri=tri,
-                    p1=mesh.p1_conn[c::2],
-                    gx=grad[:, :, 0],
-                    gy=grad[:, :, 1],
-                    wdet=wdet,
-                )
+                dict(tri=tri, gx=grad[:, :, 0], gy=grad[:, :, 1], wdet=wdet)
             )
+            vv[0].append(np.repeat(tri, 6, axis=1).ravel())
+            vv[1].append(np.tile(tri, (1, 6)).ravel())
+            pv[0].append(np.repeat(mesh.p1_conn[c::2], 6, axis=1).ravel())
+            pv[1].append(np.tile(tri, (1, 3)).ravel())
+        nv, npd = mesh.n_nodes, mesh.n_pressure
+        self.vv = (np.concatenate(vv[0]), np.concatenate(vv[1]), (nv, nv))
+        self.pv = (np.concatenate(pv[0]), np.concatenate(pv[1]), (npd, nv))
 
 
-def _scatter(nrows, ncols, rows, cols, vals):
-    out = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
+def _scatter(pattern, vals):
+    rows, cols, shape = pattern
+    out = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
     out.sum_duplicates()
     out.sort_indices()
     return out
@@ -237,8 +243,8 @@ class CavityProblem:
     stiffness_full: sp.csr_matrix = field(repr=False)   # scalar grad-grad
     div_x_full: sp.csr_matrix = field(repr=False)       # negative divergence
     div_y_full: sp.csr_matrix = field(repr=False)
-    K: sp.csr_matrix = field(repr=False)                # reduced viscous block
-    E: sp.csr_matrix = field(repr=False)                # reduced divergence
+    div_x_red: sp.csr_matrix = field(repr=False)        # their interior columns
+    div_y_red: sp.csr_matrix = field(repr=False)
 
     @property
     def n_unknowns(self) -> int:
@@ -258,60 +264,41 @@ def build_problem(level: int, re: float, bc_kind: str = "standard") -> CavityPro
         raise ValueError("bc_kind must be 'standard' or 'regularized'")
     mesh = build_mesh(level)
     quad = _Quadrature(mesh)
-    nv = mesh.n_nodes
-    npd = mesh.n_pressure
 
-    lid = np.zeros(nv)
+    lid = np.zeros(mesh.n_nodes)
     on_lid = mesh.boundary_kind == LID
     if bc_kind == "standard":
         lid[on_lid] = 1.0
     else:
         lid[on_lid] = 1.0 - mesh.nodes[on_lid, 0] ** 4
 
-    k_rows, k_cols, k_vals = [], [], []
-    e_rows, e_cols, ex_vals, ey_vals = [], [], [], []
+    k_vals, ex_vals, ey_vals = [], [], []
     psi = quad.psi
     for cls in quad.classes:
-        tri, p1, gx, gy, wdet = cls["tri"], cls["p1"], cls["gx"], cls["gy"], cls["wdet"]
-        ne = tri.shape[0]
+        gx, gy, wdet = cls["gx"], cls["gy"], cls["wdet"]
+        ne = cls["tri"].shape[0]
         k_loc = np.einsum("q,qa,qb->ab", wdet, gx, gx) + np.einsum("q,qa,qb->ab", wdet, gy, gy)
         ex_loc = -np.einsum("q,qp,qb->pb", wdet, psi, gx)
         ey_loc = -np.einsum("q,qp,qb->pb", wdet, psi, gy)
-        k_rows.append(np.repeat(tri, 6, axis=1).ravel())
-        k_cols.append(np.tile(tri, (1, 6)).ravel())
         k_vals.append(np.tile(k_loc.ravel(), ne))
-        e_rows.append(np.repeat(p1, 6, axis=1).ravel())
-        e_cols.append(np.tile(tri, (1, 3)).ravel())
         ex_vals.append(np.tile(ex_loc.ravel(), ne))
         ey_vals.append(np.tile(ey_loc.ravel(), ne))
 
-    stiff = _scatter(nv, nv, np.concatenate(k_rows), np.concatenate(k_cols),
-                     np.concatenate(k_vals))
-    div_x = _scatter(npd, nv, np.concatenate(e_rows), np.concatenate(e_cols),
-                     np.concatenate(ex_vals))
-    div_y = _scatter(npd, nv, np.concatenate(e_rows), np.concatenate(e_cols),
-                     np.concatenate(ey_vals))
-
-    nu = 2.0 / re
+    div_x = _scatter(quad.pv, np.concatenate(ex_vals))
+    div_y = _scatter(quad.pv, np.concatenate(ey_vals))
     intr = mesh.interior
-    k_red = sp.csr_matrix(nu * stiff[intr, :][:, intr])
-    ex_red = sp.csr_matrix(div_x[:, intr])
-    ey_red = sp.csr_matrix(div_y[:, intr])
-    e_red = sp.hstack([ex_red, ey_red], format="csr")
-    k_block = sp.block_diag([k_red, k_red], format="csr")
-
     return CavityProblem(
         mesh=mesh,
         re=re,
-        nu=nu,
+        nu=2.0 / re,
         bc_kind=bc_kind,
         lid_values=lid,
         quad=quad,
-        stiffness_full=stiff,
+        stiffness_full=_scatter(quad.vv, np.concatenate(k_vals)),
         div_x_full=div_x,
         div_y_full=div_y,
-        K=k_block,
-        E=e_red,
+        div_x_red=sp.csr_matrix(div_x[:, intr]),
+        div_y_red=sp.csr_matrix(div_y[:, intr]),
     )
 
 
@@ -335,19 +322,15 @@ def _convection_full(prob: CavityProblem, ux_full, uy_full) -> sp.csr_matrix:
     """Scalar advection operator int phi_a (u . grad phi_b) on the full
     node grid (identical for both velocity components)."""
     phi = prob.quad.phi
-    rows, cols, vals = [], [], []
+    vals = []
     for cls in prob.quad.classes:
         tri, gx, gy, wdet = cls["tri"], cls["gx"], cls["gy"], cls["wdet"]
         uxq = ux_full[tri] @ phi.T
         uyq = uy_full[tri] @ phi.T
         ce = np.einsum("eq,qa,qb->eab", uxq * wdet, phi, gx)
         ce += np.einsum("eq,qa,qb->eab", uyq * wdet, phi, gy)
-        rows.append(np.repeat(tri, 6, axis=1).ravel())
-        cols.append(np.tile(tri, (1, 6)).ravel())
         vals.append(ce.ravel())
-    return _scatter(prob.mesh.n_nodes, prob.mesh.n_nodes,
-                    np.concatenate(rows), np.concatenate(cols),
-                    np.concatenate(vals))
+    return _scatter(prob.quad.vv, np.concatenate(vals))
 
 
 def _cross_blocks_full(prob: CavityProblem, ux_full, uy_full):
@@ -355,7 +338,6 @@ def _cross_blocks_full(prob: CavityProblem, ux_full, uy_full):
     term, on the full node grid, as ((xx, xy), (yx, yy))."""
     phi = prob.quad.phi
     parts = {key: [] for key in ("xx", "xy", "yx", "yy")}
-    rows, cols = [], []
     for cls in prob.quad.classes:
         tri, gx, gy, wdet = cls["tri"], cls["gx"], cls["gy"], cls["wdet"]
         fields = {
@@ -366,12 +348,7 @@ def _cross_blocks_full(prob: CavityProblem, ux_full, uy_full):
         }
         for key, fq in fields.items():
             parts[key].append(np.einsum("eq,qa,qb->eab", fq * wdet, phi, phi).ravel())
-        rows.append(np.repeat(tri, 6, axis=1).ravel())
-        cols.append(np.tile(tri, (1, 6)).ravel())
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    nv = prob.mesh.n_nodes
-    return {k: _scatter(nv, nv, r, c, np.concatenate(v)) for k, v in parts.items()}
+    return {k: _scatter(prob.quad.vv, np.concatenate(v)) for k, v in parts.items()}
 
 
 def residual(prob: CavityProblem, x: np.ndarray) -> np.ndarray:
@@ -399,9 +376,7 @@ def _velocity_block(prob: CavityProblem, x: np.ndarray, with_cross: bool):
 
 
 def _saddle(prob: CavityProblem, vel_blocks) -> sp.csr_matrix:
-    nvi = prob.mesh.n_velocity
-    ex = prob.E[:, :nvi]
-    ey = prob.E[:, nvi:]
+    ex, ey = prob.div_x_red, prob.div_y_red
     out = sp.bmat(
         [
             [vel_blocks[0][0], vel_blocks[0][1], ex.T],
@@ -457,9 +432,9 @@ def stokes_rhs(prob: CavityProblem) -> np.ndarray:
 
 
 def stokes_operator(prob: CavityProblem) -> sp.csr_matrix:
-    nvi = prob.mesh.n_velocity
-    return _saddle(prob, [[prob.K[:nvi, :][:, :nvi], None],
-                          [None, prob.K[nvi:, :][:, nvi:]]])
+    intr = prob.mesh.interior
+    k = sp.csr_matrix(prob.nu * prob.stiffness_full[intr, :][:, intr])
+    return _saddle(prob, [[k, None], [None, k]])
 
 
 def stokes_initial_guess(prob: CavityProblem, rtol: float = 1e-10) -> np.ndarray:
@@ -482,25 +457,15 @@ def stokes_initial_guess(prob: CavityProblem, rtol: float = 1e-10) -> np.ndarray
 
 
 def pressure_to_nodes(prob: CavityProblem, p: np.ndarray) -> np.ndarray:
-    """Linear interpolation of the pressure onto the fine node grid."""
+    """Linear interpolation of the pressure onto the fine node grid: the
+    vertex values at the vertices, the mean of an edge's two vertex values
+    at its midpoint."""
     mesh = prob.mesh
-    m = int(round(math.sqrt(mesh.n_nodes))) - 1
-    ncell = m // 2
+    pv = p[mesh.p1_conn]
     out = np.empty(mesh.n_nodes)
-    ix = np.arange(mesh.n_nodes) % (m + 1)
-    iy = np.arange(mesh.n_nodes) // (m + 1)
-
-    def pid(jx, jy):
-        return (jy // 2) * (ncell + 1) + jx // 2
-
-    even = (ix % 2 == 0) & (iy % 2 == 0)
-    out[even] = p[pid(ix[even], iy[even])]
-    hmid = (ix % 2 == 1) & (iy % 2 == 0)
-    out[hmid] = 0.5 * (p[pid(ix[hmid] - 1, iy[hmid])] + p[pid(ix[hmid] + 1, iy[hmid])])
-    vmid = (ix % 2 == 0) & (iy % 2 == 1)
-    out[vmid] = 0.5 * (p[pid(ix[vmid], iy[vmid] - 1)] + p[pid(ix[vmid], iy[vmid] + 1)])
-    dmid = (ix % 2 == 1) & (iy % 2 == 1)
-    out[dmid] = 0.5 * (p[pid(ix[dmid] - 1, iy[dmid] - 1)] + p[pid(ix[dmid] + 1, iy[dmid] + 1)])
+    out[mesh.triangles[:, :3]] = pv
+    # midpoints of edges 01, 12, 20
+    out[mesh.triangles[:, 3:]] = 0.5 * (pv + pv[:, [1, 2, 0]])
     return out
 
 

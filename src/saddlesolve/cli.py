@@ -30,7 +30,8 @@ def _pair(text):
 
 
 # --set NAME=VALUE parsers, one per SolverConfig / FactorParams field
-# (factor_params itself is set through its own fields)
+# (factor_params itself is set through its own fields, except alpha and
+# droptol, which hybrid_newton sets per phase from alpha_pair/droptol_pair)
 _SOLVER_PARSERS = {
     "sigma": float, "eta_max": float, "beta": float, "epsilon": float,
     "alpha_pair": _pair, "droptol_pair": _pair, "m": int, "n_trigger": int,
@@ -38,8 +39,8 @@ _SOLVER_PARSERS = {
     "max_halvings": int, "gmres_cap": int, "picard_eta": float, "regime": str,
 }
 _FACTOR_PARSERS = {
-    "alpha": float, "droptol": float, "cond_thresh": float,
-    "diag_thresh": float, "dense_switch": int, "pivot_floor": float,
+    "cond_thresh": float, "diag_thresh": float, "dense_switch": int,
+    "pivot_floor": float,
 }
 
 

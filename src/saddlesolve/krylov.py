@@ -41,16 +41,10 @@ class GmresParams:
             raise ValueError("rtol must be in (0, 1)")
 
 
-def _as_matvec(op):
-    if callable(op):
-        return op
-    return lambda v: op @ v
-
-
 class PrecondOperator:
     """Preconditioner action with optional refinement and null projection.
 
-    factor supplies the approximate inverse; j_op is the operator used for
+    factor supplies the approximate inverse; j_op is the matrix used for
     the residual correction when refine_steps > 1; null_basis, if given, is
     normalized and projected off every correction.
     """
@@ -62,7 +56,7 @@ class PrecondOperator:
         if refine_steps > 1 and j_op is None:
             raise ValueError("refinement needs the operator for residual correction")
         self.factor = factor
-        self.j_matvec = _as_matvec(j_op) if j_op is not None else None
+        self.j_op = j_op
         self.refine_steps = refine_steps
         if null_basis is not None:
             null_basis = np.asarray(null_basis, dtype=np.float64)
@@ -83,7 +77,7 @@ class PrecondOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         z = self._project(ml_solve(self.factor, v))
         for _ in range(self.refine_steps - 1):
-            r = v - self.j_matvec(z)
+            r = v - self.j_op @ z
             z = z + self._project(ml_solve(self.factor, r))
         return z
 
@@ -115,7 +109,6 @@ def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray,
     b = np.asarray(b, dtype=np.float64)
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
-    matvec = _as_matvec(a_op)
     n = b.size
     bnorm = np.linalg.norm(b)
     report = KrylovReport()
@@ -129,7 +122,7 @@ def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray,
     brk_tol = 1e3 * _EPS * bnorm
     total = 0
     while True:
-        r = b - matvec(x)
+        r = b - a_op @ x
         rnorm = np.linalg.norm(r)
         if rnorm <= tol or total >= params.max_iters:
             break
@@ -145,7 +138,7 @@ def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray,
         cols = 0
         for j in range(m):
             zmat[j] = precond.apply(basis[j]) if precond is not None else basis[j]
-            w = matvec(zmat[j])
+            w = a_op @ zmat[j]
             for i in range(j + 1):
                 h[i, j] = basis[i] @ w
                 w -= h[i, j] * basis[i]
@@ -183,7 +176,7 @@ def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray,
         if report.breakdown:
             break
 
-    final = np.linalg.norm(b - matvec(x))
+    final = np.linalg.norm(b - a_op @ x)
     report.iterations = total
     report.final_relres = final / bnorm
     report.converged = bool(final <= tol)

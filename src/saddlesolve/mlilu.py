@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
 from .ordering import reorder
-from .sparse import Permutation, as_csr
+from .sparse import as_csr
 
 __all__ = [
     "FactorizationError",
@@ -108,15 +108,15 @@ class LevelFactor:
     """One level of the factorization, in the level's final ordering.
 
     L is strictly lower with an implicit unit diagonal in its first n_b
-    columns; U is strictly upper in its first n_b rows.  perm maps the
-    level's input indices to factor order (the same symmetric permutation
-    applies to rows and columns).  dr/dc are the equilibration scalings in
-    input order.
+    columns; U is strictly upper in its first n_b rows.  order[i] is the
+    level's input index in factor position i (the same symmetric
+    permutation applies to rows and columns).  dr/dc are the equilibration
+    scalings in input order.
     """
 
     n: int
     n_b: int
-    perm: Permutation
+    order: np.ndarray
     dr: np.ndarray
     dc: np.ndarray
     L: sp.csr_matrix
@@ -227,13 +227,13 @@ def equilibrate(a: sp.csr_matrix):
 def static_defer(diag: np.ndarray, diag_thresh: float):
     """Stable symmetric permutation pushing indices whose scaled diagonal
     magnitude falls below diag_thresh * max_j |A_jj| behind the rest, given
-    the scaled diagonal.  Returns the permutation and the number of kept
+    the scaled diagonal.  Returns the order array and the number of kept
     (leading) indices."""
     d = np.abs(diag)
     thr = diag_thresh * (d.max() if d.size else 0.0)
     keep = d >= thr
     order = np.concatenate([np.flatnonzero(keep), np.flatnonzero(~keep)])
-    return Permutation.from_inverse(order), int(np.count_nonzero(keep))
+    return order, int(np.count_nonzero(keep))
 
 
 def _scale(a: sp.csr_matrix, dr: np.ndarray, dc: np.ndarray) -> sp.csr_matrix:
@@ -241,8 +241,8 @@ def _scale(a: sp.csr_matrix, dr: np.ndarray, dc: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
 
 
-def _sym_permute(a: sp.csr_matrix, p: Permutation) -> sp.csr_matrix:
-    out = sp.csr_matrix(a[p.inverse, :][:, p.inverse])
+def _sym_permute(a: sp.csr_matrix, order: np.ndarray) -> sp.csr_matrix:
+    out = sp.csr_matrix(a[order, :][:, order])
     out.sort_indices()
     return out
 
@@ -272,7 +272,7 @@ def crout_ilu_level(
     the Schur complement S = A_NN - L_NB diag(D) U_BN over the
     non-eliminated indices N, formed after the loop with one sparse product
     and keeping every stored entry of A_NN.  Returns a LevelFactor (with
-    unit scalings and the dynamic-reordering permutation) and S.
+    unit scalings and the dynamic-reordering order) and S.
     """
     acsr = as_csr(a)
     n = acsr.shape[0]
@@ -357,8 +357,8 @@ def crout_ilu_level(
         ridx, rval, vlk = gather(acsr, k, row_pairs[k], upper, v_low)
         cidx, cval, vuk = gather(acsc, k, col_pairs[k], lower, v_up)
         row_pairs[k] = col_pairs[k] = None
-        pos = np.searchsorted(ridx, k)
-        pivot = rval[pos] if pos < ridx.size and ridx[pos] == k else 0.0
+        at = np.searchsorted(ridx, k)
+        pivot = rval[at] if at < ridx.size and ridx[at] == k else 0.0
         if abs(pivot) < pivot_floor or vlk > cond_thresh or vuk > cond_thresh:
             status[k] = 2
             n_dynamic += 1
@@ -375,13 +375,15 @@ def crout_ilu_level(
     # -- the level in elimination-then-deferred order, and its Schur complement --
     n_b = len(elim)
     nonelim = np.flatnonzero(status != 1)
-    perm = Permutation.from_inverse(np.concatenate([np.asarray(elim, dtype=np.intp), nonelim]))
+    order = np.concatenate([np.asarray(elim, dtype=np.intp), nonelim])
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
 
     def by_pivot(stored):
         """(rank, factor position, value) of every stored entry."""
         idx, val, lens = stored
         return (np.repeat(np.arange(n_b), lens[:n_b]),
-                perm.forward[np.concatenate([np.zeros(0, np.intp), *idx])],
+                pos[np.concatenate([np.zeros(0, np.intp), *idx])],
                 np.concatenate([np.zeros(0), *val]))
 
     t, j, x = by_pivot(upper)
@@ -398,7 +400,7 @@ def crout_ilu_level(
         shape=(nonelim.size, nonelim.size),
     )
     level = LevelFactor(
-        n=n, n_b=n_b, perm=perm, dr=np.ones(n), dc=np.ones(n), L=l_mat, U=u_mat, D=d,
+        n=n, n_b=n_b, order=order, dr=np.ones(n), dc=np.ones(n), L=l_mat, U=u_mat, D=d,
         n_static_deferred=n - ncand, n_dynamic_deferred=n_dynamic,
     )
     return level, schur
@@ -424,15 +426,15 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
             break
         dr, dc = equilibrate(current)
         scaled = _scale(current, dr, dc)
-        p_fill = reorder(scaled)
-        p_defer, ncand = static_defer(scaled.diagonal()[p_fill.inverse], params.diag_thresh)
-        p_static = p_defer.compose(p_fill)
-        level, schur = crout_ilu_level(_sym_permute(scaled, p_static), params, ncand)
+        fill = reorder(scaled)
+        defer, ncand = static_defer(scaled.diagonal()[fill], params.diag_thresh)
+        static = fill[defer]
+        level, schur = crout_ilu_level(_sym_permute(scaled, static), params, ncand)
         if level.n_b == 0:
             # no pivot was acceptable; stop and hand everything to the tail
             break
         levels.append(
-            replace(level, perm=level.perm.compose(p_static), dr=dr, dc=dc)
+            replace(level, order=static[level.order], dr=dr, dc=dc)
         )
         current = schur
 
@@ -474,7 +476,7 @@ def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
             return v.copy()
         return scipy.linalg.lu_solve(m.tail_lu, v, check_finite=False)
     lev = m.levels[li]
-    y = (lev.dr * v)[lev.perm.inverse]
+    y = (lev.dr * v)[lev.order]
     lo, up = lev._solve_forms
     y = spsolve_triangular(lo, y, lower=True, unit_diagonal=True,
                            overwrite_A=True, overwrite_b=True)
@@ -485,7 +487,7 @@ def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
     y = spsolve_triangular(up, y, lower=False, unit_diagonal=True,
                            overwrite_A=True, overwrite_b=True)
     out = np.empty_like(y)
-    out[lev.perm.inverse] = y
+    out[lev.order] = y
     return out * lev.dc
 
 

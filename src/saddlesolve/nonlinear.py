@@ -53,7 +53,8 @@ class SolverConfig:
     iteration count that forces refactorization; m/gmres_cap: restart and
     per-step cap of the inner solver; theta: Armijo constant;
     refine_steps: refinement sweeps inside the Newton-phase preconditioner.
-    alpha_pair/droptol_pair override the regime defaults (picard, newton).
+    alpha_pair/droptol_pair override the regime defaults (picard, newton);
+    the phase's (alpha, droptol) replace those of factor_params.
     """
 
     sigma: float = 1e-6
@@ -89,6 +90,13 @@ class SolverConfig:
             raise ValueError("m must be <= gmres_cap")
         if self.regime not in _THRESHOLD_DEFAULTS:
             raise ValueError(f"regime must be one of {sorted(_THRESHOLD_DEFAULTS)}")
+        for name in ("alpha_pair", "droptol_pair"):
+            pair = getattr(self, name)
+            if pair is not None and len(pair) != 2:
+                raise ValueError(f"{name} must have two entries (picard, newton)")
+        for started_nt in (False, True):
+            alpha, droptol = adapt_thresholds(started_nt, self)
+            replace(self.factor_params, alpha=alpha, droptol=droptol)  # FactorParams checks them
 
 
 @dataclass

@@ -13,9 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .sparse import Permutation
-
-__all__ = ["reorder", "min_degree_order"]
+__all__ = ["reorder"]
 
 
 def _symmetric_pattern(a: sp.csr_matrix) -> sp.csr_matrix:
@@ -28,9 +26,10 @@ def _symmetric_pattern(a: sp.csr_matrix) -> sp.csr_matrix:
     return pat
 
 
-def min_degree_order(a: sp.csr_matrix) -> np.ndarray:
-    """Elimination order (old indices in elimination sequence) by SuperLU's
-    multiple minimum degree on the pattern of A + A^T.
+def reorder(a: sp.csr_matrix) -> np.ndarray:
+    """Elimination order (old indices in elimination sequence) of a square
+    sparse matrix by SuperLU's multiple minimum degree on the pattern of
+    A + A^T.
 
     The ordering depends only on the pattern.  The values (-1 on the
     pattern, plus 2 + the row count on the diagonal) make the matrix
@@ -38,16 +37,11 @@ def min_degree_order(a: sp.csr_matrix) -> np.ndarray:
     never meets a zero pivot.  perm_c is the forward permutation; its
     argsort is the order.
     """
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("reorder requires a square matrix")
     m = _symmetric_pattern(a).tocsc()
     m.data[:] = -1.0
     m = (m + sp.diags(2.0 + np.diff(m.indptr))).tocsc()
     lu = splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
     return np.argsort(lu.perm_c).astype(np.intp)
-
-
-def reorder(a: sp.csr_matrix) -> Permutation:
-    """Symmetric fill-reducing ordering of a square sparse matrix."""
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("reorder requires a square matrix")
-    return Permutation.from_inverse(min_degree_order(a))

@@ -29,13 +29,9 @@ def random_saddle(nb, ne, seed, shift=4.0):
     return as_csr(sp.csr_matrix(dense))
 
 
-def check_permutation(p):
-    """Assert that p's forward and inverse arrays are mutually inverse
-    bijections on [0, n)."""
-    ar = np.arange(p.n)
-    assert p.inverse.size == p.n, "forward/inverse length mismatch"
-    assert np.array_equal(np.sort(p.forward), ar), "forward is not a bijection"
-    assert np.array_equal(p.forward[p.inverse], ar), "forward o inverse is not the identity"
+def check_permutation(order, n):
+    """Assert that the order array is a bijection on [0, n)."""
+    assert np.array_equal(np.sort(order), np.arange(n)), "order is not a bijection on [0, n)"
 
 
 def reassemble(m):
@@ -68,7 +64,8 @@ def reassemble(m):
         mid[:nb, :nb] = np.diag(lev.D)
         mid[nb:, nb:] = level_dense(li + 1)
         b = lf @ mid @ uf
-        scaled = b[lev.perm.forward][:, lev.perm.forward]
+        pos = np.argsort(lev.order)
+        scaled = b[pos][:, pos]
         return scaled / lev.dr[:, None] / lev.dc[None, :]
 
     return level_dense(0)

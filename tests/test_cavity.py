@@ -304,3 +304,18 @@ def test_write_solution_csv(tmp_path, cavity_level4, cavity_level4_stokes):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,u,v,p"
     assert len(lines) == cavity_level4.mesh.n_nodes + 1
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_pressure_to_nodes_reproduces_linear_pressure(level):
+    # linear interpolation is exact for p = a + b x + c y at every fine node:
+    # the vertices, and the horizontal, vertical and diagonal edge midpoints
+    prob = cav.build_problem(level, re=100.0)
+    mesh = prob.mesh
+
+    def linear(xy):
+        return 0.3 - 1.7 * xy[:, 0] + 2.5 * xy[:, 1]
+
+    p = linear(mesh.nodes[mesh.pressure_nodes])
+    err = np.abs(cav.pressure_to_nodes(prob, p) - linear(mesh.nodes)).max()
+    assert err <= 1e-14

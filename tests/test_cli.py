@@ -62,7 +62,11 @@ def test_cavity_rejects_unknown_override(tmp_path, capsys, monkeypatch):
         (override("m=300"), "m must be <= gmres_cap"),
         (override("picard_eta=1.5"), "picard_eta must be in (0, 1)"),
         (override("eta_max=0"), "eta_max must be in (0, 1)"),
-        (override("alpha=0.5"), "alpha must be >= 1"),
+        (override("alpha=0.5"), "unknown parameter 'alpha'"),
+        (override("alpha_pair=0.5,0.5"), "alpha must be >= 1"),
+        (override("droptol_pair=2,2"), "droptol must be in [0, 1)"),
+        (override("droptol_pair=nan,nan"), "droptol must be in [0, 1)"),
+        (override("alpha_pair=3"), "alpha_pair must have two entries"),
         (override("ordering=rcm"), "unknown parameter 'ordering'"),
         (override("cond_thresh=nan"), "cond_thresh must exceed 1"),
         (override("pivot_floor=nan"), "pivot_floor must be >= 0"),
@@ -86,7 +90,10 @@ def test_override_table_covers_every_config_field():
 
     solver = {f.name for f in fields(SolverConfig)} - {"factor_params"}
     assert set(cli._SOLVER_PARSERS) == solver
-    assert set(cli._FACTOR_PARSERS) == {f.name for f in fields(FactorParams)}
+    # hybrid_newton overwrites factor_params' alpha and droptol in every phase,
+    # so they are set only through alpha_pair and droptol_pair
+    factor = {f.name for f in fields(FactorParams)} - {"alpha", "droptol"}
+    assert set(cli._FACTOR_PARSERS) == factor
 
 
 def test_cavity_nonfinite_direction_writes_reports_and_fails(tmp_path, monkeypatch):

@@ -68,7 +68,7 @@ class TestStaticDefer:
     def test_saddle_structure_is_identity(self):
         a = random_saddle(8, 4, seed=3)
         p, n_keep = static_defer(a.diagonal(), 1e-2)
-        assert np.array_equal(p.inverse, np.arange(12))
+        assert np.array_equal(p, np.arange(12))
         assert n_keep == 8
 
     def test_stable_partition(self):
@@ -77,7 +77,7 @@ class TestStaticDefer:
         dense[0, 1] = dense[2, 3] = 1e-3  # keep rows structurally nonempty
         a = as_csr(sp.csr_matrix(dense))
         p, n_keep = static_defer(a.diagonal(), 1e-2)
-        assert np.array_equal(p.inverse, [1, 3, 0, 2])
+        assert np.array_equal(p, [1, 3, 0, 2])
         assert n_keep == 2
 
     def test_known_zero_positions_land_last(self):
@@ -90,9 +90,9 @@ class TestStaticDefer:
         a = as_csr(sp.csr_matrix(dense))
         p, n_keep = static_defer(a.diagonal(), 1e-2)
         assert n_keep == 7
-        assert sorted(p.inverse[-3:]) == zeros
+        assert sorted(p[-3:]) == zeros
         kept = [i for i in range(n) if i not in zeros]
-        assert list(p.inverse[:7]) == kept  # stable among the kept
+        assert list(p[:7]) == kept  # stable among the kept
 
     def test_leading_diagonals_pass_threshold(self):
         a, _ = random_sparse(30, 0.2, seed=8, diag_shift=1.0)
@@ -104,8 +104,8 @@ class TestStaticDefer:
         d = np.abs(a.diagonal())
         thr = 1e-2 * d.max()
         assert n_keep == int(np.count_nonzero(d >= thr)) == 27
-        assert np.all(d[p.inverse[:n_keep]] >= thr)
-        assert np.all(d[p.inverse[n_keep:]] < thr)
+        assert np.all(d[p[:n_keep]] >= thr)
+        assert np.all(d[p[n_keep:]] < thr)
 
 
 class TestCroutLevel:
@@ -118,7 +118,7 @@ class TestCroutLevel:
         low = level.L.toarray() + np.eye(5)
         up = level.U.toarray() + np.eye(5)
         rebuilt = low @ np.diag(np.concatenate([level.D])) @ up
-        order = level.perm.inverse
+        order = level.order
         assert np.linalg.norm(rebuilt - dense[order][:, order]) / np.linalg.norm(dense) <= 1e-12
 
     def test_identity_input(self):
@@ -193,7 +193,7 @@ class TestFactorize:
         a, _ = random_sparse(80, 0.2, seed=10, diag_shift=2.0)
         params = FactorParams(alpha=1.5, droptol=0.01, dense_switch=10)
         lev = factorize(a, params).levels[0]
-        pivots = lev.perm.inverse[:lev.n_b]  # input index of each pivot
+        pivots = lev.order[:lev.n_b]  # input index of each pivot
         caps_row = np.maximum(5, np.ceil(params.alpha * np.diff(a.indptr)[pivots]))
         caps_col = np.maximum(5, np.ceil(params.alpha * np.diff(a.tocsc().indptr)[pivots]))
         assert np.all(np.diff(lev.U.indptr)[:lev.n_b] <= caps_row)
@@ -289,13 +289,13 @@ def _substitute_on_stored_factors(m, v):
         if li == len(m.levels):
             return scipy.linalg.lu_solve(m.tail_lu, v, check_finite=False)
         lev = m.levels[li]
-        y = (lev.dr * v)[lev.perm.inverse]
+        y = (lev.dr * v)[lev.order]
         y = spsolve_triangular(lev.L, y, lower=True, unit_diagonal=True)
         y[:lev.n_b] /= lev.D
         y[lev.n_b:] = walk(li + 1, y[lev.n_b:])
         y = spsolve_triangular(lev.U, y, lower=False, unit_diagonal=True)
         out = np.empty_like(y)
-        out[lev.perm.inverse] = y
+        out[lev.order] = y
         return out * lev.dc
 
     return walk(0, v)
@@ -449,7 +449,7 @@ def test_crout_level_is_exact_at_zero_droptol(case):
     mid[:nb, :nb] = np.diag(level.D)
     mid[nb:, nb:] = schur.toarray()
     rebuilt = (level.L.toarray() + np.eye(n)) @ mid @ (level.U.toarray() + np.eye(n))
-    order = level.perm.inverse
+    order = level.order
     dense = a.toarray()[order][:, order]
     assert np.linalg.norm(rebuilt - dense) <= 1e-10 * np.linalg.norm(dense)
 

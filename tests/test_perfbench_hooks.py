@@ -3,7 +3,8 @@
 perfbench/spans.py times the package by replacing module attributes, so a
 renamed function, or a call that stops resolving through a module global,
 silently drops a layer from the benchmark.  This loads the tracer as it is
-and checks that one small factorize-and-solve records a span per layer."""
+and checks that one small factorize-and-solve, and one small cavity run
+through hybrid_newton, record a span per layer."""
 
 import importlib.util
 import sys
@@ -14,6 +15,7 @@ import numpy as np
 import saddlesolve
 from saddlesolve.krylov import GmresParams
 from saddlesolve.mlilu import FactorParams
+from saddlesolve.nonlinear import SolverConfig
 
 from conftest import random_saddle
 
@@ -47,4 +49,26 @@ def test_tracer_records_every_factorization_and_solve_layer(monkeypatch):
     assert {s.name for s in tracer.spans} >= {
         "mlilu.factorize", "mlilu.equilibrate", "ordering.reorder", "mlilu.static_defer",
         "mlilu.crout_ilu_level", "mlilu.ml_solve", "krylov.precond_apply", "krylov.fgmres",
+    }
+
+
+def test_tracer_records_every_cavity_and_nonlinear_layer(monkeypatch):
+    spans = _load_spans(monkeypatch)
+    cavity = saddlesolve.cavity
+    residual = cavity.residual
+    tracer = spans.Tracer("hooks")
+    spans.install(tracer, saddlesolve)
+    try:
+        with tracer.group("cavity"):
+            prob = cavity.build_problem(3, 50.0)
+            nlp = cavity.nonlinear_problem(prob, cavity.stokes_initial_guess(prob))
+            _, report = saddlesolve.nonlinear.hybrid_newton(nlp, SolverConfig(sigma=1e-4))
+    finally:
+        tracer.restore()
+    assert cavity.residual is residual
+    assert report.converged
+    assert {s.name for s in tracer.spans} >= {
+        "cavity.build_problem", "cavity.stokes_initial_guess", "cavity.null_vector",
+        "cavity.residual", "cavity.operator", "nonlinear.hybrid_newton",
+        "nonlinear.armijo_damp",
     }
