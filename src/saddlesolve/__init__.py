@@ -29,7 +29,6 @@ from .nonlinear import (
     NonlinearReport,
     SolverConfig,
     StepRecord,
-    adapt_thresholds,
     armijo_damp,
     hybrid_newton,
     refactor_needed,
@@ -46,7 +45,7 @@ __all__ = [
     "GmresParams", "KrylovReport", "PrecondOperator",
     "eta_newton", "fgmres",
     "LineSearchError", "NonlinearProblem", "NonlinearReport", "SolverConfig",
-    "StepRecord", "adapt_thresholds", "armijo_damp", "hybrid_newton",
+    "StepRecord", "armijo_damp", "hybrid_newton",
     "refactor_needed",
     "cavity",
 ]

@@ -25,13 +25,13 @@ import scipy.sparse as sp
 from .krylov import GmresParams, PrecondOperator, fgmres
 from .mlilu import FactorParams, factorize
 from .nonlinear import NonlinearProblem
+from .sparse import as_csr
 
 __all__ = [
     "CavityMesh",
     "CavityProblem",
     "build_mesh",
     "build_problem",
-    "dof_counts",
     "null_vector",
     "oseen_operator",
     "newton_operator",
@@ -99,11 +99,6 @@ def _p1_basis(pts):
     return np.stack([1.0 - xi - eta, xi, eta], axis=1)
 
 
-def dof_counts(level: int):
-    """(velocity dofs per component, pressure dofs) after elimination."""
-    return (2**level - 1) ** 2, (2 ** (level - 1) + 1) ** 2
-
-
 @dataclass
 class CavityMesh:
     level: int
@@ -160,17 +155,11 @@ def build_mesh(level: int) -> CavityMesh:
     triangles[0::2] = t_low
     triangles[1::2] = t_up
 
-    def pid(jx, jy):
-        return (jy // 2) * (ncell + 1) + jx // 2
-
-    p_low = np.column_stack([pid(bx, by), pid(bx + 2, by), pid(bx + 2, by + 2)])
-    p_up = np.column_stack([pid(bx, by), pid(bx + 2, by + 2), pid(bx, by + 2)])
-    p1_conn = np.empty((2 * ncell * ncell, 3), dtype=np.intp)
-    p1_conn[0::2] = p_low
-    p1_conn[1::2] = p_up
-
     px, py = np.meshgrid(np.arange(0, m + 1, 2), np.arange(0, m + 1, 2))
     pressure_nodes = nid(px.ravel().astype(np.intp), py.ravel().astype(np.intp))
+    p_of_node = np.full(nodes.shape[0], -1, dtype=np.intp)
+    p_of_node[pressure_nodes] = np.arange(pressure_nodes.size)
+    p1_conn = p_of_node[triangles[:, :3]]
 
     gx, gy = ix.ravel(), iy.ravel()
     kind = np.full((m + 1) * (m + 1), INTERIOR, dtype=np.int8)
@@ -226,10 +215,7 @@ class _Quadrature:
 
 def _scatter(pattern, vals):
     rows, cols, shape = pattern
-    out = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
+    return as_csr(sp.coo_matrix((vals, (rows, cols)), shape=shape))
 
 
 @dataclass
@@ -237,7 +223,6 @@ class CavityProblem:
     mesh: CavityMesh
     re: float
     nu: float
-    bc_kind: str
     lid_values: np.ndarray        # lid u_x at every fine node (0 off-lid)
     quad: _Quadrature = field(repr=False)
     stiffness_full: sp.csr_matrix = field(repr=False)   # scalar grad-grad
@@ -291,7 +276,6 @@ def build_problem(level: int, re: float, bc_kind: str = "standard") -> CavityPro
         mesh=mesh,
         re=re,
         nu=2.0 / re,
-        bc_kind=bc_kind,
         lid_values=lid,
         quad=quad,
         stiffness_full=_scatter(quad.vv, np.concatenate(k_vals)),
@@ -377,16 +361,11 @@ def _velocity_block(prob: CavityProblem, x: np.ndarray, with_cross: bool):
 
 def _saddle(prob: CavityProblem, vel_blocks) -> sp.csr_matrix:
     ex, ey = prob.div_x_red, prob.div_y_red
-    out = sp.bmat(
-        [
-            [vel_blocks[0][0], vel_blocks[0][1], ex.T],
-            [vel_blocks[1][0], vel_blocks[1][1], ey.T],
-            [ex, ey, None],
-        ],
-        format="csr",
-    )
-    out.sort_indices()
-    return out
+    return as_csr(sp.bmat([
+        [vel_blocks[0][0], vel_blocks[0][1], ex.T],
+        [vel_blocks[1][0], vel_blocks[1][1], ey.T],
+        [ex, ey, None],
+    ], format="csr"))
 
 
 def oseen_operator(prob: CavityProblem, x: np.ndarray) -> sp.csr_matrix:
@@ -472,11 +451,8 @@ def pressure_to_nodes(prob: CavityProblem, p: np.ndarray) -> np.ndarray:
 def centerline_profile(prob: CavityProblem, x: np.ndarray):
     """(y, u_x) along the vertical centerline x = 0."""
     ux, _, _ = expand_state(prob, x)
-    mesh = prob.mesh
-    m = int(round(math.sqrt(mesh.n_nodes))) - 1
-    jx = m // 2
-    ids = jx + (m + 1) * np.arange(m + 1)
-    return mesh.nodes[ids, 1], ux[ids]
+    on_line = prob.mesh.nodes[:, 0] == 0.0  # exact: a power-of-two grid on [-1, 1]
+    return prob.mesh.nodes[on_line, 1], ux[on_line]
 
 
 def write_solution_csv(prob: CavityProblem, x: np.ndarray, path) -> None:

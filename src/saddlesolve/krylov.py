@@ -97,9 +97,9 @@ class KrylovReport:
                 f.write(f"{i + 1},{r:.17g}\n")
 
 
-def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray,
-           params: GmresParams, x0: np.ndarray | None = None):
-    """Flexible restarted GMRES on A x = b with right preconditioning.
+def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray, params: GmresParams):
+    """Flexible restarted GMRES on A x = b from x = 0, with right
+    preconditioning.
 
     Modified Gram-Schmidt Arnoldi with Givens-rotation least squares; the
     true residual is checked at every restart and decides the converged
@@ -112,11 +112,11 @@ def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray,
     n = b.size
     bnorm = np.linalg.norm(b)
     report = KrylovReport()
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    x = np.zeros(n)
     if bnorm == 0.0:
         report.converged = True
         report.final_relres = 0.0
-        return np.zeros(n), report
+        return x, report
 
     tol = params.rtol * bnorm
     brk_tol = 1e3 * _EPS * bnorm

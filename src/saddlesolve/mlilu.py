@@ -20,13 +20,17 @@ returned MultilevelFactor is immutable and safe for concurrent solves: a
 solve reads L, U, D, the permutations and the scalings without changing
 them; the solve forms are the only state it adds, and each substitution
 writes 1.0 over their stored unit diagonal and nothing else.  Two first
-solves racing on a level build equal forms.  L, U and D must not be
-changed once a level has been solved with.
+solves racing on a level build equal forms.  The dense-tail solve holds
+a module lock: concurrent scipy.linalg.lu_solve calls on one LU factor
+(LAPACK getrs, scipy 1.17 with OpenBLAS) can return wrong solutions, off
+by O(1) relative to serial ones.  L, U and D must not be changed once a
+level has been solved with.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -55,6 +59,7 @@ __all__ = [
 _EPS = np.finfo(np.float64).eps
 _CAP_FLOOR = 5  # retained entries per row/column regardless of the fill cap
 _MAX_LEVELS = 30
+_TAIL_LOCK = threading.Lock()
 
 
 class FactorizationError(ValueError):
@@ -178,13 +183,9 @@ class MultilevelFactor:
         return rows
 
 
-def _row_inf_norms(a: sp.csr_matrix) -> np.ndarray:
-    out = np.zeros(a.shape[0])
-    if a.nnz:
-        counts = np.diff(a.indptr)
-        nz = counts > 0
-        out[nz] = np.maximum.reduceat(np.abs(a.data), a.indptr[:-1][nz])
-    return out
+def _scale(a: sp.csr_matrix, dr: np.ndarray, dc: np.ndarray) -> sp.csr_matrix:
+    data = a.data * np.repeat(dr, np.diff(a.indptr)) * dc[a.indices]
+    return sp.csr_matrix((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
 
 
 def equilibrate(a: sp.csr_matrix):
@@ -198,20 +199,16 @@ def equilibrate(a: sp.csr_matrix):
     row_counts = np.diff(a.indptr)
     if np.any(row_counts == 0):
         raise FactorizationError(f"structurally empty row {int(np.argmax(row_counts == 0))}")
-    acsc = a.tocsc()
-    col_counts = np.diff(acsc.indptr)
+    col_counts = np.diff(a.tocsc().indptr)
     if np.any(col_counts == 0):
         raise FactorizationError(f"structurally empty column {int(np.argmax(col_counts == 0))}")
 
     dr = np.ones(n)
     dc = np.ones(n)
-    rows_of = np.repeat(np.arange(n), row_counts)
-    cols_of = a.indices
     for _ in range(10):
-        data = a.data * dr[rows_of] * dc[cols_of]
-        scaled = sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
-        rn = _row_inf_norms(scaled)
-        cn = _row_inf_norms(scaled.T.tocsr())
+        scaled = abs(_scale(a, dr, dc))
+        rn = scaled.max(axis=1).toarray().ravel()
+        cn = scaled.max(axis=0).toarray().ravel()
         live_r = rn > 0
         live_c = cn > 0
         if (
@@ -234,17 +231,6 @@ def static_defer(diag: np.ndarray, diag_thresh: float):
     keep = d >= thr
     order = np.concatenate([np.flatnonzero(keep), np.flatnonzero(~keep)])
     return order, int(np.count_nonzero(keep))
-
-
-def _scale(a: sp.csr_matrix, dr: np.ndarray, dc: np.ndarray) -> sp.csr_matrix:
-    data = a.data * np.repeat(dr, np.diff(a.indptr)) * dc[a.indices]
-    return sp.csr_matrix((data, a.indices.copy(), a.indptr.copy()), shape=a.shape)
-
-
-def _sym_permute(a: sp.csr_matrix, order: np.ndarray) -> sp.csr_matrix:
-    out = sp.csr_matrix(a[order, :][:, order])
-    out.sort_indices()
-    return out
 
 
 def crout_ilu_level(
@@ -429,7 +415,7 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
         fill = reorder(scaled)
         defer, ncand = static_defer(scaled.diagonal()[fill], params.diag_thresh)
         static = fill[defer]
-        level, schur = crout_ilu_level(_sym_permute(scaled, static), params, ncand)
+        level, schur = crout_ilu_level(as_csr(scaled[static, :][:, static]), params, ncand)
         if level.n_b == 0:
             # no pivot was acceptable; stop and hand everything to the tail
             break
@@ -474,7 +460,8 @@ def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
     if li == len(m.levels):
         if m.tail_n == 0:
             return v.copy()
-        return scipy.linalg.lu_solve(m.tail_lu, v, check_finite=False)
+        with _TAIL_LOCK:
+            return scipy.linalg.lu_solve(m.tail_lu, v, check_finite=False)
     lev = m.levels[li]
     y = (lev.dr * v)[lev.order]
     lo, up = lev._solve_forms

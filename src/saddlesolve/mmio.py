@@ -148,19 +148,12 @@ def mm_read(path, kind: str = "matrix"):
 
 
 def _expand_symmetry(rows, cols, vals, nrows, ncols, symmetry):
-    if symmetry == "general":
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
-    else:
+    if symmetry != "general":
         off = rows != cols
         sgn = -1.0 if symmetry == "skew-symmetric" else 1.0
-        rows2 = np.concatenate([rows, cols[off]])
-        cols2 = np.concatenate([cols, rows[off]])
-        vals2 = np.concatenate([vals, sgn * vals[off]])
-        mat = sp.coo_matrix((vals2, (rows2, cols2)), shape=(nrows, ncols))
-    out = mat.tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
+        rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
+        vals = np.concatenate([vals, sgn * vals[off]])
+    return as_csr(sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)))
 
 
 def mm_write(obj, path) -> None:

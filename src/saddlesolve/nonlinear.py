@@ -30,7 +30,6 @@ __all__ = [
     "hybrid_newton",
     "refactor_needed",
     "armijo_damp",
-    "adapt_thresholds",
 ]
 
 
@@ -38,9 +37,10 @@ class LineSearchError(RuntimeError):
     """Armijo halving exhausted without a residual decrease."""
 
 
+# regime -> (alpha_pair, droptol_pair), each (picard, newton)
 _THRESHOLD_DEFAULTS = {
-    "low_re": {"picard": (2.0, 0.02), "newton": (2.0, 0.01)},
-    "high_re": {"picard": (5.0, 0.01), "newton": (5.0, 0.001)},
+    "low_re": ((2.0, 2.0), (0.02, 0.01)),
+    "high_re": ((5.0, 5.0), (0.01, 0.001)),
 }
 
 
@@ -53,8 +53,10 @@ class SolverConfig:
     iteration count that forces refactorization; m/gmres_cap: restart and
     per-step cap of the inner solver; theta: Armijo constant;
     refine_steps: refinement sweeps inside the Newton-phase preconditioner.
-    alpha_pair/droptol_pair override the regime defaults (picard, newton);
-    the phase's (alpha, droptol) replace those of factor_params.
+    alpha_pair/droptol_pair override the regime defaults (picard, newton).
+    phase_params holds the (picard, newton) FactorParams: factor_params with
+    the phase's (alpha, droptol), which therefore must keep their defaults
+    in factor_params.
     """
 
     sigma: float = 1e-6
@@ -73,6 +75,7 @@ class SolverConfig:
     picard_eta: float = 0.3
     regime: str = "low_re"
     factor_params: FactorParams = field(default_factory=FactorParams)
+    phase_params: tuple[FactorParams, FactorParams] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("sigma", "beta", "eta_max", "picard_eta"):
@@ -94,9 +97,16 @@ class SolverConfig:
             pair = getattr(self, name)
             if pair is not None and len(pair) != 2:
                 raise ValueError(f"{name} must have two entries (picard, newton)")
-        for started_nt in (False, True):
-            alpha, droptol = adapt_thresholds(started_nt, self)
-            replace(self.factor_params, alpha=alpha, droptol=droptol)  # FactorParams checks them
+        fp = self.factor_params
+        if (fp.alpha, fp.droptol) != (FactorParams.alpha, FactorParams.droptol):
+            raise ValueError("factor_params alpha and droptol are set per phase "
+                             "through alpha_pair and droptol_pair")
+        alphas, droptols = _THRESHOLD_DEFAULTS[self.regime]
+        alphas = alphas if self.alpha_pair is None else self.alpha_pair
+        droptols = droptols if self.droptol_pair is None else self.droptol_pair
+        # FactorParams checks the pairs' values
+        object.__setattr__(self, "phase_params", tuple(
+            replace(fp, alpha=a, droptol=d) for a, d in zip(alphas, droptols)))
 
 
 @dataclass
@@ -181,18 +191,6 @@ def armijo_damp(residual: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     )
 
 
-def adapt_thresholds(started_nt: bool, cfg: SolverConfig):
-    """Phase- and regime-dependent (alpha, droptol), with config overrides."""
-    phase = "newton" if started_nt else "picard"
-    alpha, droptol = _THRESHOLD_DEFAULTS[cfg.regime][phase]
-    idx = 1 if started_nt else 0
-    if cfg.alpha_pair is not None:
-        alpha = cfg.alpha_pair[idx]
-    if cfg.droptol_pair is not None:
-        droptol = cfg.droptol_pair[idx]
-    return alpha, droptol
-
-
 def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
     """Run the hybrid outer loop until ||F(x)|| <= sigma * ||F(x0)|| or the
     step budget is exhausted.  Returns the final iterate and a report with
@@ -231,10 +229,9 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
             prev_iters, s_prev, x_prev, first_newton, cfg
         )
         if do_refactor:
-            alpha, droptol = adapt_thresholds(started_nt, cfg)
-            fp = replace(cfg.factor_params, alpha=alpha, droptol=droptol)
             try:
-                factor = factorize(prob.sparsifier(x, started_nt), fp)
+                factor = factorize(prob.sparsifier(x, started_nt),
+                                   cfg.phase_params[int(started_nt)])
             except FactorizationError as exc:
                 report.message = str(exc)
                 break

@@ -13,17 +13,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .sparse import as_csr
+
 __all__ = ["reorder"]
 
 
 def _symmetric_pattern(a: sp.csr_matrix) -> sp.csr_matrix:
-    pat = sp.csr_matrix(
-        (np.ones_like(a.data), a.indices, a.indptr), shape=a.shape
-    )
-    pat = (pat + pat.T).tocsr()
-    pat.sum_duplicates()
-    pat.sort_indices()
-    return pat
+    pat = sp.csr_matrix((np.ones_like(a.data), a.indices, a.indptr), shape=a.shape)
+    return as_csr(pat + pat.T)
 
 
 def reorder(a: sp.csr_matrix) -> np.ndarray:

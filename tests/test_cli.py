@@ -88,10 +88,11 @@ def test_override_table_covers_every_config_field():
     from saddlesolve.mlilu import FactorParams
     from saddlesolve.nonlinear import SolverConfig
 
-    solver = {f.name for f in fields(SolverConfig)} - {"factor_params"}
+    # phase_params is derived (init=False), not settable
+    solver = {f.name for f in fields(SolverConfig) if f.init} - {"factor_params"}
     assert set(cli._SOLVER_PARSERS) == solver
-    # hybrid_newton overwrites factor_params' alpha and droptol in every phase,
-    # so they are set only through alpha_pair and droptol_pair
+    # SolverConfig rejects factor_params' alpha and droptol: each phase takes
+    # them from alpha_pair and droptol_pair
     factor = {f.name for f in fields(FactorParams)} - {"alpha", "droptol"}
     assert set(cli._FACTOR_PARSERS) == factor
 
@@ -100,7 +101,7 @@ def test_cavity_nonfinite_direction_writes_reports_and_fails(tmp_path, monkeypat
     from saddlesolve import nonlinear
     from saddlesolve.krylov import KrylovReport
 
-    def nan_fgmres(a_op, precond, b, params, x0=None):
+    def nan_fgmres(a_op, precond, b, params):
         return np.full(b.size, np.nan), KrylovReport(iterations=1)
 
     monkeypatch.setattr(nonlinear, "fgmres", nan_fgmres)

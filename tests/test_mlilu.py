@@ -53,6 +53,29 @@ class TestEquilibrate:
         assert rn.min() >= 0.5 and rn.max() <= 2.0
         assert cn.min() >= 0.5 and cn.max() <= 2.0
 
+    def test_explicit_zero_row_and_column_keep_unit_scaling(self):
+        # row 2 and column 4 store only an explicit zero at (2, 4): their
+        # infinity norm is 0, so their scalings stay 1 and the rest is scaled
+        rng = np.random.default_rng(8)
+        n = 7
+        dense = (rng.random((n, n)) < 0.5) * np.exp(rng.uniform(-10, 10, (n, n)))
+        dense += np.eye(n) * np.exp(rng.uniform(-10, 10, n))
+        dense[2, :] = 0.0
+        dense[:, 4] = 0.0
+        dense[4, 3] = dense[3, 2] = 1e3  # row 4 and column 2 lost their diagonal
+        coo = sp.csr_matrix(dense).tocoo()
+        a = as_csr(sp.coo_matrix((np.append(coo.data, 0.0),
+                                  (np.append(coo.row, 2), np.append(coo.col, 4))),
+                                 shape=(n, n)))
+        assert a[2].nnz == 1 and a[:, 4].nnz == 1
+        dr, dc = equilibrate(a)
+        assert dr[2] == 1.0 and dc[4] == 1.0
+        scaled = np.abs(scale_apply(a, dr, dc).toarray())
+        rn = np.delete(scaled.max(axis=1), 2)
+        cn = np.delete(scaled.max(axis=0), 4)
+        assert rn.min() >= 0.5 and rn.max() <= 2.0
+        assert cn.min() >= 0.5 and cn.max() <= 2.0
+
     def test_empty_row_rejected(self):
         a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="empty"):

@@ -9,7 +9,6 @@ from saddlesolve.nonlinear import (
     LineSearchError,
     NonlinearProblem,
     SolverConfig,
-    adapt_thresholds,
     armijo_damp,
     hybrid_newton,
     refactor_needed,
@@ -183,7 +182,7 @@ class TestHybridNewton:
         assert "halvings" in rep.message
 
     def test_nonfinite_direction_reported_not_raised(self, monkeypatch):
-        def nan_fgmres(a_op, precond, b, params, x0=None):
+        def nan_fgmres(a_op, precond, b, params):
             return np.full(b.size, np.nan), KrylovReport(iterations=1)
 
         monkeypatch.setattr(nonlinear, "fgmres", nan_fgmres)
@@ -304,6 +303,11 @@ class TestArmijo:
             armijo_damp(res, np.array([1.0]), np.array([0.0]), 1.0, 1e-4, 10)
 
 
+def phase_thresholds(cfg, started_nt):
+    fp = cfg.phase_params[int(started_nt)]
+    return fp.alpha, fp.droptol
+
+
 class TestAdaptThresholds:
     @pytest.mark.parametrize("started_nt,regime,expected", [
         (False, "low_re", (2.0, 0.02)),
@@ -313,18 +317,31 @@ class TestAdaptThresholds:
     ])
     def test_defaults(self, started_nt, regime, expected):
         cfg = SolverConfig(regime=regime)
-        assert adapt_thresholds(started_nt, cfg) == expected
+        assert phase_thresholds(cfg, started_nt) == expected
 
     def test_override(self):
         for regime in ("low_re", "high_re"):
             cfg = SolverConfig(alpha_pair=(3.0, 3.0), regime=regime)
-            alpha, _ = adapt_thresholds(False, cfg)
+            alpha, _ = phase_thresholds(cfg, False)
             assert alpha == 3.0
 
     def test_droptol_override_by_phase(self):
-        assert adapt_thresholds(False, SolverConfig(droptol_pair=(0.1, 0.005)))[1] == 0.1
+        assert phase_thresholds(SolverConfig(droptol_pair=(0.1, 0.005)), False)[1] == 0.1
         cfg = SolverConfig(droptol_pair=(0.1, 0.005), regime="high_re")
-        assert adapt_thresholds(True, cfg)[1] == 0.005
+        assert phase_thresholds(cfg, np.bool_(True))[1] == 0.005
+
+    def test_other_factor_params_carried_into_both_phases(self):
+        cfg = SolverConfig(factor_params=FactorParams(dense_switch=7, cond_thresh=3.0))
+        for fp in cfg.phase_params:
+            assert (fp.dense_switch, fp.cond_thresh) == (7, 3.0)
+
+    @pytest.mark.parametrize("kwargs", [{"alpha": 10.0}, {"droptol": 0.5},
+                                        {"alpha": 10.0, "droptol": 0.5}])
+    def test_factor_params_alpha_droptol_rejected(self, kwargs):
+        # they would be replaced by the phase's pair values, so setting them
+        # here is an error rather than a silently ignored setting
+        with pytest.raises(ValueError, match="alpha_pair and droptol_pair"):
+            SolverConfig(factor_params=FactorParams(**kwargs))
 
 
 class TestSolverConfig:

@@ -1,7 +1,11 @@
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
-from saddlesolve.mlilu import _scale, _sym_permute
+from saddlesolve import cavity
+from saddlesolve.mlilu import _scale
+from saddlesolve.mmio import mm_read
+from saddlesolve.ordering import _symmetric_pattern
 from saddlesolve.sparse import as_csr
 
 from conftest import random_sparse
@@ -11,7 +15,7 @@ def permute_scale(a, order, dr, dc):
     """The per-level transform of the factorization: scale rows by dr and
     columns by dc, then permute rows and columns so that new index i is
     old index order[i]."""
-    return _sym_permute(_scale(a, dr, dc), order)
+    return as_csr(_scale(a, dr, dc)[order, :][:, order])
 
 
 def test_permute_scale_identity():
@@ -51,3 +55,36 @@ def test_permute_scale_inverse_recovers():
     assert (back != 0).nnz == (a != 0).nnz
     err = np.abs(back.toarray() - a.toarray()).max()
     assert err <= 1e-14 * np.abs(a.toarray()).max()
+
+
+def _cavity_matrix(which):
+    prob = cavity.build_problem(3, 50.0)
+    if which == "stokes_operator":
+        return cavity.stokes_operator(prob)
+    x = 0.1 * np.random.default_rng(5).standard_normal(prob.n_unknowns)
+    return getattr(cavity, which)(prob, x)
+
+
+def _mm_read_shuffled_symmetric(tmp_path):
+    """A symmetric file whose lower-triangle entries are in random order."""
+    a, rng = random_sparse(12, 0.3, seed=6, diag_shift=1.0)
+    low = sp.tril(a).tocoo()
+    lines = [f"{i + 1} {j + 1} {v:.17g}" for i, j, v in zip(low.row, low.col, low.data)]
+    lines = [lines[k] for k in rng.permutation(len(lines))]
+    path = tmp_path / "sym.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    f"12 12 {len(lines)}\n" + "\n".join(lines) + "\n")
+    return mm_read(path)
+
+
+@pytest.mark.parametrize("producer", ["oseen_operator", "newton_operator", "stokes_operator",
+                                      "mm_read", "symmetric_pattern"])
+def test_producers_return_canonical_csr(producer, tmp_path):
+    if producer == "mm_read":
+        m = _mm_read_shuffled_symmetric(tmp_path)
+    elif producer == "symmetric_pattern":
+        m = _symmetric_pattern(random_sparse(15, 0.2, seed=7)[0])
+    else:
+        m = _cavity_matrix(producer)
+    assert isinstance(m, sp.csr_matrix)
+    assert m.has_canonical_format
