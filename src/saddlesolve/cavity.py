@@ -24,6 +24,7 @@ import scipy.sparse as sp
 
 from .krylov import GmresParams, PrecondOperator, fgmres
 from .mlilu import FactorParams, factorize
+from .mmio import write_csv
 from .nonlinear import NonlinearProblem
 from .sparse import as_csr
 
@@ -458,7 +459,4 @@ def centerline_profile(prob: CavityProblem, x: np.ndarray):
 def write_solution_csv(prob: CavityProblem, x: np.ndarray, path) -> None:
     ux, uy, p = expand_state(prob, x)
     pn = pressure_to_nodes(prob, p)
-    with open(path, "w", encoding="ascii") as f:
-        f.write("x,y,u,v,p\n")
-        for (px, py), u, v, q in zip(prob.mesh.nodes, ux, uy, pn):
-            f.write(f"{px:.17g},{py:.17g},{u:.17g},{v:.17g},{q:.17g}\n")
+    write_csv(path, ("x", "y", "u", "v", "p"), zip(*prob.mesh.nodes.T, ux, uy, pn))

@@ -21,7 +21,7 @@ import numpy as np
 from . import cavity as cav
 from .krylov import GmresParams, PrecondOperator, fgmres
 from .mlilu import FactorizationError, FactorParams, factorize
-from .mmio import mm_read, mm_write
+from .mmio import mm_read, mm_write, write_csv
 from .nonlinear import SolverConfig, hybrid_newton
 
 
@@ -86,6 +86,12 @@ def _positive_float(text):
     return value
 
 
+def _finish(out: Path, summary: str) -> None:
+    """Write the run's one-line summary to summary.txt and print it."""
+    (out / "summary.txt").write_text(summary + "\n", encoding="ascii")
+    print(summary)
+
+
 def run_cavity(args) -> int:
     out = _out_dir(args)
     cfg = args.cfg
@@ -97,14 +103,12 @@ def run_cavity(args) -> int:
 
     report.write_csv(out / "convergence.csv")
     cav.write_solution_csv(prob, x, out / "solution.csv")
-    summary = (
+    _finish(out, (
         f"command=cavity level={args.level} re={args.re:g} sigma={cfg.sigma:g} "
         f"bc={args.bc} regime={cfg.regime} converged={int(report.converged)} "
         f"nonlinear_iters={len(report.steps)} total_gmres={report.total_gmres} "
         f"final_normF={report.final_normF:.6e} wall_seconds={elapsed:.3f}"
-    )
-    (out / "summary.txt").write_text(summary + "\n", encoding="ascii")
-    print(summary)
+    ))
     return 0 if report.converged else 1
 
 
@@ -152,14 +156,12 @@ def run_linsolve(args) -> int:
 
     mm_write(x, out / "solution.mtx")
     rep.write_history_csv(out / "residual_history.csv")
-    summary = (
+    _finish(out, (
         f"command=linsolve matrix={args.matrix} n={n} nnz={a.nnz} "
         f"factor_nnz={factor.total_nnz} converged={int(rep.converged)} "
         f"iterations={rep.iterations} relres={rep.final_relres:.6e} "
         f"wall_seconds={elapsed:.3f}"
-    )
-    (out / "summary.txt").write_text(summary + "\n", encoding="ascii")
-    print(summary)
+    ))
     return 0 if rep.converged else 1
 
 
@@ -167,16 +169,16 @@ def run_factor_stats(args) -> int:
     out = _out_dir(args)
     a = _read_square(args.matrix)
     factor = factorize(a, args.params)
-    path = out / "factor_stats.csv"
-    with open(path, "w", encoding="ascii") as f:
-        f.write("level,n,n_b,deferred,nnz\n")
-        for row in factor.level_stats():
-            f.write(f"{row['level']},{row['n']},{row['n_b']},{row['deferred']},{row['nnz']}\n")
-    print(
+    tail = factor.tail_n
+    write_csv(out / "factor_stats.csv", ("level", "n", "n_b", "deferred", "nnz"),
+              [(k, lev.n, lev.n_b, lev.n_static_deferred + lev.n_dynamic_deferred, lev.nnz)
+               for k, lev in enumerate(factor.levels, 1)]
+              + [(len(factor.levels) + 1, tail, tail, 0, tail * tail)])
+    _finish(out, (
         f"command=factor-stats matrix={args.matrix} n={a.shape[0]} nnz={a.nnz} "
-        f"levels={len(factor.levels)} tail_n={factor.tail_n} "
+        f"levels={len(factor.levels)} tail_n={tail} "
         f"total_nnz={factor.total_nnz} perturbed={int(factor.perturbed)}"
-    )
+    ))
     return 0
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mlilu import MultilevelFactor, ml_solve
+from .mmio import write_csv
 
 __all__ = [
     "GmresParams",
@@ -91,10 +92,7 @@ class KrylovReport:
     residual_history: list[float] = field(default_factory=list)
 
     def write_history_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as f:
-            f.write("iteration,relres\n")
-            for i, r in enumerate(self.residual_history):
-                f.write(f"{i + 1},{r:.17g}\n")
+        write_csv(path, ("iteration", "relres"), enumerate(self.residual_history, 1))
 
 
 def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray, params: GmresParams):
@@ -124,7 +122,7 @@ def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray, params: GmresPa
     while True:
         r = b - a_op @ x
         rnorm = np.linalg.norm(r)
-        if rnorm <= tol or total >= params.max_iters:
+        if rnorm <= tol or total >= params.max_iters or report.breakdown:
             break
         m = min(params.restart, params.max_iters - total)
         basis = np.zeros((m + 1, n))
@@ -173,13 +171,10 @@ def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray, params: GmresPa
             resid = g[i] - h[i, i + 1:cols] @ y[i + 1:cols]
             y[i] = resid / h[i, i] if h[i, i] != 0.0 else 0.0
         x = x + zmat[:cols].T @ y
-        if report.breakdown:
-            break
 
-    final = np.linalg.norm(b - a_op @ x)
     report.iterations = total
-    report.final_relres = final / bnorm
-    report.converged = bool(final <= tol)
+    report.final_relres = rnorm / bnorm
+    report.converged = bool(rnorm <= tol)
     return x, report
 
 

@@ -157,31 +157,6 @@ class MultilevelFactor:
     total_nnz: int
     n: int
 
-    def level_stats(self):
-        """Per-level (level, n, n_b, deferred, nnz) rows; the dense tail is
-        reported as the last row."""
-        rows = []
-        for k, lev in enumerate(self.levels):
-            rows.append(
-                {
-                    "level": k + 1,
-                    "n": lev.n,
-                    "n_b": lev.n_b,
-                    "deferred": lev.n_static_deferred + lev.n_dynamic_deferred,
-                    "nnz": lev.nnz,
-                }
-            )
-        rows.append(
-            {
-                "level": len(self.levels) + 1,
-                "n": self.tail_n,
-                "n_b": self.tail_n,
-                "deferred": 0,
-                "nnz": self.tail_n * self.tail_n,
-            }
-        )
-        return rows
-
 
 def _scale(a: sp.csr_matrix, dr: np.ndarray, dc: np.ndarray) -> sp.csr_matrix:
     data = a.data * np.repeat(dr, np.diff(a.indptr)) * dc[a.indices]

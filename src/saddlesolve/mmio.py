@@ -1,4 +1,4 @@
-"""Matrix Market exchange.
+"""File exchange: Matrix Market for matrices and vectors, CSV for run artifacts.
 
 Coordinate format (real/integer, general/symmetric/skew-symmetric) for
 sparse matrices and array format for dense vectors.  Values are written
@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from .sparse import as_csr
 
-__all__ = ["MatrixMarketError", "mm_read", "mm_write"]
+__all__ = ["MatrixMarketError", "mm_read", "mm_write", "write_csv"]
 
 
 class MatrixMarketError(ValueError):
@@ -173,3 +173,14 @@ def mm_write(obj, path) -> None:
         f.write(f"{a.shape[0]} {a.shape[1]} {a.nnz}\n")
         for i, j, v in zip(a.row, a.col, a.data):
             f.write(f"{i + 1} {j + 1} {v:.16e}\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV artifact: the header names, then one line per row.
+    Floats get 17 significant digits, so they read back bit for bit;
+    every other field is written with str."""
+    with open(path, "w", encoding="ascii") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                             for v in row) + "\n")

@@ -20,6 +20,7 @@ import numpy as np
 
 from .krylov import GmresParams, PrecondOperator, eta_newton, fgmres
 from .mlilu import FactorizationError, FactorParams, factorize
+from .mmio import write_csv
 
 __all__ = [
     "SolverConfig",
@@ -145,13 +146,9 @@ class NonlinearReport:
     message: str = ""
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as f:
-            f.write("step,phase,normF,eta,gmres_iters,refactorized,omega\n")
-            for s in self.steps:
-                f.write(
-                    f"{s.step},{s.phase},{s.normF:.17g},{s.eta:.17g},"
-                    f"{s.gmres_iters},{int(s.refactorized)},{s.omega:.17g}\n"
-                )
+        write_csv(path, ("step", "phase", "normF", "eta", "gmres_iters", "refactorized", "omega"),
+                  ((s.step, s.phase, s.normF, s.eta, s.gmres_iters, int(s.refactorized), s.omega)
+                   for s in self.steps))
 
 
 def refactor_needed(prev_gmres_iters: int, s_prev: np.ndarray,
@@ -219,7 +216,6 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
 
     for k in range(cfg.max_nonlinear):
         if norm_f <= cfg.sigma * norm_f0:
-            report.converged = True
             break
         started_nt = norm_f <= cfg.beta * norm_f0
         first_newton = started_nt and not was_nt
@@ -275,12 +271,9 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
         eta_prev = eta
         was_nt = started_nt
         prev_iters = krep.iterations
-    else:
-        report.converged = bool(norm_f <= cfg.sigma * norm_f0)
 
+    report.converged = bool(norm_f <= cfg.sigma * norm_f0)
     report.final_normF = norm_f
-    if report.converged and not report.message:
-        report.message = "converged"
-    elif not report.message:
-        report.message = "step budget exhausted"
+    if not report.message:
+        report.message = "converged" if report.converged else "step budget exhausted"
     return x, report

@@ -16,9 +16,12 @@ __all__ = ["as_csr"]
 
 
 def as_csr(a) -> sp.csr_matrix:
-    """Coerce to canonical CSR (sorted indices, summed duplicates)."""
+    """Coerce to canonical CSR (sorted indices, summed duplicates).  A CSR
+    argument shares its arrays with the result, so one that is not yet
+    canonical is copied first and the caller's matrix is left as it was."""
     m = sp.csr_matrix(a)
-    m.sum_duplicates()
-    m.sort_indices()
+    if not m.has_canonical_format:
+        m = m.copy()
+        m.sum_duplicates()
     return m
 

@@ -128,14 +128,28 @@ def test_cavity_factorization_error_writes_reports_and_fails(tmp_path, monkeypat
 
 
 def test_cavity_reruns_bit_identical(tmp_path):
+    # the rerun contract of every subcommand: cavity, and linsolve and
+    # factor-stats on the same problem's exported Stokes system
+    from saddlesolve import cavity as cav
+
+    prob = cav.build_problem(3, re=50.0)
+    mm_write(cav.stokes_operator(prob), tmp_path / "stokes.mtx")
+    mm_write(cav.stokes_rhs(prob), tmp_path / "rhs.mtx")
+    mm_write(cav.null_vector(prob), tmp_path / "null.mtx")
+    runs = {
+        "cavity": ["--level", "3", "--re", "50", "--sigma", "1e-4"],
+        "linsolve": ["--matrix", str(tmp_path / "stokes.mtx"), "--rhs", str(tmp_path / "rhs.mtx"),
+                     "--null-vector", str(tmp_path / "null.mtx"), "--refine-steps", "2"],
+        "factor-stats": ["--matrix", str(tmp_path / "stokes.mtx")],
+    }
     d1 = tmp_path / "a"
     d2 = tmp_path / "b"
     for d in (d1, d2):
-        rc = main(["cavity", "--level", "3", "--re", "50", "--sigma", "1e-4",
-                   "--output-dir", str(d)])
-        assert rc == 0
-    assert (d1 / "convergence.csv").read_bytes() == (d2 / "convergence.csv").read_bytes()
-    assert (d1 / "solution.csv").read_bytes() == (d2 / "solution.csv").read_bytes()
+        for command, flags in runs.items():
+            assert main([command, *flags, "--output-dir", str(d)]) == 0
+    for name in ("convergence.csv", "solution.csv", "solution.mtx", "residual_history.csv",
+                 "factor_stats.csv"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
 def test_cavity_pair_override_plumbs_through(tmp_path):
@@ -243,17 +257,38 @@ def test_linsolve_dimension_mismatch(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
-def test_factor_stats(tmp_path):
-    a = random_saddle(30, 12, seed=88)
+def _sparse_saddle(nb, ne, seed):
+    """[[B, E^T], [E, 0]] with sparse B and E: the zero block is deferred
+    statically, so the factorization has at least two levels above
+    dense_switch without a slow dense fill."""
+    rng = np.random.default_rng(seed)
+    b = sp.random(nb, nb, density=3 / nb, random_state=rng) + 4 * sp.eye(nb)
+    e = sp.random(ne, nb, density=3 / nb, random_state=rng) + sp.eye(ne, nb)
+    return as_csr(sp.bmat([[b, e.T], [e, None]]))
+
+
+def test_factor_stats(tmp_path, capsys):
+    a = _sparse_saddle(700, 600, seed=88)
     mm_write(a, tmp_path / "a.mtx")
     rc = main([
         "factor-stats", "--matrix", str(tmp_path / "a.mtx"),
         "--alpha", "3", "--droptol", "0.01", "--output-dir", str(tmp_path),
     ])
     assert rc == 0
-    rows = (tmp_path / "factor_stats.csv").read_text().splitlines()
-    assert rows[0] == "level,n,n_b,deferred,nnz"
-    assert len(rows) >= 2
+    printed = capsys.readouterr().out
+    assert (tmp_path / "summary.txt").read_text() == printed
+    lines = (tmp_path / "factor_stats.csv").read_text().splitlines()
+    assert lines[0] == "level,n,n_b,deferred,nnz"
+    rows = [[int(v) for v in line.split(",")] for line in lines[1:]]
+    assert len(rows) >= 3  # two levels and the dense tail
+    assert [r[0] for r in rows] == list(range(1, len(rows) + 1))
+    assert rows[0][1] == a.shape[0]
+    for (_, n, n_b, deferred, _), lower in zip(rows, rows[1:]):
+        assert lower[1] == n - n_b == deferred
+    _, tail_n, tail_nb, tail_deferred, tail_nnz = rows[-1]
+    assert f"tail_n={tail_n} " in printed
+    assert tail_nb == tail_n and tail_deferred == 0 and tail_nnz == tail_n**2
+    assert f"total_nnz={sum(r[4] for r in rows)} " in printed
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

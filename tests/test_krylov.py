@@ -154,6 +154,25 @@ class TestFgmres:
         assert rep.breakdown
         assert np.allclose(a @ x, b, atol=1e-12)
 
+    def test_converged_solve_multiplies_by_a_once_per_iteration_plus_two(self):
+        # one residual at the start, one per Arnoldi step, one after the
+        # update: the last residual also decides the converged flag
+        class Counting:
+            def __init__(self, a):
+                self.a, self.calls = a, 0
+
+            def __matmul__(self, v):
+                self.calls += 1
+                return self.a @ v
+
+        a, rng = random_sparse(20, 0.3, seed=44, diag_shift=4.0)
+        op = Counting(a)
+        b = rng.standard_normal(20)
+        x, rep = fgmres(op, None, b, GmresParams(restart=30, max_iters=30, rtol=1e-10))
+        assert rep.converged and rep.iterations < 30
+        assert op.calls == rep.iterations + 2
+        assert rep.final_relres == np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+
     def test_nonfinite_rhs_rejected(self):
         a, _ = random_sparse(5, 0.5, seed=43, diag_shift=2.0)
         with pytest.raises(ValueError, match="finite"):

@@ -409,21 +409,6 @@ def test_projected_preconditioner_is_orthogonal_to_the_null_vector(case):
         assert abs(q @ z) <= 1e-15 * np.linalg.norm(z)
 
 
-def test_level_stats_rows_match_the_factor():
-    a = random_saddle(80, 40, seed=22)
-    m = factorize(a, FactorParams(alpha=3.0, droptol=0.01, dense_switch=10))
-    rows = m.level_stats()
-    assert len(m.levels) >= 2 and m.tail_n > 1
-    assert len(rows) == len(m.levels) + 1
-    assert [r["level"] for r in rows] == list(range(1, len(rows) + 1))
-    for upper, lower in zip(rows, rows[1:]):
-        assert lower["n"] == upper["n"] - upper["n_b"]
-    assert rows[0]["n"] == a.shape[0]
-    tail = rows[-1]
-    assert tail["n"] == m.tail_n and tail["nnz"] == m.tail_n**2
-    assert sum(r["nnz"] for r in rows) == m.total_nnz
-
-
 def test_reassembly_applies_permutations_and_scalings():
     # equilibration plus two recursion levels must all invert correctly
     a = random_saddle(25, 10, seed=21)

@@ -3,7 +3,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from saddlesolve.mmio import MatrixMarketError, mm_read, mm_write
+from saddlesolve.mmio import MatrixMarketError, mm_read, mm_write, write_csv
 from saddlesolve.sparse import as_csr
 
 from conftest import random_sparse
@@ -188,3 +188,16 @@ def test_non_finite_value_rejected(tmp_path, body, message):
     path.write_text("%%MatrixMarket matrix " + body)
     with pytest.raises(MatrixMarketError, match=message):
         mm_read(path)
+
+
+def test_write_csv_floats_read_back_bit_for_bit(tmp_path):
+    values = [1e-300, 1e300, -0.0, 0.1, np.float64(1.0) / 3.0]
+    counts = [1, 20, np.int64(300), 4000, 50000]
+    path = tmp_path / "t.csv"
+    write_csv(path, ("count", "value"), zip(counts, values))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "count,value"
+    fields = [line.split(",") for line in lines[1:]]
+    assert [c for c, _ in fields] == ["1", "20", "300", "4000", "50000"]
+    back = np.array([float(v) for _, v in fields])
+    assert back.tobytes() == np.array(values).tobytes()

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from saddlesolve import cavity
-from saddlesolve.mlilu import _scale
+from saddlesolve.mlilu import FactorParams, _scale, crout_ilu_level, factorize
 from saddlesolve.mmio import mm_read
 from saddlesolve.ordering import _symmetric_pattern
 from saddlesolve.sparse import as_csr
@@ -88,3 +88,17 @@ def test_producers_return_canonical_csr(producer, tmp_path):
         m = _cavity_matrix(producer)
     assert isinstance(m, sp.csr_matrix)
     assert m.has_canonical_format
+
+
+@pytest.mark.parametrize("consumer", [as_csr, factorize,
+                                      lambda a: crout_ilu_level(a, FactorParams(), 2)],
+                         ids=["as_csr", "factorize", "crout_ilu_level"])
+def test_non_canonical_argument_is_left_unchanged(consumer):
+    # a CSR argument shares its arrays with sp.csr_matrix(a): canonicalizing
+    # in place would sum the duplicates and sort the caller's matrix
+    data, indices = np.array([1.0, 2.0, 3.0, 4.0, 0.5]), np.array([1, 0, 0, 1, 1])
+    a = sp.csr_matrix((data.copy(), indices.copy(), np.array([0, 3, 5])), shape=(2, 2))
+    consumer(a)
+    assert a.nnz == 5
+    assert np.array_equal(a.indices, indices) and np.array_equal(a.data, data)
+    assert np.array_equal(as_csr(a).toarray(), [[5.0, 1.0], [0.0, 4.5]])
