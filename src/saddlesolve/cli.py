@@ -81,8 +81,8 @@ def _out_dir(args) -> Path:
 
 def _positive_float(text):
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"value must be positive, got {text}")
+    if not (0 < value < np.inf):
+        raise argparse.ArgumentTypeError(f"value must be positive and finite, got {text}")
     return value
 
 

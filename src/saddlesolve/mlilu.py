@@ -59,12 +59,13 @@ __all__ = [
 _EPS = np.finfo(np.float64).eps
 _CAP_FLOOR = 5  # retained entries per row/column regardless of the fill cap
 _MAX_LEVELS = 30
+_MAX_DENSE_TAIL = 4000  # largest dense tail allocated when dense_switch is below it
 _TAIL_LOCK = threading.Lock()
 
 
 class FactorizationError(ValueError):
     """The matrix cannot be factorized as given (a structurally empty row
-    or column)."""
+    or column, or a dense tail too large to allocate)."""
 
 
 @dataclass(frozen=True)
@@ -225,15 +226,17 @@ def crout_ilu_level(
 
     Step k gathers row k and column k of the active matrix, each as A's
     entries minus the stored U rows (L columns) of the pivots whose L column
-    (U row) reaches k, summed in a dense accumulator.  An accepted pivot
-    stores its dropped U row and L column once, as sorted index/value
-    arrays in ``a``'s indices, and hands each entry at a pending index to
-    that index's list of (pivot, multiplier) pairs.  A deferred index keeps
-    its entries in the stored factors; they are the L_NB and U_BN blocks of
-    the Schur complement S = A_NN - L_NB diag(D) U_BN over the
-    non-eliminated indices N, formed after the loop with one sparse product
-    and keeping every stored entry of A_NN.  Returns a LevelFactor (with
-    unit scalings and the dynamic-reordering order) and S.
+    (U row) reaches k, summed in a dense accumulator; its sorted unique
+    indices are read off a boolean mask of the touched positions (one O(n)
+    scan per gather, no sort).  An accepted pivot stores its dropped U row
+    and L column once, as sorted index/value arrays in ``a``'s indices, and
+    hands each entry at a pending index to that index's list of (pivot,
+    multiplier) pairs.  A deferred index keeps its entries in the stored
+    factors; they are the L_NB and U_BN blocks of the Schur complement
+    S = A_NN - L_NB diag(D) U_BN over the non-eliminated indices N, formed
+    after the loop with one sparse product and keeping every stored entry
+    of A_NN.  Returns a LevelFactor (with unit scalings and the
+    dynamic-reordering order) and S.
     """
     acsr = as_csr(a)
     n = acsr.shape[0]
@@ -266,7 +269,7 @@ def crout_ilu_level(
     row_pairs = [([], []) for _ in range(ncand)]
     col_pairs = [([], []) for _ in range(ncand)]
     acc = np.zeros(n)  # dense accumulator, all zero between gathers
-    mark = np.zeros(n, dtype=np.intp)
+    touched = np.zeros(n, dtype=bool)  # all False between gathers
 
     def gather(m, k, pairs, stored, v):
         """Row (CSR ``m``, stored U rows) or column (CSC ``m``, stored L
@@ -275,15 +278,14 @@ def crout_ilu_level(
         (ts, mults), (idx, val, lens) = pairs, stored
         mults = np.array(mults)
         lo, hi = m.indptr[k], m.indptr[k + 1]
-        gi = np.concatenate([m.indices[lo:hi], *[idx[t] for t in ts]])
+        # intp indexes fastest; store() keeps A's narrower index dtype, for memory
+        gi = np.concatenate([m.indices[lo:hi], *[idx[t] for t in ts]], dtype=np.intp)
         gv = np.concatenate([m.data[lo:hi], *[val[t] for t in ts]])
         gv[hi - lo:] *= np.repeat(-mults * diag[ts], lens[ts])
         np.add.at(acc, gi, gv)
-        # one position of each repeated index wins the write, so exactly one
-        # copy of every index passes the test below
-        first = np.arange(gi.size)
-        mark[gi] = first
-        uq = np.sort(gi[mark[gi] == first])
+        touched[gi] = True
+        uq = np.flatnonzero(touched)
+        touched[uq] = False
         sums = acc[uq]
         acc[uq] = 0.0
         live = status[uq] != 1
@@ -305,7 +307,7 @@ def crout_ilu_level(
         keep = idx != k
         idx, val = _dual_drop(idx[keep], val[keep], est, cap)
         stored_idx, stored_val, lens = stored
-        stored_idx.append(idx)
+        stored_idx.append(idx.astype(acsr.indices.dtype))
         stored_val.append(val)
         lens[t] = idx.size
         pend = status[idx] == 0
@@ -372,7 +374,8 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
     statically defer, Crout-eliminate, then recurse on the Schur complement
     until it is small enough for a dense LU with partial pivoting.  A
     singular dense tail is perturbed (pivots pushed to a signed floor) and
-    flagged rather than failed."""
+    flagged rather than failed; a tail larger than both dense_switch and
+    4000 is a FactorizationError, raised before the dense allocation."""
     params = params or FactorParams()
     a = as_csr(a)
     if a.shape[0] != a.shape[1]:
@@ -390,7 +393,8 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
         fill = reorder(scaled)
         defer, ncand = static_defer(scaled.diagonal()[fill], params.diag_thresh)
         static = fill[defer]
-        level, schur = crout_ilu_level(as_csr(scaled[static, :][:, static]), params, ncand)
+        level, schur = crout_ilu_level(
+            as_csr(scaled[static, :][:, static], overwrite_a=True), params, ncand)
         if level.n_b == 0:
             # no pivot was acceptable; stop and hand everything to the tail
             break
@@ -399,8 +403,12 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
         )
         current = schur
 
+    tail_n = current.shape[0]
+    tail_limit = max(dense_switch, _MAX_DENSE_TAIL)
+    if tail_n > tail_limit:
+        raise FactorizationError(f"dense tail of {tail_n} unknowns after {len(levels)} "
+                                 f"levels exceeds the limit of {tail_limit}")
     tail = current.toarray()
-    tail_n = tail.shape[0]
     perturbed = False
     if tail_n:
         with warnings.catch_warnings():

@@ -29,6 +29,85 @@ def random_saddle(nb, ne, seed, shift=4.0):
     return as_csr(sp.csr_matrix(dense))
 
 
+def reference_crout(a, params, ncand):
+    """Dense reference for ``mlilu.crout_ilu_level``: the same pivot order,
+    deferral tests, dual dropping and fill caps, written as plain dense row
+    and column updates over boolean sparsity patterns.
+
+    Step k forms row k (column k) of the active matrix as A's row (column)
+    minus l_kt D_t u_t (u_tk D_t l_t) for every pivot t whose stored L column
+    (U row) holds k, and its pattern as the union of theirs.  Returns
+    (order, L, U, D, n_dynamic, drops): L and U dense in factor positions,
+    drops = (entries dropped by the tolerance, entries dropped by a cap).
+    """
+    n = a.shape[0]
+    vals = a.toarray()
+    coo = a.tocoo()
+    pat = np.zeros((n, n), dtype=bool)
+    pat[coo.row, coo.col] = True
+    u_caps = np.maximum(5, np.ceil(params.alpha * pat.sum(axis=1)).astype(int))
+    l_caps = np.maximum(5, np.ceil(params.alpha * pat.sum(axis=0)).astype(int))
+    status = np.zeros(n, dtype=int)  # 0 pending, 1 eliminated, 2 deferred or trailing
+    status[ncand:] = 2
+    elim, diag, v_low, v_up = [], [], [], []
+    urows, lcols = [], []  # per pivot: (dense values, pattern) in input indices
+    est_low = est_up = 1.0
+    drops = [0, 0]
+
+    def active(k, a_vals, a_pat, updates, crossing, v):
+        values, pattern, est = a_vals.copy(), a_pat.copy(), 0.0
+        for t, ((cv, cp), (uv, up)) in enumerate(zip(crossing, updates)):
+            if cp[k]:
+                values = values - cv[k] * diag[t] * uv
+                pattern = pattern | up
+                est += cv[k] * v[t]
+        return values, pattern & (status != 1), 1.0 + abs(est)
+
+    def dropped(values, pattern, k, pivot, est, cap):
+        idx = [j for j in np.flatnonzero(pattern) if j != k]
+        kept = [j for j in idx
+                if params.droptol == 0 or abs(values[j] / pivot) * est > params.droptol]
+        drops[0] += len(idx) - len(kept)
+        largest = sorted(kept, key=lambda j: (-abs(values[j] / pivot), j))[:cap]
+        drops[1] += len(kept) - len(largest)
+        out_v, out_p = np.zeros(n), np.zeros(n, dtype=bool)
+        out_p[largest] = True
+        out_v[largest] = values[largest] / pivot
+        return out_v, out_p
+
+    n_dynamic = 0
+    for k in range(ncand):
+        row, row_pat, vlk = active(k, vals[k], pat[k], urows, lcols, v_low)
+        col, col_pat, vuk = active(k, vals[:, k], pat[:, k], lcols, urows, v_up)
+        pivot = row[k] if row_pat[k] else 0.0
+        if abs(pivot) < params.pivot_floor or max(vlk, vuk) > params.cond_thresh:
+            status[k] = 2
+            n_dynamic += 1
+            continue
+        status[k] = 1
+        elim.append(k)
+        diag.append(pivot)
+        v_low.append(vlk)
+        v_up.append(vuk)
+        est_low, est_up = max(est_low, vlk), max(est_up, vuk)
+        urows.append(dropped(row, row_pat, k, pivot, est_up, u_caps[k]))
+        lcols.append(dropped(col, col_pat, k, pivot, est_low, l_caps[k]))
+
+    order = np.array(elim + [j for j in range(n) if status[j] != 1], dtype=int)
+    lower, upper = np.zeros((n, n)), np.zeros((n, n))
+    for t, ((lv, _), (uv, _)) in enumerate(zip(lcols, urows)):
+        lower[:, t] = lv[order]
+        upper[t, :] = uv[order]
+    return order, lower, upper, np.array(diag), n_dynamic, tuple(drops)
+
+
+def cyclic_permutation(n):
+    """The n x n permutation i -> i+1 mod n: every diagonal entry is zero,
+    so no Crout pivot is acceptable and all of it reaches the dense tail."""
+    return as_csr(sp.csr_matrix((np.ones(n), (np.arange(n), (np.arange(n) + 1) % n)),
+                                shape=(n, n)))
+
+
 def check_permutation(order, n):
     """Assert that the order array is a bijection on [0, n)."""
     assert np.array_equal(np.sort(order), np.arange(n)), "order is not a bijection on [0, n)"

@@ -6,7 +6,7 @@ from saddlesolve.cli import main
 from saddlesolve.mmio import mm_read, mm_write
 from saddlesolve.sparse import as_csr
 
-from conftest import random_saddle
+from conftest import cyclic_permutation, random_saddle
 
 
 def test_cavity_small_run(tmp_path):
@@ -38,6 +38,23 @@ def test_cavity_rejects_degenerate_re(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cavity", "--level", "4", "--re", "0", "--output-dir", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("re", ["nan", "inf"])
+def test_cavity_rejects_non_finite_re(tmp_path, capsys, monkeypatch, re):
+    # a usage error before any assembly, not exit 1 with a traceback
+    from saddlesolve import cavity
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembly ran before --re was checked")
+
+    monkeypatch.setattr(cavity, "build_problem", no_assembly)
+    with pytest.raises(SystemExit) as exc:
+        main(["cavity", "--level", "3", "--re", re, "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"value must be positive and finite, got {re}" in err.splitlines()[-1]
+    assert "Traceback" not in err
 
 
 def test_cavity_rejects_unknown_override(tmp_path, capsys, monkeypatch):
@@ -368,6 +385,16 @@ def test_bad_input_files_exit_2_with_one_line(tmp_path, capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert message in err
+
+
+def test_oversized_dense_tail_exits_2_with_one_line(tmp_path, capsys):
+    mm_write(cyclic_permutation(4001), tmp_path / "cyclic.mtx")
+    rc = main(["factor-stats", "--matrix", str(tmp_path / "cyclic.mtx"),
+               "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "dense tail of 4001 unknowns after 0 levels" in err
 
 
 def test_structurally_empty_row_below_dense_switch_is_perturbed(tmp_path, capsys):

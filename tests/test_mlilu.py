@@ -21,7 +21,13 @@ from saddlesolve.mlilu import (
 )
 from saddlesolve.sparse import as_csr
 
-from conftest import random_saddle, random_sparse, reassemble
+from conftest import (
+    cyclic_permutation,
+    random_saddle,
+    random_sparse,
+    reassemble,
+    reference_crout,
+)
 
 
 def scale_apply(a, dr, dc):
@@ -242,6 +248,13 @@ class TestFactorize:
         assert a.nnz == 11
         assert len(m.levels) == 2
         assert m.perturbed
+
+    def test_oversized_dense_tail_is_refused_before_allocation(self):
+        # no pivot of a zero-diagonal permutation is acceptable, so without
+        # the bound the whole matrix would become a 4001^2 dense tail
+        with pytest.raises(FactorizationError, match="dense tail of 4001 unknowns after 0 levels"):
+            factorize(cyclic_permutation(4001))
+        assert factorize(cyclic_permutation(600)).tail_n == 600
 
     def test_deferral_soundness(self):
         a = random_saddle(40, 15, seed=6)
@@ -477,3 +490,41 @@ def test_factorize_reassembles_exactly_for_any_dense_switch_and_ordering(case):
         assert not m.perturbed
         r = reassemble(m)
         assert np.linalg.norm(r - dense) <= 1e-10 * np.linalg.norm(dense), dense_switch
+
+
+def _dropping_level(n, seed):
+    """Random level matrix with normal values, a full diagonal and a few
+    tiny pivots, the first one at index 0 where no update can lift it."""
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+    dense[np.diag_indices(n)] = rng.standard_normal(n)
+    tiny = np.r_[0, rng.choice(np.arange(1, n), size=n // 8, replace=False)]
+    dense[tiny, tiny] = 1e-14
+    return as_csr(sp.csr_matrix(dense))
+
+
+@pytest.mark.parametrize("n, seed, n_trailing, params", [
+    (16, 1, 0, FactorParams(alpha=1.0, droptol=0.05)),
+    (25, 2, 3, FactorParams(alpha=1.5, droptol=0.02)),
+    (40, 3, 0, FactorParams(alpha=1.0, droptol=0.01, cond_thresh=10.0)),
+    (40, 4, 5, FactorParams(alpha=2.0, droptol=0.1, cond_thresh=3.0)),
+])
+def test_crout_level_matches_the_dense_reference_with_dropping(n, seed, n_trailing, params):
+    # fixed seeds, not hypothesis: a drop or deferral decided by a rounding
+    # tie would make a generated case flaky
+    a = _dropping_level(n, seed)
+    level, schur = crout_ilu_level(a, params, n_candidates=n - n_trailing)
+    order, lower, upper, d, n_dynamic, drops = reference_crout(a, params, n - n_trailing)
+    assert n_dynamic > 0 and min(drops) > 0, "the case must defer and drop"
+    assert np.array_equal(level.order, order)
+    assert level.n_dynamic_deferred == n_dynamic and level.n_b == d.size
+    for got, want in ((level.L, lower), (level.U, upper)):
+        # droptol > 0 keeps no zero value, so the nonzeros are the index set
+        assert np.array_equal(got.toarray() != 0, want != 0)
+        np.testing.assert_allclose(got.toarray(), want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(level.D, d, rtol=1e-12, atol=0)
+    nb = d.size
+    dense = a.toarray()[order][:, order]
+    expected = dense[nb:, nb:] - lower[nb:, :nb] @ np.diag(d) @ upper[:nb, nb:]
+    np.testing.assert_allclose(schur.toarray(), expected, rtol=0,
+                               atol=1e-12 * np.abs(dense).max())

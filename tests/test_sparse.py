@@ -102,3 +102,19 @@ def test_non_canonical_argument_is_left_unchanged(consumer):
     assert a.nnz == 5
     assert np.array_equal(a.indices, indices) and np.array_equal(a.data, data)
     assert np.array_equal(as_csr(a).toarray(), [[5.0, 1.0], [0.0, 4.5]])
+
+
+def test_overwrite_canonicalizes_an_owned_temporary_in_place():
+    # the fancy-indexed level matrix of factorize: unsorted column indices
+    # in a fresh temporary, sorted without a copy
+    a, rng = random_sparse(20, 0.3, seed=8)
+    order = rng.permutation(20)
+    t = a[order, :][:, order]
+    assert not t.has_canonical_format
+    expected = as_csr(t)
+    out = as_csr(t, overwrite_a=True)
+    assert out.has_canonical_format
+    assert np.shares_memory(out.indices, t.indices) and np.shares_memory(out.data, t.data)
+    assert np.array_equal(out.indptr, expected.indptr)
+    assert np.array_equal(out.indices, expected.indices)
+    assert np.array_equal(out.data, expected.data)

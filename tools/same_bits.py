@@ -4,7 +4,7 @@
 
 Each argument is a ``src`` directory holding the ``saddlesolve`` package.
 Both trees run the same CLI commands, each with PYTHONPATH set to its own
-``src`` and one BLAS thread: three cavity runs, and ``linsolve`` and
+``src`` and one BLAS thread: four cavity runs, and ``linsolve`` and
 ``factor-stats`` on the level-4 Re 100 Stokes system, which the first tree
 exports once so both sides read the same files.  Every CSV and Matrix
 Market artifact is compared byte for byte; ``summary.txt`` is left out
@@ -26,6 +26,9 @@ CAVITY_RUNS = {
                              "--regime", "high_re"],
     "cavity-l4-re100-regularized": ["--level", "4", "--re", "100", "--bc", "regularized",
                                     "--set", "refine_steps=1"],
+    # its dense Schur levels (n ~ 2000-2400) are the Crout kernel's heaviest gathers
+    "cavity-l6-re1000-high": ["--level", "6", "--re", "1000", "--sigma", "1e-5",
+                              "--regime", "high_re"],
 }
 
 EXPORT = """
