@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from saddlesolve import cavity as cav
-from saddlesolve.krylov import PrecondOperator
+from saddlesolve.krylov import GmresParams, PrecondOperator, fgmres
 from saddlesolve.mlilu import FactorParams, factorize
 
 
@@ -253,6 +254,42 @@ class TestStokesGuess:
         xb = cav.stokes_initial_guess(pb)
         nvi = pa.mesh.n_velocity
         assert np.linalg.norm(xa[:2 * nvi] - xb[:2 * nvi]) <= 1e-8
+
+    @pytest.mark.parametrize("level", [4, 5])
+    def test_direct_guess_solves_full_system(self, level):
+        # the residual includes the continuity row of the pinned pressure,
+        # which the solve never sees: the right-hand side is compatible
+        prob = cav.build_problem(level, re=100.0)
+        x = cav.stokes_initial_guess(prob)
+        b = cav.stokes_rhs(prob)
+        r = cav.stokes_operator(prob) @ x - b
+        assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
+
+    def test_direct_guess_matches_preconditioned_gmres(self, cavity_level4, cavity_level4_stokes):
+        prob = cavity_level4
+        a = cav.stokes_operator(prob)
+        precond = PrecondOperator(factorize(a, FactorParams(alpha=2.0, droptol=1e-3)), j_op=a,
+                                  null_basis=cav.null_vector(prob), refine_steps=2)
+        x, rep = fgmres(a, precond, cav.stokes_rhs(prob),
+                        GmresParams(restart=30, max_iters=300, rtol=1e-12))
+        assert rep.converged
+        p = x[2 * prob.mesh.n_velocity:]
+        p -= p.mean()
+        err = np.linalg.norm(cavity_level4_stokes - x)
+        assert err <= 1e-9 * np.linalg.norm(x)
+
+    def test_singular_pinned_matrix_raises(self, monkeypatch):
+        stokes_operator = cav.stokes_operator
+
+        def zero_first_velocity_row(prob):
+            a = stokes_operator(prob)
+            keep = np.ones(a.shape[0])
+            keep[0] = 0.0
+            return sp.csr_matrix(sp.diags(keep) @ a)
+
+        monkeypatch.setattr(cav, "stokes_operator", zero_first_velocity_row)
+        with pytest.raises(RuntimeError, match="Stokes initial guess: the pinned matrix is singular"):
+            cav.stokes_initial_guess(cav.build_problem(3, re=100.0))
 
 
 class TestPrecondProjection:
