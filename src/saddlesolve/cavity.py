@@ -246,8 +246,8 @@ class CavityProblem:
 def build_problem(level: int, re: float, bc_kind: str = "standard") -> CavityProblem:
     """Assemble the constant operators for a cavity at the given Reynolds
     number; nu = 2/Re for the unit lid speed on the width-2 box."""
-    if re <= 0:
-        raise ValueError("Reynolds number must be positive")
+    if not (0 < re < math.inf):
+        raise ValueError("Reynolds number must be positive and finite")
     if bc_kind not in ("standard", "regularized"):
         raise ValueError("bc_kind must be 'standard' or 'regularized'")
     mesh = build_mesh(level)

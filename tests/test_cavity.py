@@ -352,3 +352,10 @@ def test_pressure_to_nodes_reproduces_linear_pressure(level):
     p = linear(mesh.nodes[mesh.pressure_nodes])
     err = np.abs(cav.pressure_to_nodes(prob, p) - linear(mesh.nodes)).max()
     assert err <= 1e-14
+
+
+@pytest.mark.parametrize("re", [0.0, -1.0, float("nan"), float("inf")])
+def test_build_problem_rejects_bad_reynolds(re):
+    # a NaN or infinite Re would otherwise fail later, in the Stokes solve
+    with pytest.raises(ValueError, match="Reynolds number must be positive and finite"):
+        cav.build_problem(3, re)

@@ -133,10 +133,44 @@ def test_pattern_field_rejected(tmp_path):
         mm_read(path)
 
 
-def test_malformed_entry_names_line(tmp_path):
+@pytest.mark.parametrize("body, message", [
+    ("coordinate real general\n2 2 2\n1 1 1.0\n2 x 2.0\n", r":4:"),
+    # a comment or blank line before the bad one, so data rows and file lines differ
+    ("coordinate real general\n2 2 2\n% c\n1 1 1.0\n1 1 1.5abc\n", r":5: malformed coordinate"),
+    ("coordinate real general\n2 2 2\n1 1 1.0\n\n1 1 0x10\n", r":5: malformed coordinate"),
+    ("coordinate real general\n2 2 2\n% c\n1 1 1.0 7\n2 2 1.0\n", r":4: coordinate entry needs"),
+    ("coordinate real general\n2 2 2\n\n2 2 1.0\n1 1 1.0 % c\n", r":5: coordinate entry needs"),
+    # older numpy only warns on these; the default filter checks what a caller outside
+    # the suite gets
+    pytest.param("coordinate real general\n2 2 2\n% c\n2 2 1.0\n1.5 1 1.0\n",
+                 r":5: malformed coordinate", marks=pytest.mark.filterwarnings("default")),
+    pytest.param("coordinate real general\n2 2 2\n% c\n2 2 1.0\n1e0 1 1.0\n",
+                 r":5: malformed coordinate", marks=pytest.mark.filterwarnings("default")),
+    ("coordinate real general\n2 2 2\n% c\n2 2 1.0\n1 1 \"1.0\"\n", r":5: malformed coordinate"),
+    ("coordinate real general\n2 2 2\n% c\n2 2 1.0\n99999999999999999999 1 1.0\n",
+     r":5: index out of declared range"),
+    ("array real general\n3 1\n% c\n1.0 2.0\nx\n", r":5: malformed value 'x'"),
+    ("array real general\n3 1\n% c\n1.0 2.0\n\n3.0 4.0\n", r":6: more than the declared 3 values"),
+    ("coordinate real general\n2 2 1\n% c\n1 1 1.0\n2 2 1.0\n", r"declared 1 entries"),
+], ids=["letter-index", "trailing-letters", "hex-value", "four-tokens", "trailing-comment",
+        "decimal-index", "exponent-index", "quoted-value", "index-past-intp",
+        "array-value-after-two", "too-many-values", "too-many-entries"])
+def test_malformed_entry_names_line(tmp_path, body, message):
     path = tmp_path / "bad.mtx"
-    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 x 2.0\n")
-    with pytest.raises(MatrixMarketError, match=r":4:"):
+    path.write_text("%%MatrixMarket matrix " + body)
+    with pytest.raises(MatrixMarketError, match=message):
+        mm_read(path)
+
+
+@pytest.mark.parametrize("symmetry, entry", [
+    ("symmetric", "1 2 1.0"),       # upper triangle; the file holds the lower one
+    ("skew-symmetric", "1 1 1.0"),  # a skew-symmetric diagonal is zero, never stored
+])
+def test_entry_outside_stored_triangle_names_line(tmp_path, symmetry, entry):
+    path = tmp_path / "tri.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n"
+                    f"2 2 2\n% c\n2 1 5.0\n{entry}\n")
+    with pytest.raises(MatrixMarketError, match=r":5:.*lower triangle"):
         mm_read(path)
 
 
