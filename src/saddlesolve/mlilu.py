@@ -3,12 +3,18 @@
 Each level equilibrates, reorders, statically defers small diagonals, then
 runs a Crout elimination (Li, Saad & Chow, SISC 2003) with dynamic deferring
 of unstable pivots and dual dropping (inverse-based drop tolerance plus a
-per-row/column fill cap).  Each accepted pivot stores its U row and L column
-once, in the level's input indices; an index deferred later simply stays in
-them.  The Schur complement over all deferred and trailing indices,
-S = A_NN - L_NB D U_BN, is one sparse product after the elimination.  It is
-factorized recursively; a dense LU with partial pivoting terminates the
-recursion.
+per-row/column fill cap).  The elimination runs in blocks of pivot steps.
+Before each block, one compiled sparse product per side gathers the
+block's rows (columns) of A minus the updates of every pivot accepted so
+far; in the block, each step adds the updates of the block's own earlier
+pivots in a dense accumulator.  Every entry is summed in the order of one
+sequential gather, A's entry first and then the pivots by rank, so the
+block size changes no value.  Each accepted pivot stores its U row and L
+column once, in the level's input indices, in flat buffers; an index
+deferred later simply stays in them.  The Schur complement over all
+deferred and trailing indices, S = A_NN - L_NB D U_BN, is one sparse
+product after the elimination.  It is factorized recursively; a dense LU
+with partial pivoting terminates the recursion.
 
 Each level's solve form, (L+I) as CSC and (U+I) as CSR with sorted
 indices, is built once, on the level's first solve, so every later
@@ -61,6 +67,7 @@ _CAP_FLOOR = 5  # retained entries per row/column regardless of the fill cap
 _MAX_LEVELS = 30
 _MAX_DENSE_TAIL = 4000  # largest dense tail allocated when dense_switch is below it
 _TAIL_LOCK = threading.Lock()
+_BLOCK = 128  # pivot steps per blocked gather in crout_ilu_level
 
 
 class FactorizationError(ValueError):
@@ -175,7 +182,7 @@ def equilibrate(a: sp.csr_matrix):
     row_counts = np.diff(a.indptr)
     if np.any(row_counts == 0):
         raise FactorizationError(f"structurally empty row {int(np.argmax(row_counts == 0))}")
-    col_counts = np.diff(a.tocsc().indptr)
+    col_counts = np.bincount(a.indices, minlength=n)
     if np.any(col_counts == 0):
         raise FactorizationError(f"structurally empty column {int(np.argmax(col_counts == 0))}")
 
@@ -209,6 +216,42 @@ def static_defer(diag: np.ndarray, diag_thresh: float):
     return order, int(np.count_nonzero(keep))
 
 
+class _Flat:
+    """Sparse vectors stored back to back in rank order: vector t has the
+    indices idx[ptr[t]:ptr[t + 1]] and the values val[ptr[t]:ptr[t + 1]].
+    The buffers double when full."""
+
+    def __init__(self, count: int, capacity: int, idx_dtype):
+        self.idx = np.empty(capacity, idx_dtype)
+        self.val = np.empty(capacity)
+        self.ptr = np.zeros(count + 1, dtype=np.intp)
+
+    def append(self, t: int, idx: np.ndarray, val: np.ndarray) -> None:
+        start = self.ptr[t]
+        end = start + idx.size
+        if end > self.val.size:
+            size = max(end, 2 * self.val.size)
+            self.idx = np.concatenate([self.idx[:start], np.empty(size - start, self.idx.dtype)])
+            self.val = np.concatenate([self.val[:start], np.empty(size - start)])
+        self.idx[start:end] = idx
+        self.val[start:end] = val
+        self.ptr[t + 1] = end
+
+    def at_indices(self, t0: int, k0: int, k1: int):
+        """The entries of the first t0 vectors at indices k0..k1-1, grouped
+        by index and in rank order within each: (pointer over the k1 - k0
+        indices, ranks, values)."""
+        end = self.ptr[t0]
+        idx = self.idx[:end]
+        at = np.flatnonzero((idx >= k0) & (idx < k1))
+        rows = idx[at] - k0
+        at = at[np.argsort(rows, kind="stable")]
+        ptr = np.zeros(k1 - k0 + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=k1 - k0), out=ptr[1:])
+        ranks = np.searchsorted(self.ptr[:t0 + 1], at, side="right") - 1
+        return ptr, ranks, self.val[at]
+
+
 def crout_ilu_level(
     a: sp.csr_matrix,
     params: FactorParams,
@@ -224,15 +267,29 @@ def crout_ilu_level(
     most max(5, ceil(alpha * nnz)) entries, nnz being the stored entries of
     that row (column) of ``a``, explicit zeros included.
 
-    Step k gathers row k and column k of the active matrix, each as A's
-    entries minus the stored U rows (L columns) of the pivots whose L column
-    (U row) reaches k, summed in a dense accumulator; its sorted unique
-    indices are read off a boolean mask of the touched positions (one O(n)
-    scan per gather, no sort).  An accepted pivot stores its dropped U row
-    and L column once, as sorted index/value arrays in ``a``'s indices, and
-    hands each entry at a pending index to that index's list of (pivot,
-    multiplier) pairs.  A deferred index keeps its entries in the stored
-    factors; they are the L_NB and U_BN blocks of the Schur complement
+    Step k gathers row k and column k of the active matrix: A's entries
+    minus l_kt d_t times the stored U row (u_tk d_t times the stored L
+    column) of every earlier pivot t whose L column (U row) reaches k.  The
+    steps run in blocks of _BLOCK.  Before a block, one sparse product per
+    side, [I | -(L_{R,<t0} D)] @ [A_R ; U_{<t0}] for the block's rows R and
+    the t0 pivots accepted so far (and the same from the column side), sums
+    A's entry and then those pivots' updates in rank order, through
+    scipy's compiled SMMP (Gustavson, ACM TOMS 1978).  In the block, a
+    gather adds the updates of the block's own pivots to its row of that
+    product, in rank order, in a dense accumulator; its sorted unique
+    indices are read off a boolean mask of the touched positions.  The sum
+    of every entry thus runs in the order of one sequential gather, so the
+    block size changes no value; SMMP only leaves out sums that are exactly
+    zero, so at droptol=0 explicit zeros may be stored or not.
+
+    An accepted pivot stores its dropped U row and L column once, in
+    ``a``'s indices, at the end of flat index/value buffers.  The block's
+    multipliers are read back from them: those of earlier pivots by one
+    vectorized transpose per block (the buffers' entries at the block's
+    indices, stably sorted by index), those of the block's own pivots from
+    a dense _BLOCK x _BLOCK array; the inverse-norm estimator dots them in
+    rank order.  A deferred index keeps its entries in the stored factors;
+    they are the L_NB and U_BN blocks of the Schur complement
     S = A_NN - L_NB diag(D) U_BN over the non-eliminated indices N, formed
     after the loop with one sparse product and keeping every stored entry
     of A_NN.  Returns a LevelFactor (with unit scalings and the
@@ -249,47 +306,79 @@ def crout_ilu_level(
     droptol = params.droptol
     pivot_floor = params.pivot_floor
     cond_thresh = params.cond_thresh
+    block = _BLOCK
 
     # status: 0 pending candidate, 1 eliminated, 2 deferred or trailing
     status = np.zeros(n, dtype=np.int8)
     status[ncand:] = 2
     elim: list[int] = []
     # by elimination rank t: the pivot, the incremental inverse-norm
-    # estimator states for L and U, and the stored U row and L column
-    # (index arrays, value arrays, lengths)
+    # estimator states for L and U, and the stored U rows and L columns
     diag = np.zeros(ncand)
     v_low = np.zeros(ncand)
     v_up = np.zeros(ncand)
     est_low = 1.0
     est_up = 1.0
-    upper = ([], [], np.zeros(ncand, dtype=np.intp))
-    lower = ([], [], np.zeros(ncand, dtype=np.intp))
-    # (rank, multiplier) pairs reaching each pending index k: l_kt from the
-    # L columns update row k, u_tk from the U rows update column k
-    row_pairs = [([], []) for _ in range(ncand)]
-    col_pairs = [([], []) for _ in range(ncand)]
+    upper = _Flat(ncand, acsr.nnz, acsr.indices.dtype)
+    lower = _Flat(ncand, acsr.nnz, acsr.indices.dtype)
+    # multipliers of the block's own pivots, by (row in the block, rank in
+    # the block): l_kt from the L columns update row k, u_tk from the U rows
+    # update column k
+    row_mult = np.zeros((block, block))
+    col_mult = np.zeros((block, block))
+    row_has = np.zeros((block, block), dtype=bool)
+    col_has = np.zeros((block, block), dtype=bool)
     acc = np.zeros(n)  # dense accumulator, all zero between gathers
     touched = np.zeros(n, dtype=bool)  # all False between gathers
 
-    def gather(m, k, pairs, stored, v):
-        """Row (CSR ``m``, stored U rows) or column (CSC ``m``, stored L
-        columns) k of the active matrix, sorted and restricted to the
-        non-eliminated indices, and the estimator 1 + |sum_t mult_t v_t|."""
-        (ts, mults), (idx, val, lens) = pairs, stored
-        mults = np.array(mults)
-        lo, hi = m.indptr[k], m.indptr[k + 1]
-        # intp indexes fastest; store() keeps A's narrower index dtype, for memory
-        gi = np.concatenate([m.indices[lo:hi], *[idx[t] for t in ts]], dtype=np.intp)
-        gv = np.concatenate([m.data[lo:hi], *[val[t] for t in ts]])
-        gv[hi - lo:] *= np.repeat(-mults * diag[ts], lens[ts])
+    def block_sums(m, k0, k1, t0, stored, mults):
+        """Rows (CSR ``m``, stored U rows) or columns (CSC ``m``, stored L
+        columns) k0..k1-1 of A minus the updates of the first t0 pivots, as
+        one SMMP product, and the multipliers (``mults``: stored L columns or
+        U rows) of those pivots at each index of the block, in rank order."""
+        nr = k1 - k0
+        ptr, ranks, vals = mults.at_indices(t0, k0, k1)
+        left = sp.csr_matrix(
+            (np.insert(-vals * diag[ranks], ptr[:-1], 1.0),
+             np.insert(ranks + nr, ptr[:-1], np.arange(nr)),
+             ptr + np.arange(nr + 1)),
+            shape=(nr, nr + t0))
+        lo, hi = m.indptr[k0], m.indptr[k1]
+        end = stored.ptr[t0]
+        right = sp.csr_matrix(
+            (np.concatenate([m.data[lo:hi], stored.val[:end]]),
+             np.concatenate([m.indices[lo:hi], stored.idx[:end]]),
+             np.concatenate([m.indptr[k0:k1] - lo, stored.ptr[:t0 + 1] + (hi - lo)])),
+            shape=(nr + t0, n))
+        return left @ right, (ptr, ranks, vals)
+
+    def gather(sums, r, earlier, own_mult, own_has, t0, nblk, stored, v):
+        """Row or column k0 + r of the active matrix, sorted and restricted
+        to the non-eliminated indices, and the estimator
+        1 + |sum_t mult_t v_t|."""
+        ptr, ranks, vals = earlier
+        s = own_has[r, :nblk].nonzero()[0]
+        own = s + t0
+        own_vals = own_mult[r, s]
+        p = stored.ptr
+        cuts = [slice(p[t], p[t + 1]) for t in own.tolist()]
+        lo, hi = sums.indptr[r], sums.indptr[r + 1]
+        # intp indexes fastest; the flat buffers keep A's narrower index dtype
+        gi = np.concatenate([sums.indices[lo:hi], *[stored.idx[c] for c in cuts]],
+                            dtype=np.intp)
+        gv = np.concatenate([sums.data[lo:hi], *[stored.val[c] for c in cuts]])
+        gv[hi - lo:] *= (-own_vals * diag[own]).repeat([c.stop - c.start for c in cuts])
         np.add.at(acc, gi, gv)
         touched[gi] = True
-        uq = np.flatnonzero(touched)
+        uq = touched.nonzero()[0]
         touched[uq] = False
-        sums = acc[uq]
+        total = acc[uq]
         acc[uq] = 0.0
         live = status[uq] != 1
-        return uq[live], sums[live], 1.0 + abs(mults @ v[ts])
+        lo, hi = ptr[r], ptr[r + 1]
+        mults = np.concatenate([vals[lo:hi], own_vals])
+        ts = np.concatenate([ranks[lo:hi], own])
+        return uq[live], total[live], 1.0 + abs(mults @ v[ts])
 
     def _dual_drop(idx, val, est, cap):
         if droptol > 0.0 and idx.size:
@@ -301,39 +390,47 @@ def crout_ilu_level(
             idx, val = idx[sel], val[sel]
         return idx, val
 
-    def store(t, k, idx, val, est, cap, stored, pairs):
+    def store(t, k, k0, k1, t0, idx, val, est, cap, stored, own_mult, own_has):
         """Drop, then store pivot k's U row or L column (``val`` already
-        divided by the pivot) and hand its pending entries to ``pairs``."""
+        divided by the pivot) and note its entries at the block's pending
+        indices as multipliers of rank t."""
         keep = idx != k
         idx, val = _dual_drop(idx[keep], val[keep], est, cap)
-        stored_idx, stored_val, lens = stored
-        stored_idx.append(idx.astype(acsr.indices.dtype))
-        stored_val.append(val)
-        lens[t] = idx.size
-        pend = status[idx] == 0
-        for j, x in zip(idx[pend].tolist(), val[pend].tolist()):
-            pairs[j][0].append(t)
-            pairs[j][1].append(x)
+        stored.append(t, idx, val)
+        lo, hi = idx.searchsorted((k + 1, k1))
+        own_mult[idx[lo:hi] - k0, t - t0] = val[lo:hi]
+        own_has[idx[lo:hi] - k0, t - t0] = True
 
     n_dynamic = 0
-    for k in range(ncand):
-        ridx, rval, vlk = gather(acsr, k, row_pairs[k], upper, v_low)
-        cidx, cval, vuk = gather(acsc, k, col_pairs[k], lower, v_up)
-        row_pairs[k] = col_pairs[k] = None
-        at = np.searchsorted(ridx, k)
-        pivot = rval[at] if at < ridx.size and ridx[at] == k else 0.0
-        if abs(pivot) < pivot_floor or vlk > cond_thresh or vuk > cond_thresh:
-            status[k] = 2
-            n_dynamic += 1
-            continue
-        t = len(elim)
-        status[k] = 1
-        elim.append(k)
-        diag[t], v_low[t], v_up[t] = pivot, vlk, vuk
-        est_low = max(est_low, vlk)
-        est_up = max(est_up, vuk)
-        store(t, k, ridx, rval / pivot, est_up, u_caps[k], upper, col_pairs)
-        store(t, k, cidx, cval / pivot, est_low, l_caps[k], lower, row_pairs)
+    for k0 in range(0, ncand, block):
+        k1 = min(k0 + block, ncand)
+        t0 = len(elim)
+        row_sums, row_earlier = block_sums(acsr, k0, k1, t0, upper, lower)
+        col_sums, col_earlier = block_sums(acsc, k0, k1, t0, lower, upper)
+        for own in (row_mult, col_mult, row_has, col_has):
+            own.fill(0)
+        for k in range(k0, k1):
+            r, nblk = k - k0, len(elim) - t0
+            ridx, rval, vlk = gather(row_sums, r, row_earlier, row_mult, row_has, t0, nblk,
+                                     upper, v_low)
+            cidx, cval, vuk = gather(col_sums, r, col_earlier, col_mult, col_has, t0, nblk,
+                                     lower, v_up)
+            at = ridx.searchsorted(k)
+            pivot = rval[at] if at < ridx.size and ridx[at] == k else 0.0
+            if abs(pivot) < pivot_floor or vlk > cond_thresh or vuk > cond_thresh:
+                status[k] = 2
+                n_dynamic += 1
+                continue
+            t = len(elim)
+            status[k] = 1
+            elim.append(k)
+            diag[t], v_low[t], v_up[t] = pivot, vlk, vuk
+            est_low = max(est_low, vlk)
+            est_up = max(est_up, vuk)
+            store(t, k, k0, k1, t0, ridx, rval / pivot, est_up, u_caps[k], upper,
+                  col_mult, col_has)
+            store(t, k, k0, k1, t0, cidx, cval / pivot, est_low, l_caps[k], lower,
+                  row_mult, row_has)
 
     # -- the level in elimination-then-deferred order, and its Schur complement --
     n_b = len(elim)
@@ -344,10 +441,9 @@ def crout_ilu_level(
 
     def by_pivot(stored):
         """(rank, factor position, value) of every stored entry."""
-        idx, val, lens = stored
-        return (np.repeat(np.arange(n_b), lens[:n_b]),
-                pos[np.concatenate([np.zeros(0, np.intp), *idx])],
-                np.concatenate([np.zeros(0), *val]))
+        end = stored.ptr[n_b]
+        return (np.repeat(np.arange(n_b), np.diff(stored.ptr[:n_b + 1])),
+                pos[stored.idx[:end]], stored.val[:end])
 
     t, j, x = by_pivot(upper)
     u_mat = sp.csr_matrix((x, (t, j)), shape=(n, n))

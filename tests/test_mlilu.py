@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve_triangular
 
+from saddlesolve import cavity, mlilu
 from saddlesolve.krylov import GmresParams, PrecondOperator, fgmres
 from saddlesolve.mlilu import (
     FactorizationError,
@@ -503,12 +504,15 @@ def _dropping_level(n, seed):
     return as_csr(sp.csr_matrix(dense))
 
 
-@pytest.mark.parametrize("n, seed, n_trailing, params", [
+DROPPING_CASES = [
     (16, 1, 0, FactorParams(alpha=1.0, droptol=0.05)),
     (25, 2, 3, FactorParams(alpha=1.5, droptol=0.02)),
     (40, 3, 0, FactorParams(alpha=1.0, droptol=0.01, cond_thresh=10.0)),
     (40, 4, 5, FactorParams(alpha=2.0, droptol=0.1, cond_thresh=3.0)),
-])
+]
+
+
+@pytest.mark.parametrize("n, seed, n_trailing, params", DROPPING_CASES)
 def test_crout_level_matches_the_dense_reference_with_dropping(n, seed, n_trailing, params):
     # fixed seeds, not hypothesis: a drop or deferral decided by a rounding
     # tie would make a generated case flaky
@@ -528,3 +532,72 @@ def test_crout_level_matches_the_dense_reference_with_dropping(n, seed, n_traili
     expected = dense[nb:, nb:] - lower[nb:, :nb] @ np.diag(d) @ upper[:nb, nb:]
     np.testing.assert_allclose(schur.toarray(), expected, rtol=0,
                                atol=1e-12 * np.abs(dense).max())
+
+
+def _crout_in_blocks_of(block, a, params, ncand):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mlilu, "_BLOCK", block)
+        return crout_ilu_level(a, params, ncand)
+
+
+def _one_by_one(a, params, ncand):
+    """The level as one block: every update applied in the gathers, one
+    pivot after another, and the sparse product only copies A's rows."""
+    return _crout_in_blocks_of(a.shape[0], a, params, ncand)
+
+
+def _level_bits(level, schur):
+    return (level.order.tobytes(), level.D.tobytes(), level.n_dynamic_deferred,
+            _fingerprint(level.L, level.U, schur))
+
+
+@pytest.fixture(scope="module")
+def cavity_oseen_levels(cavity_level4, cavity_level4_stokes):
+    """The input of every Crout level of an L4 cavity Oseen factorization."""
+    calls = []
+    crout = mlilu.crout_ilu_level
+
+    def record(a, params, n_candidates=None):
+        calls.append((a.copy(), params, n_candidates))
+        return crout(a, params, n_candidates)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mlilu, "crout_ilu_level", record)
+        factorize(cavity.oseen_operator(cavity_level4, cavity_level4_stokes),
+                  FactorParams(dense_switch=50))
+    assert len(calls) >= 2 and calls[0][0].shape[0] > 3 * mlilu._BLOCK
+    return calls
+
+
+@pytest.mark.parametrize("block", [1, 3, mlilu._BLOCK])
+@pytest.mark.parametrize("n, seed, n_trailing, params", DROPPING_CASES)
+def test_block_size_changes_no_bit_of_a_dropping_level(n, seed, n_trailing, params, block):
+    a = _dropping_level(n, seed)
+    want = _level_bits(*_one_by_one(a, params, n - n_trailing))
+    assert _level_bits(*_crout_in_blocks_of(block, a, params, n - n_trailing)) == want
+
+
+@pytest.mark.parametrize("block", [1, 3, mlilu._BLOCK])
+def test_block_size_changes_no_bit_of_the_cavity_oseen_levels(cavity_oseen_levels, block):
+    for a, params, ncand in cavity_oseen_levels:
+        want = _level_bits(*_one_by_one(a, params, ncand))
+        assert _level_bits(*_crout_in_blocks_of(block, a, params, ncand)) == want
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(deferring_levels(), st.sampled_from([1, 3, mlilu._BLOCK]))
+def test_block_size_changes_no_value_at_zero_droptol(case, block):
+    """At droptol=0 nothing is dropped by value, and the sparse product
+    behind each block leaves out sums that are exactly zero where a
+    one-by-one gather stores them: so only explicit zeros may differ, and
+    the factors are compared as dense values."""
+    a, cond_thresh, n_trailing = case
+    n = a.shape[0]
+    params = FactorParams(alpha=float(n), droptol=0.0, cond_thresh=cond_thresh, pivot_floor=1e-2)
+    want, want_schur = _one_by_one(a, params, n - n_trailing)
+    got, got_schur = _crout_in_blocks_of(block, a, params, n - n_trailing)
+    assert np.array_equal(got.order, want.order)
+    assert got.D.tobytes() == want.D.tobytes()
+    assert got.n_dynamic_deferred == want.n_dynamic_deferred
+    for x, y in ((got.L, want.L), (got.U, want.U), (got_schur, want_schur)):
+        assert np.array_equal(x.toarray(), y.toarray())

@@ -1,10 +1,12 @@
 import numpy as np
+import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from saddlesolve.ordering import reorder
 from saddlesolve.sparse import as_csr
 
-from conftest import check_permutation
+from conftest import check_permutation, random_saddle, random_sparse
 
 
 def laplacian_2d(nx):
@@ -86,3 +88,32 @@ def test_saddle_matrix_orders_deterministically():
     order = reorder(a)
     check_permutation(order, nb + ne)
     assert np.array_equal(order, reorder(a))
+
+
+def complete_lu_order(a):
+    """The order of SuperLU's complete LU (splu) of the stand-in that
+    reorder factorizes: -1 on the pattern of A + A^T, and 2 + the column
+    count of that pattern on the diagonal."""
+    pat = sp.csr_matrix((np.ones_like(a.data), a.indices, a.indptr), shape=a.shape)
+    m = as_csr(pat + pat.T).tocsc()
+    m.data[:] = -1.0
+    m = (m + sp.diags(2.0 + np.diff(m.indptr))).tocsc()
+    lu = splu(m, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    return np.argsort(lu.perm_c)
+
+
+@pytest.mark.parametrize("a", [
+    laplacian_2d(12),
+    random_saddle(60, 25, seed=3),
+    random_sparse(50, 0.05, seed=1)[0],
+    random_sparse(120, 0.02, seed=2)[0],
+    random_sparse(200, 0.01, seed=3)[0],
+    random_sparse(80, 0.15, seed=4)[0],
+    random_sparse(400, 0.2, seed=5, diag_shift=1.0)[0],
+], ids=["grid-laplacian", "saddle", "unsym-50", "unsym-120", "unsym-200", "unsym-80-dense",
+        "schur-like-400"])
+def test_order_equals_the_complete_lu_order(a):
+    # the incomplete driver orders before any numeric work, as the complete
+    # one does, so dropping nearly every entry leaves the order unchanged
+    assert np.array_equal(reorder(a), complete_lu_order(a))
