@@ -16,21 +16,22 @@ deferred and trailing indices, S = A_NN - L_NB D U_BN, is one sparse
 product after the elimination.  It is factorized recursively; a dense LU
 with partial pivoting terminates the recursion.
 
-Each level's solve form, (L+I) as CSC and (U+I) as CSR with sorted
-indices, is built once, on the level's first solve, so every later
-application of the preconditioner is SuperLU's compiled substitution with
-no sparse conversion per call.
+Each level's solve forms, (L+I) as CSC and (U+I) as CSR with sorted
+indices and intc index arrays of their own, are built once, on the level's
+first solve.  Every later application of the preconditioner calls
+SuperLU's compiled substitution (gstrs) on them, and LAPACK's dgetrs on the
+dense tail, directly, with the arguments scipy's spsolve_triangular and
+lu_solve pass once their per-call set-up is done: the same bits without
+that set-up.
 
 Factorization is single-threaded and builds fresh state per call.  The
 returned MultilevelFactor is immutable and safe for concurrent solves: a
-solve reads L, U, D, the permutations and the scalings without changing
-them; the solve forms are the only state it adds, and each substitution
-writes 1.0 over their stored unit diagonal and nothing else.  Two first
-solves racing on a level build equal forms.  The dense-tail solve holds
-a module lock: concurrent scipy.linalg.lu_solve calls on one LU factor
-(LAPACK getrs, scipy 1.17 with OpenBLAS) can return wrong solutions, off
-by O(1) relative to serial ones.  L, U and D must not be changed once a
-level has been solved with.
+solve reads L, U, D, the permutations, the scalings and the solve forms
+and writes none of them; the forms are the only state it adds.  Two first
+solves racing on a level build equal forms.  The dense-tail solve holds a
+module lock: concurrent dgetrs calls on one LU factor (scipy 1.17 with
+OpenBLAS) can return wrong solutions, off by O(1) relative to serial
+ones.  L, U and D must not be changed once a level has been solved with.
 """
 
 from __future__ import annotations
@@ -40,11 +41,15 @@ import threading
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.linalg.lapack import dgetrs
+# the compiled substitution spsolve_triangular ends in, called without that
+# wrapper's per-call set-up; test_mlilu pins its bits to the public wrapper
+from scipy.sparse.linalg._dsolve._superlu import gstrs
 
 from .ordering import reorder
 from .sparse import as_csr
@@ -144,16 +149,42 @@ class LevelFactor:
 
     @cached_property
     def _solve_forms(self):
-        """(L+I) as CSC and (U+I) as CSR, both with sorted indices, built on
-        the first solve.  spsolve_triangular then substitutes on them as they
-        are: no copy, no structural insert, and with overwrite_A its
-        setdiag(1) only rewrites the stored unit diagonal."""
+        """The level's two substitutions, built on the first solve from
+        (L+I) as CSC and (U+I) as CSR with sorted indices: the arguments
+        spsolve_triangular hands SuperLU's gstrs once its per-call set-up
+        (unit diagonal, transpose, empty U, intc index casts) is done.  The
+        casts stay in the forms; L and U keep their own index arrays."""
         lo = self.L.tocsc()
         up = self.U.copy()
         for t in (lo, up):
             t.setdiag(1.0)
             t.sort_indices()
-        return lo, up
+        empty = (np.zeros(0), np.zeros(0, np.intc), np.zeros(self.n + 1, np.intc))
+        # the CSR (U+I) is read as the CSC of its transpose
+        return tuple(_Substitution(trans, t.data, t.indices.astype(np.intc, copy=False),
+                                   t.indptr.astype(np.intc, copy=False), empty)
+                     for trans, t in (("N", lo), ("T", up)))
+
+
+class _Substitution(NamedTuple):
+    """One unit-triangular solve in SuperLU's gstrs form: a CSC factor
+    (``trans`` "N") or the CSC of its transpose ("T"), and the empty
+    second factor gstrs requires.  gstrs reads the arrays and writes only
+    a copy of the right-hand side."""
+
+    trans: str
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    empty: tuple
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        n = self.indptr.size - 1
+        x, info = gstrs(self.trans, n, int(self.indptr[-1]), self.data, self.indices,
+                        self.indptr, n, 0, *self.empty, b)
+        if info:
+            raise np.linalg.LinAlgError("A is singular.")
+        return x
 
 
 @dataclass
@@ -277,7 +308,8 @@ def crout_ilu_level(
     scipy's compiled SMMP (Gustavson, ACM TOMS 1978).  In the block, a
     gather adds the updates of the block's own pivots to its row of that
     product, in rank order, in a dense accumulator; its sorted unique
-    indices are read off a boolean mask of the touched positions.  The sum
+    indices are read off a boolean mask of the touched positions.  A gather
+    with no in-block update only sorts its row of the product.  The sum
     of every entry thus runs in the order of one sequential gather, so the
     block size changes no value; SMMP only leaves out sums that are exactly
     zero, so at droptol=0 explicit zeros may be stored or not.
@@ -357,27 +389,33 @@ def crout_ilu_level(
         to the non-eliminated indices, and the estimator
         1 + |sum_t mult_t v_t|."""
         ptr, ranks, vals = earlier
-        s = own_has[r, :nblk].nonzero()[0]
-        own = s + t0
-        own_vals = own_mult[r, s]
-        p = stored.ptr
-        cuts = [slice(p[t], p[t + 1]) for t in own.tolist()]
+        mults, ts = vals[ptr[r]:ptr[r + 1]], ranks[ptr[r]:ptr[r + 1]]
         lo, hi = sums.indptr[r], sums.indptr[r + 1]
-        # intp indexes fastest; the flat buffers keep A's narrower index dtype
-        gi = np.concatenate([sums.indices[lo:hi], *[stored.idx[c] for c in cuts]],
-                            dtype=np.intp)
-        gv = np.concatenate([sums.data[lo:hi], *[stored.val[c] for c in cuts]])
-        gv[hi - lo:] *= (-own_vals * diag[own]).repeat([c.stop - c.start for c in cuts])
-        np.add.at(acc, gi, gv)
-        touched[gi] = True
-        uq = touched.nonzero()[0]
-        touched[uq] = False
-        total = acc[uq]
-        acc[uq] = 0.0
+        s = own_has[r, :nblk].nonzero()[0]
+        if s.size:
+            own = s + t0
+            own_vals = own_mult[r, s]
+            p = stored.ptr
+            cuts = [slice(p[t], p[t + 1]) for t in own.tolist()]
+            # intp indexes fastest; the flat buffers keep A's narrower index dtype
+            gi = np.concatenate([sums.indices[lo:hi], *[stored.idx[c] for c in cuts]],
+                                dtype=np.intp)
+            gv = np.concatenate([sums.data[lo:hi], *[stored.val[c] for c in cuts]])
+            gv[hi - lo:] *= (-own_vals * diag[own]).repeat([c.stop - c.start for c in cuts])
+            np.add.at(acc, gi, gv)
+            touched[gi] = True
+            uq = touched.nonzero()[0]
+            touched[uq] = False
+            total = acc[uq]
+            acc[uq] = 0.0
+            mults = np.concatenate([mults, own_vals])
+            ts = np.concatenate([ts, own])
+        else:
+            # no in-block update: SMMP stores each index of its row once and
+            # no exact zero, so the row is the sum as it is, only unsorted
+            at = sums.indices[lo:hi].argsort()
+            uq, total = sums.indices[lo:hi][at], sums.data[lo:hi][at]
         live = status[uq] != 1
-        lo, hi = ptr[r], ptr[r + 1]
-        mults = np.concatenate([vals[lo:hi], own_vals])
-        ts = np.concatenate([ranks[lo:hi], own])
         return uq[live], total[live], 1.0 + abs(mults @ v[ts])
 
     def _dual_drop(idx, val, est, cap):
@@ -540,18 +578,19 @@ def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
         if m.tail_n == 0:
             return v.copy()
         with _TAIL_LOCK:
-            return scipy.linalg.lu_solve(m.tail_lu, v, check_finite=False)
+            x, info = dgetrs(*m.tail_lu, v)
+        if info:
+            raise np.linalg.LinAlgError(f"illegal value in argument {-info} of getrs")
+        return x
     lev = m.levels[li]
     y = (lev.dr * v)[lev.order]
-    lo, up = lev._solve_forms
-    y = spsolve_triangular(lo, y, lower=True, unit_diagonal=True,
-                           overwrite_A=True, overwrite_b=True)
+    lower, upper = lev._solve_forms
+    y = lower(y)
     nb = lev.n_b
     if nb:
         y[:nb] /= lev.D
     y[nb:] = _solve_from(m, li + 1, y[nb:])
-    y = spsolve_triangular(up, y, lower=False, unit_diagonal=True,
-                           overwrite_A=True, overwrite_b=True)
+    y = upper(y)
     out = np.empty_like(y)
     out[lev.order] = y
     return out * lev.dc

@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -380,6 +381,42 @@ class TestSolvePath:
         for batch, results in zip(vs, threaded):
             for v, x in zip(batch, results):
                 assert np.array_equal(x, ml_solve(m, v))
+
+    @pytest.mark.parametrize("case", ["multilevel", "tail-only", "strided"])
+    def test_solve_never_writes_the_callers_vector(self, case):
+        if case == "tail-only":
+            m = factorize(random_saddle(80, 40, seed=22), FactorParams(dense_switch=200))
+            assert not m.levels and m.tail_n == m.n
+        else:
+            m = _saddle_factor()
+        rng = np.random.default_rng(26)
+        base = rng.standard_normal(2 * m.n if case == "strided" else m.n)
+        v = base[::2] if case == "strided" else base
+        kept = base.copy()
+        x = ml_solve(m, v)
+        assert np.array_equal(base, kept)
+        assert not np.shares_memory(x, base)
+
+    def test_int64_indices_solve_with_the_same_bits(self):
+        m = _saddle_factor()
+
+        def widened(mat):
+            mat = mat.copy()
+            mat.indices, mat.indptr = mat.indices.astype(np.int64), mat.indptr.astype(np.int64)
+            return mat
+
+        m64 = replace(m, levels=[replace(lev, L=widened(lev.L), U=widened(lev.U))
+                                 for lev in m.levels])
+        factors = [mat for lev in m64.levels for mat in (lev.L, lev.U)]
+        arrays = [(mat.indices, mat.indptr) for mat in factors]
+        before = _fingerprint(*factors)
+        rng = np.random.default_rng(27)
+        for _ in range(5):
+            v = rng.standard_normal(m.n)
+            assert np.array_equal(ml_solve(m64, v), ml_solve(m, v))
+        assert all(mat.indices is i and mat.indptr is p and i.dtype == p.dtype == np.int64
+                   for mat, (i, p) in zip(factors, arrays))
+        assert _fingerprint(*factors) == before
 
 
 @st.composite
