@@ -186,8 +186,8 @@ class _Quadrature:
     """Per-element-class basis tables; the mesh has two congruent triangle
     shapes (even/odd triangle index) with constant affine maps.  The global
     (rows, cols, shape) of every P2 x P2 (``vv``) and P1 x P2 (``pv``)
-    element entry are built once, class by class, so every assembly
-    scatters only its values, in the same class-by-class order."""
+    element entry are built once, class by class; the class loop of every
+    assembly and its scatter live in ``_assemble``."""
 
     def __init__(self, mesh: CavityMesh):
         phi, dphi = _p2_basis(_QP)
@@ -216,9 +216,18 @@ class _Quadrature:
         self.pv = (np.concatenate(pv[0]), np.concatenate(pv[1]), (npd, nv))
 
 
-def _scatter(pattern, vals):
-    rows, cols, shape = pattern
-    return as_csr(sp.coo_matrix((vals, (rows, cols)), shape=shape))
+def _assemble(quad: _Quadrature, local, pattern=None) -> sp.csr_matrix:
+    """The one class loop and scatter of every assembly: ``local(cls)`` is
+    a class's element matrices, (n_elem, a, b), or one (a, b) matrix shared
+    by all its elements; they are scattered, class by class, over
+    ``pattern`` (``quad.vv`` by default, or ``quad.pv``) and summed into a
+    canonical CSR matrix."""
+    rows, cols, shape = quad.vv if pattern is None else pattern
+    vals = []
+    for cls in quad.classes:
+        m = local(cls)
+        vals.append(np.broadcast_to(m, (cls["tri"].shape[0], *m.shape[-2:])).ravel())
+    return as_csr(sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=shape))
 
 
 @dataclass
@@ -260,20 +269,11 @@ def build_problem(level: int, re: float, bc_kind: str = "standard") -> CavityPro
     else:
         lid[on_lid] = 1.0 - mesh.nodes[on_lid, 0] ** 4
 
-    k_vals, ex_vals, ey_vals = [], [], []
     psi = quad.psi
-    for cls in quad.classes:
-        gx, gy, wdet = cls["gx"], cls["gy"], cls["wdet"]
-        ne = cls["tri"].shape[0]
-        k_loc = np.einsum("q,qa,qb->ab", wdet, gx, gx) + np.einsum("q,qa,qb->ab", wdet, gy, gy)
-        ex_loc = -np.einsum("q,qp,qb->pb", wdet, psi, gx)
-        ey_loc = -np.einsum("q,qp,qb->pb", wdet, psi, gy)
-        k_vals.append(np.tile(k_loc.ravel(), ne))
-        ex_vals.append(np.tile(ex_loc.ravel(), ne))
-        ey_vals.append(np.tile(ey_loc.ravel(), ne))
-
-    div_x = _scatter(quad.pv, np.concatenate(ex_vals))
-    div_y = _scatter(quad.pv, np.concatenate(ey_vals))
+    stiffness = _assemble(quad, lambda c: (np.einsum("q,qa,qb->ab", c["wdet"], c["gx"], c["gx"])
+                                           + np.einsum("q,qa,qb->ab", c["wdet"], c["gy"], c["gy"])))
+    div_x = _assemble(quad, lambda c: -np.einsum("q,qp,qb->pb", c["wdet"], psi, c["gx"]), quad.pv)
+    div_y = _assemble(quad, lambda c: -np.einsum("q,qp,qb->pb", c["wdet"], psi, c["gy"]), quad.pv)
     intr = mesh.interior
     return CavityProblem(
         mesh=mesh,
@@ -281,7 +281,7 @@ def build_problem(level: int, re: float, bc_kind: str = "standard") -> CavityPro
         nu=2.0 / re,
         lid_values=lid,
         quad=quad,
-        stiffness_full=_scatter(quad.vv, np.concatenate(k_vals)),
+        stiffness_full=stiffness,
         div_x_full=div_x,
         div_y_full=div_y,
         div_x_red=sp.csr_matrix(div_x[:, intr]),
@@ -309,33 +309,29 @@ def _convection_full(prob: CavityProblem, ux_full, uy_full) -> sp.csr_matrix:
     """Scalar advection operator int phi_a (u . grad phi_b) on the full
     node grid (identical for both velocity components)."""
     phi = prob.quad.phi
-    vals = []
-    for cls in prob.quad.classes:
+
+    def local(cls):
         tri, gx, gy, wdet = cls["tri"], cls["gx"], cls["gy"], cls["wdet"]
         uxq = ux_full[tri] @ phi.T
         uyq = uy_full[tri] @ phi.T
         ce = np.einsum("eq,qa,qb->eab", uxq * wdet, phi, gx)
         ce += np.einsum("eq,qa,qb->eab", uyq * wdet, phi, gy)
-        vals.append(ce.ravel())
-    return _scatter(prob.quad.vv, np.concatenate(vals))
+        return ce
+
+    return _assemble(prob.quad, local)
 
 
 def _cross_blocks_full(prob: CavityProblem, ux_full, uy_full):
     """The four int phi_a phi_b (d u_i / d x_j) blocks of the Newton cross
-    term, on the full node grid, as ((xx, xy), (yx, yy))."""
+    term, on the full node grid, keyed "xx", "xy", "yx" and "yy"."""
     phi = prob.quad.phi
-    parts = {key: [] for key in ("xx", "xy", "yx", "yy")}
-    for cls in prob.quad.classes:
-        tri, gx, gy, wdet = cls["tri"], cls["gx"], cls["gy"], cls["wdet"]
-        fields = {
-            "xx": ux_full[tri] @ gx.T,
-            "xy": ux_full[tri] @ gy.T,
-            "yx": uy_full[tri] @ gx.T,
-            "yy": uy_full[tri] @ gy.T,
-        }
-        for key, fq in fields.items():
-            parts[key].append(np.einsum("eq,qa,qb->eab", fq * wdet, phi, phi).ravel())
-    return {k: _scatter(prob.quad.vv, np.concatenate(v)) for k, v in parts.items()}
+
+    def block(u, g):
+        return _assemble(prob.quad, lambda c: np.einsum(
+            "eq,qa,qb->eab", (u[c["tri"]] @ c[g].T) * c["wdet"], phi, phi))
+
+    return {"xx": block(ux_full, "gx"), "xy": block(ux_full, "gy"),
+            "yx": block(uy_full, "gx"), "yy": block(uy_full, "gy")}
 
 
 def residual(prob: CavityProblem, x: np.ndarray) -> np.ndarray:

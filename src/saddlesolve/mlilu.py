@@ -320,12 +320,13 @@ def crout_ilu_level(
     vectorized transpose per block (the buffers' entries at the block's
     indices, stably sorted by index), those of the block's own pivots from
     a dense _BLOCK x _BLOCK array; the inverse-norm estimator dots them in
-    rank order.  A deferred index keeps its entries in the stored factors;
-    they are the L_NB and U_BN blocks of the Schur complement
-    S = A_NN - L_NB diag(D) U_BN over the non-eliminated indices N, formed
-    after the loop with one sparse product and keeping every stored entry
-    of A_NN.  Returns a LevelFactor (with unit scalings and the
-    dynamic-reordering order) and S.
+    rank order.  After the loop, L and U are built from the flat buffers:
+    each stored vector is a row of U (of L's transpose), its indices mapped
+    to factor positions.  A deferred index keeps its entries in them; they
+    are the L_NB and U_BN blocks of the Schur complement
+    S = A_NN - L_NB diag(D) U_BN over the non-eliminated indices N, one
+    sparse product that keeps every stored entry of A_NN.  Returns a
+    LevelFactor (with unit scalings and the dynamic-reordering order) and S.
     """
     acsr = as_csr(a)
     n = acsr.shape[0]
@@ -474,19 +475,17 @@ def crout_ilu_level(
     n_b = len(elim)
     nonelim = np.flatnonzero(status != 1)
     order = np.concatenate([np.asarray(elim, dtype=np.intp), nonelim])
-    pos = np.empty(n, dtype=np.intp)
+    pos = np.empty(n, dtype=acsr.indices.dtype)
     pos[order] = np.arange(n)
 
-    def by_pivot(stored):
-        """(rank, factor position, value) of every stored entry."""
-        end = stored.ptr[n_b]
-        return (np.repeat(np.arange(n_b), np.diff(stored.ptr[:n_b + 1])),
-                pos[stored.idx[:end]], stored.val[:end])
+    # the values are copied, so that U does not keep the whole buffer alive
+    def as_rows(f):
+        end = f.ptr[n_b]
+        return sp.csr_matrix((f.val[:end].copy(), pos[f.idx[:end]],
+                              np.pad(f.ptr[:n_b + 1], (0, n - n_b), mode="edge")), shape=(n, n))
 
-    t, j, x = by_pivot(upper)
-    u_mat = sp.csr_matrix((x, (t, j)), shape=(n, n))
-    t, j, x = by_pivot(lower)
-    l_mat = sp.csr_matrix((x, (j, t)), shape=(n, n))
+    u_mat = as_csr(as_rows(upper), overwrite_a=True)
+    l_mat = as_rows(lower).T.tocsr()
     d = diag[:n_b].copy()
     base = acsr[nonelim, :][:, nonelim].tocoo()
     prod = (l_mat[n_b:, :n_b] @ sp.diags(d) @ u_mat[:n_b, n_b:]).tocoo()

@@ -156,13 +156,12 @@ def refactor_needed(prev_gmres_iters: int, s_prev: np.ndarray,
                     cfg: SolverConfig) -> bool:
     """True when the previous inner solve was too long, the previous update
     was large relative to the iterate, or the Newton phase just started.
-    With a zero previous iterate the size test counts as satisfied, which
-    covers the very first outer step."""
+    With a zero previous iterate the size test counts as satisfied."""
     if first_newton:
         return True
     if prev_gmres_iters >= cfg.n_trigger:
         return True
-    return np.linalg.norm(s_prev) >= cfg.epsilon * np.linalg.norm(x_prev)
+    return bool(np.linalg.norm(s_prev) >= cfg.epsilon * np.linalg.norm(x_prev))
 
 
 def armijo_damp(residual: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -203,9 +202,7 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
     if norm_f0 == 0.0:
         raise ValueError("residual at the initial guess is zero; nothing to solve")
 
-    n = x.size
-    s_prev = np.ones(n)
-    x_prev = np.zeros(n)
+    s_prev = x_prev = None
     prev_iters = 0
     factor = None
     eta_prev = 0.0

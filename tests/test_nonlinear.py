@@ -255,7 +255,7 @@ class TestRefactorNeeded:
         (0, 0.79, 1.0, False, False),   # below epsilon
         (0, 0.0, 1.0, True, True),      # first newton alone
         (0, 0.0, 0.0, False, True),     # zero denominator counts as satisfied
-        (0, 1.0, 0.0, False, True),     # first outer step (x_prev = 0)
+        (0, 1.0, 0.0, False, True),     # zero previous iterate
         (25, 2.0, 1.0, True, True),     # all triggers together
     ]
 
@@ -263,8 +263,7 @@ class TestRefactorNeeded:
     def test_truth_table(self, iters, ns, nx, first, expected):
         s = np.array([ns])
         x = np.array([nx])
-        assert refactor_needed(iters, s, x, first, self.cfg) is bool(expected) or \
-            refactor_needed(iters, s, x, first, self.cfg) == expected
+        assert refactor_needed(iters, s, x, first, self.cfg) is expected
 
     def test_paper_threshold_default(self):
         assert SolverConfig().n_trigger == 20

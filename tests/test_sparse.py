@@ -8,7 +8,7 @@ from saddlesolve.mmio import mm_read
 from saddlesolve.ordering import _symmetric_pattern
 from saddlesolve.sparse import as_csr
 
-from conftest import random_sparse
+from conftest import random_saddle, random_sparse
 
 
 def permute_scale(a, order, dr, dc):
@@ -77,13 +77,27 @@ def _mm_read_shuffled_symmetric(tmp_path):
     return mm_read(path)
 
 
+def _crout_level_output(which):
+    """L, U or the Schur complement of one Crout level of a small int32
+    saddle matrix, its trailing block statically deferred."""
+    a = random_saddle(30, 10, seed=9)
+    assert a.indices.dtype == np.int32
+    level, schur = crout_ilu_level(a, FactorParams(), 30)
+    return {"crout_L": level.L, "crout_U": level.U, "crout_schur": schur}[which]
+
+
 @pytest.mark.parametrize("producer", ["oseen_operator", "newton_operator", "stokes_operator",
-                                      "mm_read", "symmetric_pattern"])
+                                      "mm_read", "symmetric_pattern",
+                                      "crout_L", "crout_U", "crout_schur"])
 def test_producers_return_canonical_csr(producer, tmp_path):
     if producer == "mm_read":
         m = _mm_read_shuffled_symmetric(tmp_path)
     elif producer == "symmetric_pattern":
         m = _symmetric_pattern(random_sparse(15, 0.2, seed=7)[0])
+    elif producer.startswith("crout_"):
+        m = _crout_level_output(producer)
+        # ml_solve_bytes counts these arrays: a widened index would move it
+        assert m.indices.dtype == np.int32 and m.indptr.dtype == np.int32
     else:
         m = _cavity_matrix(producer)
     assert isinstance(m, sp.csr_matrix)

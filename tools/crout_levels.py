@@ -10,8 +10,9 @@ the Stokes initial guess, then ``hybrid_newton``) with
 captured level is factorized N times (default 3) by each tree, the trees
 alternating, every call in a fresh subprocess with one BLAS thread.  For
 each level it prints n, the stored entries per row, the CPU seconds of each
-call (``time.process_time``) per tree, and ``same`` or ``DIFFERS`` for the
-bytes of the returned factor and Schur complement.  Exits 1 on any
+call (``time.process_time``) and their median per tree, and ``same`` or
+``DIFFERS`` for the dtypes and bytes of the returned factor and Schur
+complement; then the sum of each tree's per-level medians.  Exits 1 on any
 difference.
 """
 
@@ -44,14 +45,7 @@ def capture(a, params, n_candidates=None):
 
 mlilu.crout_ilu_level = capture
 prob = cavity.build_problem(6, 1000.0)
-nlp = nonlinear.NonlinearProblem(
-    residual=lambda x: cavity.residual(prob, x),
-    operator=lambda x, nt: (cavity.newton_operator(prob, x) if nt
-                            else cavity.oseen_operator(prob, x)),
-    sparsifier=lambda x, nt: cavity.oseen_operator(prob, x),
-    x0=cavity.stokes_initial_guess(prob),
-    null_basis=cavity.null_vector(prob),
-)
+nlp = cavity.nonlinear_problem(prob, cavity.stokes_initial_guess(prob))
 nonlinear.hybrid_newton(nlp, nonlinear.SolverConfig(sigma=1e-5, regime="high_re",
                                                     refine_steps=2))
 with open(f"{out}/calls.json", "w") as f:
@@ -73,10 +67,9 @@ start = time.process_time()
 level, schur = mlilu.crout_ilu_level(a, params, call["n_candidates"])
 seconds = time.process_time() - start
 h = hashlib.sha256()
-for m in (level.L.tocsr(), level.U.tocsr(), schur.tocsr()):
-    for arr in (m.data, m.indices.astype(np.int64), m.indptr.astype(np.int64)):
-        h.update(np.ascontiguousarray(arr).tobytes())
-for arr in (level.order, level.D, np.array([level.n_b, level.n_dynamic_deferred])):
+arrays = [arr for m in (level.L, level.U, schur) for arr in (m.data, m.indices, m.indptr)]
+for arr in (*arrays, level.order, level.D, np.array([level.n_b, level.n_dynamic_deferred])):
+    h.update(str(arr.dtype).encode())
     h.update(np.ascontiguousarray(arr).tobytes())
 print(seconds, h.hexdigest())
 """
@@ -101,6 +94,7 @@ def main(argv: list[str]) -> int:
             print(f"error: no saddlesolve package under {src}", file=sys.stderr)
             return 2
     differs = 0
+    medians = {name: [] for name in trees}
     with tempfile.TemporaryDirectory() as out:
         _python(trees["parent"], ["-c", CAPTURE, out])
         n_levels = len(list(Path(out).glob("level*.npz")))
@@ -116,10 +110,14 @@ def main(argv: list[str]) -> int:
                     digests[name].add(digest)
             same = len(digests["parent"] | digests["change"]) == 1
             differs += not same
+            for name in trees:
+                medians[name].append(float(np.median(seconds[name])))
             times = "  ".join(f"{name} " + "/".join(f"{s:.2f}" for s in seconds[name])
-                              for name in trees)
+                              + f" (median {medians[name][-1]:.2f})" for name in trees)
             print(f"level {i}: n {n}, {z['data'].size / n:.0f} nnz/row, CPU s {times}, "
                   f"{'same' if same else 'DIFFERS'}", flush=True)
+    print("summed medians, CPU s: "
+          + "  ".join(f"{name} {sum(medians[name]):.2f}" for name in trees))
     return 1 if differs else 0
 
 
