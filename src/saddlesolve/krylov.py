@@ -61,6 +61,9 @@ class PrecondOperator:
         self.refine_steps = refine_steps
         if null_basis is not None:
             null_basis = np.asarray(null_basis, dtype=np.float64)
+            if null_basis.shape != (factor.n,):
+                raise ValueError(f"null basis length {null_basis.shape} does not match "
+                                 f"factor size {factor.n}")
             nrm = np.linalg.norm(null_basis)
             if nrm == 0:
                 raise ValueError("null basis must be nonzero")

@@ -16,22 +16,19 @@ deferred and trailing indices, S = A_NN - L_NB D U_BN, is one sparse
 product after the elimination.  It is factorized recursively; a dense LU
 with partial pivoting terminates the recursion.
 
-Each level's solve forms, (L+I) as CSC and (U+I) as CSR with sorted
-indices and intc index arrays of their own, are built once, on the level's
-first solve.  Every later application of the preconditioner calls
-SuperLU's compiled substitution (gstrs) on them, and LAPACK's dgetrs on the
-dense tail, directly, with the arguments scipy's spsolve_triangular and
-lu_solve pass once their per-call set-up is done: the same bits without
-that set-up.
+Each level stores (L+I) as CSC and (U+I) as CSR with sorted indices, the
+unit-triangular forms its solves read.  Every application of the
+preconditioner calls SuperLU's compiled substitution (gstrs) on them, and
+LAPACK's dgetrs on the dense tail, directly, with the arguments scipy's
+spsolve_triangular and lu_solve pass once their per-call set-up is done:
+the same bits without that set-up.
 
 Factorization is single-threaded and builds fresh state per call.  The
-returned MultilevelFactor is immutable and safe for concurrent solves: a
-solve reads L, U, D, the permutations, the scalings and the solve forms
-and writes none of them; the forms are the only state it adds.  Two first
-solves racing on a level build equal forms.  The dense-tail solve holds a
-module lock: concurrent dgetrs calls on one LU factor (scipy 1.17 with
-OpenBLAS) can return wrong solutions, off by O(1) relative to serial
-ones.  L, U and D must not be changed once a level has been solved with.
+returned MultilevelFactor is safe for concurrent solves: a solve reads L,
+U, D, the permutations and the scalings and writes none of them.  The
+dense-tail solve holds a module lock: concurrent dgetrs calls on one LU
+factor (scipy 1.17 with OpenBLAS) can return wrong solutions, off by O(1)
+relative to serial ones.
 """
 
 from __future__ import annotations
@@ -40,8 +37,6 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -76,8 +71,9 @@ _BLOCK = 128  # pivot steps per blocked gather in crout_ilu_level
 
 
 class FactorizationError(ValueError):
-    """The matrix cannot be factorized as given (a structurally empty row
-    or column, or a dense tail too large to allocate)."""
+    """The matrix cannot be factorized as given (a non-finite entry, a
+    structurally empty row or column, or a dense tail too large to
+    allocate)."""
 
 
 @dataclass(frozen=True)
@@ -125,11 +121,13 @@ class FactorParams:
 class LevelFactor:
     """One level of the factorization, in the level's final ordering.
 
-    L is strictly lower with an implicit unit diagonal in its first n_b
-    columns; U is strictly upper in its first n_b rows.  order[i] is the
-    level's input index in factor position i (the same symmetric
-    permutation applies to rows and columns).  dr/dc are the equilibration
-    scalings in input order.
+    L is (L+I) as CSC and U is (U+I) as CSR, both with sorted indices: the
+    unit-triangular forms the level's solves read.  Off the diagonal, L has
+    entries only in its first n_b columns and U only in its first n_b rows.
+    order[i] is the level's input index in factor position i (the same
+    symmetric permutation applies to rows and columns).  dr/dc are the
+    equilibration scalings in input order.  nnz leaves out the 2n unit
+    diagonals.
     """
 
     n: int
@@ -137,7 +135,7 @@ class LevelFactor:
     order: np.ndarray
     dr: np.ndarray
     dc: np.ndarray
-    L: sp.csr_matrix
+    L: sp.csc_matrix
     U: sp.csr_matrix
     D: np.ndarray
     n_static_deferred: int = 0
@@ -145,46 +143,7 @@ class LevelFactor:
 
     @property
     def nnz(self) -> int:
-        return int(self.L.nnz + self.U.nnz + self.D.size)
-
-    @cached_property
-    def _solve_forms(self):
-        """The level's two substitutions, built on the first solve from
-        (L+I) as CSC and (U+I) as CSR with sorted indices: the arguments
-        spsolve_triangular hands SuperLU's gstrs once its per-call set-up
-        (unit diagonal, transpose, empty U, intc index casts) is done.  The
-        casts stay in the forms; L and U keep their own index arrays."""
-        lo = self.L.tocsc()
-        up = self.U.copy()
-        for t in (lo, up):
-            t.setdiag(1.0)
-            t.sort_indices()
-        empty = (np.zeros(0), np.zeros(0, np.intc), np.zeros(self.n + 1, np.intc))
-        # the CSR (U+I) is read as the CSC of its transpose
-        return tuple(_Substitution(trans, t.data, t.indices.astype(np.intc, copy=False),
-                                   t.indptr.astype(np.intc, copy=False), empty)
-                     for trans, t in (("N", lo), ("T", up)))
-
-
-class _Substitution(NamedTuple):
-    """One unit-triangular solve in SuperLU's gstrs form: a CSC factor
-    (``trans`` "N") or the CSC of its transpose ("T"), and the empty
-    second factor gstrs requires.  gstrs reads the arrays and writes only
-    a copy of the right-hand side."""
-
-    trans: str
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    empty: tuple
-
-    def __call__(self, b: np.ndarray) -> np.ndarray:
-        n = self.indptr.size - 1
-        x, info = gstrs(self.trans, n, int(self.indptr[-1]), self.data, self.indices,
-                        self.indptr, n, 0, *self.empty, b)
-        if info:
-            raise np.linalg.LinAlgError("A is singular.")
-        return x
+        return int(self.L.nnz + self.U.nnz - 2 * self.n + self.D.size)
 
 
 @dataclass
@@ -320,10 +279,12 @@ def crout_ilu_level(
     vectorized transpose per block (the buffers' entries at the block's
     indices, stably sorted by index), those of the block's own pivots from
     a dense _BLOCK x _BLOCK array; the inverse-norm estimator dots them in
-    rank order.  After the loop, L and U are built from the flat buffers:
-    each stored vector is a row of U (of L's transpose), its indices mapped
-    to factor positions.  A deferred index keeps its entries in them; they
-    are the L_NB and U_BN blocks of the Schur complement
+    rank order.  After the loop, (U+I) as CSR and (L+I) as CSC are built
+    from the flat buffers: each stored vector is a row of U (a column of
+    L), its indices mapped to factor positions and its unit diagonal put
+    in front, and rows (columns) n_b..n-1 hold only their diagonal.  A
+    deferred index keeps its entries in them; they are the L_NB and U_BN
+    blocks of the Schur complement
     S = A_NN - L_NB diag(D) U_BN over the non-eliminated indices N, one
     sparse product that keeps every stored entry of A_NN.  Returns a
     LevelFactor (with unit scalings and the dynamic-reordering order) and S.
@@ -478,17 +439,22 @@ def crout_ilu_level(
     pos = np.empty(n, dtype=acsr.indices.dtype)
     pos[order] = np.arange(n)
 
-    # the values are copied, so that U does not keep the whole buffer alive
-    def as_rows(f):
+    def unit_form(f, fmt):
+        # np.insert copies, so the factor does not keep the whole buffer alive
         end = f.ptr[n_b]
-        return sp.csr_matrix((f.val[:end].copy(), pos[f.idx[:end]],
-                              np.pad(f.ptr[:n_b + 1], (0, n - n_b), mode="edge")), shape=(n, n))
+        starts = np.pad(f.ptr[:n_b + 1], (0, n - n_b), mode="edge")
+        m = fmt((np.insert(f.val[:end], starts[:-1], 1.0),
+                 np.insert(pos[f.idx[:end]], starts[:-1], np.arange(n)),
+                 starts + np.arange(n + 1)), shape=(n, n))
+        m.sort_indices()
+        return m
 
-    u_mat = as_csr(as_rows(upper), overwrite_a=True)
-    l_mat = as_rows(lower).T.tocsr()
+    u_mat = unit_form(upper, sp.csr_matrix)
+    l_mat = unit_form(lower, sp.csc_matrix)
     d = diag[:n_b].copy()
     base = acsr[nonelim, :][:, nonelim].tocoo()
-    prod = (l_mat[n_b:, :n_b] @ sp.diags(d) @ u_mat[:n_b, n_b:]).tocoo()
+    # L's block as CSR: the product on the CSC block sums in another order
+    prod = (l_mat[n_b:, :n_b].tocsr() @ sp.diags(d) @ u_mat[:n_b, n_b:]).tocoo()
     # summed as COO, so the stored zeros of A_NN stay stored
     schur = sp.csr_matrix(
         (np.concatenate([base.data, -prod.data]),
@@ -507,12 +473,18 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
     statically defer, Crout-eliminate, then recurse on the Schur complement
     until it is small enough for a dense LU with partial pivoting.  A
     singular dense tail is perturbed (pivots pushed to a signed floor) and
-    flagged rather than failed; a tail larger than both dense_switch and
-    4000 is a FactorizationError, raised before the dense allocation."""
+    flagged rather than failed.  A non-finite stored entry, and a tail
+    larger than both dense_switch and 4000, are a FactorizationError,
+    raised before equilibration and before the dense allocation."""
     params = params or FactorParams()
     a = as_csr(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("factorize requires a square matrix")
+    finite = np.isfinite(a.data)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        row = int(np.searchsorted(a.indptr, k, side="right")) - 1
+        raise FactorizationError(f"non-finite entry {a.data[k]} at ({row}, {a.indices[k]})")
     n0 = a.shape[0]
     dense_switch = params.resolve_dense_switch(n0)
 
@@ -572,6 +544,24 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
     )
 
 
+_NO_DATA = np.zeros(0)
+_NO_INDICES = np.zeros(0, np.intc)
+
+
+def _substitute(trans: str, t, b: np.ndarray) -> np.ndarray:
+    """Unit-triangular solve on a stored form through SuperLU's gstrs: the
+    CSC (L+I) with ``trans`` "N", or the CSR (U+I), read as the CSC of its
+    transpose, with "T".  The second factor gstrs requires is empty, as in
+    spsolve_triangular.  gstrs writes only a copy of ``b``."""
+    n = t.shape[0]
+    x, info = gstrs(trans, n, t.nnz, t.data, t.indices.astype(np.intc, copy=False),
+                    t.indptr.astype(np.intc, copy=False), n, 0, _NO_DATA, _NO_INDICES,
+                    np.zeros(n + 1, np.intc), b)
+    if info:
+        raise np.linalg.LinAlgError("A is singular.")
+    return x
+
+
 def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
     if li == len(m.levels):
         if m.tail_n == 0:
@@ -583,13 +573,12 @@ def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
         return x
     lev = m.levels[li]
     y = (lev.dr * v)[lev.order]
-    lower, upper = lev._solve_forms
-    y = lower(y)
+    y = _substitute("N", lev.L, y)
     nb = lev.n_b
     if nb:
         y[:nb] /= lev.D
     y[nb:] = _solve_from(m, li + 1, y[nb:])
-    y = upper(y)
+    y = _substitute("T", lev.U, y)
     out = np.empty_like(y)
     out[lev.order] = y
     return out * lev.dc
@@ -597,9 +586,8 @@ def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
 
 def ml_solve(m: MultilevelFactor, v: np.ndarray) -> np.ndarray:
     """Apply the factored preconditioner: one multilevel forward/backward
-    substitution pass on each level's solve form (built on the first call,
-    reused after).  Leaves the factor unchanged; concurrent calls on one
-    factor are safe."""
+    substitution pass on each level's stored unit-triangular factors.
+    Leaves the factor unchanged; concurrent calls on one factor are safe."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (m.n,):
         raise ValueError(f"vector length {v.shape} does not match factor size {m.n}")

@@ -137,8 +137,8 @@ def reassemble(m):
             return tail_dense()
         lev = m.levels[li]
         n, nb = lev.n, lev.n_b
-        lf = lev.L.toarray() + np.eye(n)
-        uf = lev.U.toarray() + np.eye(n)
+        lf = lev.L.toarray()
+        uf = lev.U.toarray()
         mid = np.zeros((n, n))
         mid[:nb, :nb] = np.diag(lev.D)
         mid[nb:, nb:] = level_dense(li + 1)

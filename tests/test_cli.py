@@ -144,6 +144,30 @@ def test_cavity_factorization_error_writes_reports_and_fails(tmp_path, monkeypat
     assert "converged=0" in (tmp_path / "summary.txt").read_text()
 
 
+def test_cavity_l5_re5000_runs_out_of_armijo_halvings_in_the_picard_phase(tmp_path, monkeypatch):
+    # the high-Re limit of L5 (standard lid): the residual never reaches
+    # beta * ||F0||, Armijo halving runs out, and the run exits 1
+    from saddlesolve import cli
+    from saddlesolve.nonlinear import hybrid_newton
+
+    reports = []
+
+    def recording(nlp, cfg):
+        x, report = hybrid_newton(nlp, cfg)
+        reports.append(report)
+        return x, report
+
+    monkeypatch.setattr(cli, "hybrid_newton", recording)
+    rc = main(["cavity", "--level", "5", "--re", "5000", "--sigma", "1e-5",
+               "--regime", "high_re", "--output-dir", str(tmp_path)])
+    assert rc == 1
+    assert "converged=0" in (tmp_path / "summary.txt").read_text()
+    (report,) = reports
+    assert not report.converged
+    assert report.message.startswith("no residual decrease after 20 halvings")
+    assert report.steps and all(s.phase == "picard" for s in report.steps)
+
+
 def test_cavity_reruns_bit_identical(tmp_path):
     # the rerun contract of every subcommand: cavity, and linsolve and
     # factor-stats on the same problem's exported Stokes system

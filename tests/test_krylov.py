@@ -34,6 +34,14 @@ class TestApplyPrecond:
         z = p.apply(q.copy())
         assert abs(z @ q) <= 1e-12 * max(np.linalg.norm(z), 1.0)
 
+    @pytest.mark.parametrize("length", [19, 21])
+    def test_null_basis_of_another_length_is_refused_at_construction(self, length):
+        a, _ = random_sparse(20, 0.3, seed=32, diag_shift=3.0)
+        m = make_factor(a)
+        with pytest.raises(ValueError, match=rf"null basis length \({length},\) does not match "
+                                             r"factor size 20"):
+            PrecondOperator(m, j_op=a, null_basis=np.ones(length))
+
     def test_refinement_idempotent_at_exact_limit(self):
         # with an exact factor, K=2 refinement returns the same solution as
         # a direct dense solve (oracle)

@@ -146,8 +146,8 @@ class TestCroutLevel:
         a = as_csr(sp.csr_matrix(dense))
         level, schur = crout_ilu_level(a, FactorParams(alpha=5.0, droptol=0.0))
         assert level.n_b == 5 and schur.shape == (0, 0)
-        low = level.L.toarray() + np.eye(5)
-        up = level.U.toarray() + np.eye(5)
+        low = level.L.toarray()
+        up = level.U.toarray()
         rebuilt = low @ np.diag(np.concatenate([level.D])) @ up
         order = level.order
         assert np.linalg.norm(rebuilt - dense[order][:, order]) / np.linalg.norm(dense) <= 1e-12
@@ -156,7 +156,9 @@ class TestCroutLevel:
         a = as_csr(sp.eye(6, format="csr"))
         level, schur = crout_ilu_level(a, FactorParams(alpha=1.0, droptol=0.0))
         assert level.n_b == 6
-        assert level.L.nnz == 0 and level.U.nnz == 0
+        assert np.array_equal(level.L.toarray(), np.eye(6))
+        assert np.array_equal(level.U.toarray(), np.eye(6))
+        assert level.nnz == 6
         assert np.allclose(level.D, 1.0)
         assert level.n_dynamic_deferred == 0
 
@@ -227,8 +229,9 @@ class TestFactorize:
         pivots = lev.order[:lev.n_b]  # input index of each pivot
         caps_row = np.maximum(5, np.ceil(params.alpha * np.diff(a.indptr)[pivots]))
         caps_col = np.maximum(5, np.ceil(params.alpha * np.diff(a.tocsc().indptr)[pivots]))
-        assert np.all(np.diff(lev.U.indptr)[:lev.n_b] <= caps_row)
-        assert np.all(np.diff(lev.L.tocsc().indptr)[:lev.n_b] <= caps_col)
+        # each stored U row (L column) holds its unit diagonal besides the cap
+        assert np.all(np.diff(lev.U.indptr)[:lev.n_b] - 1 <= caps_row)
+        assert np.all(np.diff(lev.L.indptr)[:lev.n_b] - 1 <= caps_col)
 
     def test_fill_bound_aggregate(self):
         a, _ = random_sparse(120, 0.1, seed=11, diag_shift=2.0)
@@ -257,6 +260,23 @@ class TestFactorize:
         with pytest.raises(FactorizationError, match="dense tail of 4001 unknowns after 0 levels"):
             factorize(cyclic_permutation(4001))
         assert factorize(cyclic_permutation(600)).tail_n == 600
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_refused_before_equilibration(self, bad, monkeypatch):
+        # unchecked, a NaN factorizes without a word and FGMRES ends at
+        # relres nan; an inf trips a RuntimeWarning inside the scaling
+        a, _ = random_sparse(600, 0.01, seed=17, diag_shift=2.0)
+        assert a.indptr[322] - a.indptr[321] >= 2
+        k = a.indptr[321] + 1
+        a.data[k] = bad
+
+        def unreachable(m):
+            raise AssertionError("equilibrate was reached")
+
+        monkeypatch.setattr(mlilu, "equilibrate", unreachable)
+        with pytest.raises(FactorizationError,
+                           match=rf"^non-finite entry {bad} at \(321, {a.indices[k]}\)$"):
+            factorize(a)
 
     def test_deferral_soundness(self):
         a = random_saddle(40, 15, seed=6)
@@ -320,8 +340,8 @@ def _saddle_factor():
 
 
 def _substitute_on_stored_factors(m, v):
-    """The multilevel substitution spelled out on each level's strictly
-    triangular CSR factors L and U."""
+    """The multilevel substitution spelled out through scipy's public
+    spsolve_triangular on each level's stored unit-triangular L and U."""
 
     def walk(li, v):
         if li == len(m.levels):
@@ -356,9 +376,8 @@ class TestSolvePath:
         m = _saddle_factor()
         rng = np.random.default_rng(24)
 
-        def state():  # reading the solve forms builds them, before any solve
-            return [(_fingerprint(lev.L, lev.U, *lev._solve_forms), lev.D.tobytes())
-                    for lev in m.levels]
+        def state():
+            return [(_fingerprint(lev.L, lev.U), lev.D.tobytes()) for lev in m.levels]
 
         before = state()
         for _ in range(50):
@@ -366,7 +385,7 @@ class TestSolvePath:
         assert state() == before
 
     def test_concurrent_solves_match_serial_solves(self):
-        m = _saddle_factor()  # fresh: the threads also race to build the solve forms
+        m = _saddle_factor()
         rng = np.random.default_rng(25)
         vs = rng.standard_normal((4, 20, m.n))
         interval = sys.getswitchinterval()
@@ -496,7 +515,8 @@ def deferring_levels(draw):
 def test_crout_level_is_exact_at_zero_droptol(case):
     # dynamic deferrals mid-sequence move indices that earlier L columns and
     # U rows already reference into the Schur complement; at droptol=0 with
-    # caps >= n, PAP^T = (L+I) blockdiag(D, S) (U+I) must still hold
+    # caps >= n, PAP^T = (L+I) blockdiag(D, S) (U+I) must still hold, L and
+    # U being stored with their unit diagonals
     a, cond_thresh, n_trailing = case
     n = a.shape[0]
     params = FactorParams(alpha=float(n), droptol=0.0, cond_thresh=cond_thresh, pivot_floor=1e-2)
@@ -507,7 +527,7 @@ def test_crout_level_is_exact_at_zero_droptol(case):
     mid = np.zeros((n, n))
     mid[:nb, :nb] = np.diag(level.D)
     mid[nb:, nb:] = schur.toarray()
-    rebuilt = (level.L.toarray() + np.eye(n)) @ mid @ (level.U.toarray() + np.eye(n))
+    rebuilt = level.L.toarray() @ mid @ level.U.toarray()
     order = level.order
     dense = a.toarray()[order][:, order]
     assert np.linalg.norm(rebuilt - dense) <= 1e-10 * np.linalg.norm(dense)
@@ -560,9 +580,11 @@ def test_crout_level_matches_the_dense_reference_with_dropping(n, seed, n_traili
     assert np.array_equal(level.order, order)
     assert level.n_dynamic_deferred == n_dynamic and level.n_b == d.size
     for got, want in ((level.L, lower), (level.U, upper)):
-        # droptol > 0 keeps no zero value, so the nonzeros are the index set
-        assert np.array_equal(got.toarray() != 0, want != 0)
-        np.testing.assert_allclose(got.toarray(), want, rtol=1e-12, atol=0)
+        # droptol > 0 keeps no zero value, so the nonzeros are the index set;
+        # the reference is strictly triangular, the factor has a unit diagonal
+        got = got.toarray() - np.eye(n)
+        assert np.array_equal(got != 0, want != 0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     np.testing.assert_allclose(level.D, d, rtol=1e-12, atol=0)
     nb = d.size
     dense = a.toarray()[order][:, order]

@@ -210,6 +210,21 @@ class TestHybridNewton:
         assert rep.message == "structurally empty row 1"
         assert np.array_equal(x, np.zeros(2))
 
+    def test_non_finite_sparsifier_reported_not_raised(self):
+        def op(x, nt):
+            return as_csr(sp.eye(2, format="csr"))
+
+        def nan_entry(x, nt):
+            return as_csr(sp.csr_matrix(np.array([[1.0, np.nan], [0.0, 1.0]])))
+
+        prob = NonlinearProblem(residual=lambda x: x - np.array([1.0, 2.0]), operator=op,
+                                sparsifier=nan_entry, x0=np.zeros(2))
+        x, rep = hybrid_newton(prob, SolverConfig(factor_params=FactorParams(dense_switch=1)))
+        assert not rep.converged
+        assert rep.steps == []
+        assert rep.message == "non-finite entry nan at (0, 1)"
+        assert np.array_equal(x, np.zeros(2))
+
     @pytest.mark.parametrize("fixture", ["quadratic", "atan"])
     def test_one_residual_per_trial(self, fixture):
         # the accepted trial's residual is the next step's residual: the

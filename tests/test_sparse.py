@@ -78,8 +78,8 @@ def _mm_read_shuffled_symmetric(tmp_path):
 
 
 def _crout_level_output(which):
-    """L, U or the Schur complement of one Crout level of a small int32
-    saddle matrix, its trailing block statically deferred."""
+    """(L+I), (U+I) or the Schur complement of one Crout level of a small
+    int32 saddle matrix, its trailing block statically deferred."""
     a = random_saddle(30, 10, seed=9)
     assert a.indices.dtype == np.int32
     level, schur = crout_ilu_level(a, FactorParams(), 30)
@@ -100,7 +100,8 @@ def test_producers_return_canonical_csr(producer, tmp_path):
         assert m.indices.dtype == np.int32 and m.indptr.dtype == np.int32
     else:
         m = _cavity_matrix(producer)
-    assert isinstance(m, sp.csr_matrix)
+    # (L+I) is stored as CSC, the form its forward substitution reads
+    assert isinstance(m, sp.csc_matrix if producer == "crout_L" else sp.csr_matrix)
     assert m.has_canonical_format
 
 

@@ -7,14 +7,17 @@ Both trees run the same CLI commands, each with PYTHONPATH set to its own
 ``src`` and one BLAS thread: four cavity runs, and ``linsolve`` and
 ``factor-stats`` on the level-4 Re 100 Stokes system, which the first tree
 exports once so both sides read the same files.  Every CSV and Matrix
-Market artifact is compared byte for byte; ``summary.txt`` is left out
-because it holds the wall time.  Prints ``same <artifact>`` or
+Market artifact is compared byte for byte, and so is each run's
+``summary.txt`` with its ``wall_seconds=`` field removed, so that the
+converged flag, the counts, ``final_normF`` and ``factor_nnz`` /
+``total_nnz`` are checked too.  Prints ``same <artifact>`` or
 ``DIFFERS <artifact>`` per artifact and exits 1 on any difference.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -58,9 +61,20 @@ def _run_tree(src: Path, out: Path, system: Path) -> list[str]:
                   "--refine-steps", "2", "--output-dir", str(out / "linsolve")])
     _python(src, [*cli, "factor-stats", "--matrix", str(system / "stokes.mtx"),
                   "--output-dir", str(out / "factor-stats")])
-    return ([f"{name}/{f}" for name in CAVITY_RUNS for f in ("convergence.csv", "solution.csv")]
-            + ["linsolve/solution.mtx", "linsolve/residual_history.csv",
-               "factor-stats/factor_stats.csv"])
+    return ([f"{name}/{f}" for name in CAVITY_RUNS
+             for f in ("convergence.csv", "solution.csv", "summary.txt")]
+            + ["linsolve/solution.mtx", "linsolve/residual_history.csv", "linsolve/summary.txt",
+               "factor-stats/factor_stats.csv", "factor-stats/summary.txt"])
+
+
+def _content(path: Path) -> bytes | None:
+    """The artifact's bytes, a summary's without its wall time; None if absent."""
+    if not path.is_file():
+        return None
+    data = path.read_bytes()
+    if path.name == "summary.txt":
+        data = re.sub(rb" wall_seconds=\S+", b"", data)
+    return data
 
 
 def main(argv: list[str]) -> int:
@@ -81,8 +95,8 @@ def main(argv: list[str]) -> int:
         _run_tree(change, tmp / "change", system)
         differs = 0
         for name in artifacts:
-            a, b = tmp / "parent" / name, tmp / "change" / name
-            same = a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
+            a, b = _content(tmp / "parent" / name), _content(tmp / "change" / name)
+            same = a is not None and a == b
             differs += not same
             print(f"{'same' if same else 'DIFFERS'} {name}")
     return 1 if differs else 0
