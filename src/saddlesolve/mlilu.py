@@ -6,10 +6,13 @@ of unstable pivots and dual dropping (inverse-based drop tolerance plus a
 per-row/column fill cap).  The elimination runs in blocks of pivot steps.
 Before each block, one compiled sparse product per side gathers the
 block's rows (columns) of A minus the updates of every pivot accepted so
-far; in the block, each step adds the updates of the block's own earlier
-pivots in a dense accumulator.  Every entry is summed in the order of one
-sequential gather, A's entry first and then the pivots by rank, so the
-block size changes no value.  Each accepted pivot stores its U row and L
+far.  The block's longest leading run of indices that no row or column of
+those products links to another index of the run is eliminated in one
+vectorized step, since no pivot of it updates another; after it, each
+step adds the updates of the block's own earlier pivots in a dense
+accumulator.  Every entry is summed in the order of one sequential
+gather, A's entry first and then the pivots by rank, so the block size
+changes no value.  Each accepted pivot stores its U row and L
 column once, in the level's input indices, in flat buffers; an index
 deferred later simply stays in them.  The Schur complement over all
 deferred and trailing indices, S = A_NN - L_NB D U_BN, is one sparse
@@ -216,7 +219,9 @@ class _Flat:
         self.val = np.empty(capacity)
         self.ptr = np.zeros(count + 1, dtype=np.intp)
 
-    def append(self, t: int, idx: np.ndarray, val: np.ndarray) -> None:
+    def append(self, t: int, idx: np.ndarray, val: np.ndarray, sizes=None) -> None:
+        """Store vector t, or with ``sizes`` the vectors t, t + 1, ... of
+        those sizes, back to back in ``idx`` and ``val``."""
         start = self.ptr[t]
         end = start + idx.size
         if end > self.val.size:
@@ -225,7 +230,10 @@ class _Flat:
             self.val = np.concatenate([self.val[:start], np.empty(size - start)])
         self.idx[start:end] = idx
         self.val[start:end] = val
-        self.ptr[t + 1] = end
+        if sizes is None:
+            self.ptr[t + 1] = end
+        else:
+            self.ptr[t + 1:t + 1 + len(sizes)] = start + np.cumsum(sizes)
 
     def at_indices(self, t0: int, k0: int, k1: int):
         """The entries of the first t0 vectors at indices k0..k1-1, grouped
@@ -240,6 +248,23 @@ class _Flat:
         np.cumsum(np.bincount(rows, minlength=k1 - k0), out=ptr[1:])
         ranks = np.searchsorted(self.ptr[:t0 + 1], at, side="right") - 1
         return ptr, ranks, self.val[at]
+
+
+def _independent_prefix(k0: int, *products) -> int:
+    """The length of the longest prefix of a block of indices k0, k0 + 1,
+    ... in which no row of any block product (row i for index k0 + i)
+    holds another prefix index: the least max(i, j) over the products'
+    entries (i, k0 + j) with j in the block and i != j, or the block's
+    size.  It is at least 1."""
+    nr = products[0].shape[0]
+    size = nr
+    for m in products:
+        rows = np.repeat(np.arange(nr), np.diff(m.indptr))
+        cols = m.indices - k0
+        hit = (cols >= 0) & (cols < nr) & (cols != rows)
+        if hit.any():
+            size = min(size, int(np.maximum(rows[hit], cols[hit]).min()))
+    return size
 
 
 def crout_ilu_level(
@@ -272,6 +297,18 @@ def crout_ilu_level(
     of every entry thus runs in the order of one sequential gather, so the
     block size changes no value; SMMP only leaves out sums that are exactly
     zero, so at droptol=0 explicit zeros may be stored or not.
+
+    Each block first takes its independent prefix, the longest run
+    k0..k0+L-1 in which no row of either product holds another index of
+    the run (_independent_prefix).  No pivot of the run then reaches
+    another, so each of its gathers is its row of the product unchanged,
+    and the L pivots are eliminated in one step, in index order: one
+    segmented sort and status filter per side, one estimator dot per row
+    (the same call as in gather, so the same bits), a vectorized deferral
+    test, the running maxima by np.maximum.accumulate, a segmented drop
+    and cap, one append per side, and their multipliers at the rest of
+    the block recorded as in store.  The rest of the block runs one pivot
+    at a time.
 
     An accepted pivot stores its dropped U row and L column once, in
     ``a``'s indices, at the end of flat index/value buffers.  The block's
@@ -401,6 +438,48 @@ def crout_ilu_level(
         own_mult[idx[lo:hi] - k0, t - t0] = val[lo:hi]
         own_has[idx[lo:hi] - k0, t - t0] = True
 
+    def prefix_rows(sums, earlier, v, npre):
+        """Rows 0..npre-1 of a block product, which no pivot of the prefix
+        updates: their entries sorted within each row and restricted to the
+        non-eliminated indices, as (row, index, value) arrays, and each
+        row's estimator 1 + |sum_t mult_t v_t|, one dot per row as in
+        gather."""
+        end = sums.indptr[npre]
+        seg = np.repeat(np.arange(npre), np.diff(sums.indptr[:npre + 1]))
+        at = np.lexsort((sums.indices[:end], seg))
+        seg, idx, val = seg[at], sums.indices[:end][at], sums.data[:end][at]
+        live = status[idx] != 1
+        ptr, ranks, vals = earlier
+        est = np.array([1.0 + abs(vals[ptr[r]:ptr[r + 1]] @ v[ranks[ptr[r]:ptr[r + 1]]])
+                        for r in range(npre)])
+        return seg[live], idx[live], val[live], est
+
+    def store_prefix(k0, k1, t0, t, rank, seg, idx, val, pivot, est, caps, stored,
+                     own_mult, own_has):
+        """store for the prefix's accepted pivots, ranks t, t + 1, ..., at
+        once: ``rank`` is each prefix row's place among them (-1 if
+        deferred); ``pivot``, ``est`` and ``caps`` are by that place, ``est``
+        the running maximum each pivot drops with."""
+        keep = (rank[seg] >= 0) & (idx != k0 + seg)
+        r, idx = rank[seg[keep]], idx[keep]
+        val = val[keep] / pivot[r]
+        if droptol > 0.0:
+            keep = np.abs(val) * est[r] > droptol
+            r, idx, val = r[keep], idx[keep], val[keep]
+        sizes = np.bincount(r, minlength=pivot.size)
+        if np.any(sizes > caps):
+            # in each vector, the cap largest magnitudes, ties to the lower index
+            at = np.lexsort((idx, -np.abs(val), r))
+            first = np.cumsum(sizes) - sizes
+            keep = np.empty(r.size, dtype=bool)
+            keep[at] = np.arange(r.size) - first[r[at]] < caps[r[at]]
+            r, idx, val = r[keep], idx[keep], val[keep]
+            sizes = np.minimum(sizes, caps)
+        stored.append(t, idx, val, sizes)
+        own = (idx >= k0) & (idx < k1)
+        own_mult[idx[own] - k0, r[own] + (t - t0)] = val[own]
+        own_has[idx[own] - k0, r[own] + (t - t0)] = True
+
     n_dynamic = 0
     for k0 in range(0, ncand, block):
         k1 = min(k0 + block, ncand)
@@ -409,7 +488,32 @@ def crout_ilu_level(
         col_sums, col_earlier = block_sums(acsc, k0, k1, t0, lower, upper)
         for own in (row_mult, col_mult, row_has, col_has):
             own.fill(0)
-        for k in range(k0, k1):
+
+        # the independent prefix: every gather is its row of the products
+        npre = _independent_prefix(k0, row_sums, col_sums)
+        rseg, ridx, rval, vlk = prefix_rows(row_sums, row_earlier, v_low, npre)
+        cseg, cidx, cval, vuk = prefix_rows(col_sums, col_earlier, v_up, npre)
+        on_diag = ridx == k0 + rseg
+        pivot = np.zeros(npre)
+        pivot[rseg[on_diag]] = rval[on_diag]
+        accept = ~((np.abs(pivot) < pivot_floor) | (vlk > cond_thresh) | (vuk > cond_thresh))
+        status[k0:k0 + npre] = np.where(accept, 1, 2)
+        kept = np.flatnonzero(accept)
+        n_dynamic += npre - kept.size
+        t, t1 = len(elim), len(elim) + kept.size
+        elim.extend((k0 + kept).tolist())
+        diag[t:t1], v_low[t:t1], v_up[t:t1] = pivot[kept], vlk[kept], vuk[kept]
+        run_low = np.maximum.accumulate(np.r_[est_low, vlk[kept]])
+        run_up = np.maximum.accumulate(np.r_[est_up, vuk[kept]])
+        est_low, est_up = run_low[-1], run_up[-1]
+        rank = np.full(npre, -1)
+        rank[kept] = np.arange(kept.size)
+        store_prefix(k0, k1, t0, t, rank, rseg, ridx, rval, diag[t:t1], run_up[1:],
+                     u_caps[k0 + kept], upper, col_mult, col_has)
+        store_prefix(k0, k1, t0, t, rank, cseg, cidx, cval, diag[t:t1], run_low[1:],
+                     l_caps[k0 + kept], lower, row_mult, row_has)
+
+        for k in range(k0 + npre, k1):
             r, nblk = k - k0, len(elim) - t0
             ridx, rval, vlk = gather(row_sums, r, row_earlier, row_mult, row_has, t0, nblk,
                                      upper, v_low)

@@ -1,8 +1,14 @@
 """File exchange: Matrix Market for matrices and vectors, CSV for run artifacts.
 
 Coordinate (real/integer, general/symmetric/skew-symmetric) or array format
-for matrices and array format for vectors; numpy's compiled reader parses the
-data lines.  Symmetric files hold the lower triangle and skew-symmetric ones
+for matrices and array format for vectors.  The reader takes the header and
+the lines up to the size line one at a time, then the body in one read;
+whole comment lines ('%' first) and blank lines may stand anywhere, and
+comment lines are cut out of the body only when it holds a '%'.  numpy's
+compiled reader parses the rest: one record per coordinate line, one value
+per array token.  A '%' after data on a line is malformed.  Only a body
+that fails to parse is split into numbered lines, to name the bad one.
+Symmetric files hold the lower triangle and skew-symmetric ones
 the strict lower triangle, as scipy's mmwrite writes them.  Values are written
 with 17 significant digits (a bitwise round trip); NaN or infinite values are
 rejected.  Indices are 1-based on disk and 0-based in memory.
@@ -10,8 +16,6 @@ rejected.  Indices are 1-based on disk and 0-based in memory.
 
 from __future__ import annotations
 
-import itertools
-import operator
 import re
 import warnings
 
@@ -44,53 +48,55 @@ def mm_read(path, kind: str = "matrix"):
     if kind not in ("matrix", "vector"):
         raise ValueError(f"kind must be 'matrix' or 'vector', got {kind!r}")
     with open(path, "r", encoding="ascii") as f:
-        lines = f.readlines()
-    if not lines:
+        first = f.readline()
+        # the comments and blank lines up to the size line one by one, then the body at once
+        size_no, size_line = 2, f.readline()
+        while size_line and (size_line.startswith("%") or not size_line.strip()):
+            size_no, size_line = size_no + 1, f.readline()
+        text = f.read()
+    if not first:
         raise MatrixMarketError(f"{path}: empty file")
 
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 5 or header[0] != "%%MatrixMarket":
-        _fail(path, 1, lines[0], "expected '%%MatrixMarket object format field symmetry' header")
+        _fail(path, 1, first, "expected '%%MatrixMarket object format field symmetry' header")
     obj, fmt, field, symmetry = (w.lower() for w in header[1:])
     if obj != "matrix":
-        _fail(path, 1, lines[0], f"unsupported object {obj!r}")
+        _fail(path, 1, first, f"unsupported object {obj!r}")
     if fmt not in ("coordinate", "array"):
-        _fail(path, 1, lines[0], f"unsupported format {fmt!r}")
+        _fail(path, 1, first, f"unsupported format {fmt!r}")
     if field in ("complex", "pattern"):
-        _fail(path, 1, lines[0], f"unsupported field type {field!r}")
+        _fail(path, 1, first, f"unsupported field type {field!r}")
     if field not in ("real", "integer"):
-        _fail(path, 1, lines[0], f"unknown field type {field!r}")
+        _fail(path, 1, first, f"unknown field type {field!r}")
     if symmetry not in ("general", "symmetric", "skew-symmetric"):
-        _fail(path, 1, lines[0], f"unsupported symmetry {symmetry!r}")
+        _fail(path, 1, first, f"unsupported symmetry {symmetry!r}")
 
-    # skip comments and blank lines up to the size line
-    pos = 1
-    while pos < len(lines) and (lines[pos].startswith("%") or not lines[pos].strip()):
-        pos += 1
-    if pos >= len(lines):
+    if not size_line:
         raise MatrixMarketError(f"{path}: missing size line")
     coordinate = fmt == "coordinate"
-    size_tok = lines[pos].split()
+    size_tok = size_line.split()
     if len(size_tok) != (3 if coordinate else 2):
-        _fail(path, pos + 1, lines[pos], "coordinate size line needs 'nrows ncols nnz'"
+        _fail(path, size_no, size_line, "coordinate size line needs 'nrows ncols nnz'"
               if coordinate else "array size line needs 'nrows ncols'")
     try:
         sizes = [int(t) for t in size_tok]
     except ValueError:
-        _fail(path, pos + 1, lines[pos], "size line entries must be integers")
+        _fail(path, size_no, size_line, "size line entries must be integers")
     if not coordinate and symmetry != "general":
-        _fail(path, pos + 1, lines[pos], "symmetric array storage not supported")
+        _fail(path, size_no, size_line, "symmetric array storage not supported")
     if min(sizes) < 0:
-        _fail(path, pos + 1, lines[pos], "sizes must be nonnegative")
+        _fail(path, size_no, size_line, "sizes must be nonnegative")
     nrows, ncols = sizes[:2]
     if kind == "vector" and ncols != 1:
         raise MatrixMarketError(f"{path}: vector requested but file has {ncols} columns")
 
     # the declared count is never used to allocate, so an impossible one fails cheaply
-    body = _parse_body(path, lines, pos + 1, coordinate)
+    start = size_no + 1
+    body = _parse_body(path, text, start, coordinate)
     want, noun = (sizes[2], "entries") if coordinate else (nrows * ncols, "values")
     if not coordinate and body.size > want:  # name the line that runs over
-        data = _data_lines(lines, pos + 1)
+        data = _data_lines(text, start)
         over = np.cumsum([len(line.split()) for _, line in data]) > want
         _fail(path, *data[over.argmax()], f"more than the declared {want} values")
     if body.size != want:
@@ -102,13 +108,13 @@ def mm_read(path, kind: str = "matrix"):
     rows, cols = body["i"] - 1, body["j"] - 1
     bad = (rows < 0) | (rows >= nrows) | (cols < 0) | (cols >= ncols)
     if bad.any():
-        _fail(path, *_data_lines(lines, pos + 1)[bad.argmax()], "index out of declared range")
+        _fail(path, *_data_lines(text, start)[bad.argmax()], "index out of declared range")
     vals = _finite(path, body["v"])
     if symmetry != "general":  # the file holds the lower triangle (strict if skew): mirror it
         skew = symmetry == "skew-symmetric"
         upper = rows <= cols if skew else rows < cols
         if upper.any():
-            _fail(path, *_data_lines(lines, pos + 1)[upper.argmax()],
+            _fail(path, *_data_lines(text, start)[upper.argmax()],
                   f"entry outside the lower triangle that {symmetry} storage holds")
         off = rows != cols
         rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
@@ -129,15 +135,19 @@ def _loadtxt(rows, dtype):
             return None
 
 
-def _parse_body(path, lines, start, coordinate: bool) -> np.ndarray:
-    """Parse lines[start:] with numpy's compiled reader: an (i, j, v) record per coordinate
-    line, a float per array token; if that fails, name the first bad data line."""
+_COMMENT_LINE = re.compile(r"^%.*\n?", re.MULTILINE)
+
+
+def _parse_body(path, text, start, coordinate: bool) -> np.ndarray:
+    """Parse the body text, whose first line is file line ``start``, with numpy's
+    compiled reader: an (i, j, v) record per coordinate line, a float per array
+    token; if that fails, name the first bad data line."""
     entry = np.dtype([("i", np.intp), ("j", np.intp), ("v", np.float64)])
-    body = list(itertools.filterfalse(operator.methodcaller("startswith", "%"), lines[start:]))
-    parsed = _loadtxt(body, entry) if coordinate else _loadtxt("".join(body).split(), np.float64)
+    data = _COMMENT_LINE.sub("", text) if "%" in text else text
+    parsed = _loadtxt(data.split("\n"), entry) if coordinate else _loadtxt(data.split(), np.float64)
     if parsed is not None:
         return parsed
-    for lineno, line in _data_lines(lines, start):
+    for lineno, line in _data_lines(text, start):
         tok = line.split()
         if not coordinate:
             for t in tok:
@@ -154,9 +164,9 @@ def _parse_body(path, lines, start, coordinate: bool) -> np.ndarray:
     raise MatrixMarketError(f"{path}: data lines do not parse")
 
 
-def _data_lines(lines, start):
-    """(file line number, text) of each data line, to name a bad one."""
-    return [(n + 1, line) for n, line in enumerate(lines[start:], start)
+def _data_lines(text, start):
+    """(file line number, text) of each data line of the body, to name a bad one."""
+    return [(n, line) for n, line in enumerate(text.split("\n"), start)
             if line.strip() and not line.startswith("%")]
 
 

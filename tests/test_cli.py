@@ -168,6 +168,44 @@ def test_cavity_l5_re5000_runs_out_of_armijo_halvings_in_the_picard_phase(tmp_pa
     assert report.steps and all(s.phase == "picard" for s in report.steps)
 
 
+def test_exact_lu_control_fails_at_l5_re5000_the_same_way(tmp_path, monkeypatch):
+    # the baseline a robustness claim for the preconditioner must beat: the
+    # unchanged driver with an exact LU of the sparsifier, its last pressure
+    # unknown pinned, in place of the multilevel ILU also runs out of Armijo
+    # halvings in the Picard phase, so the L5 limit is not the ILU's
+    from types import SimpleNamespace
+
+    from scipy.sparse.linalg import splu
+
+    from saddlesolve import cli, krylov, nonlinear
+
+    def exact_factorize(a, params):
+        lu = splu(sp.csc_matrix(a)[:-1, :-1], permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+        return SimpleNamespace(n=a.shape[0], lu=lu)
+
+    def exact_solve(factor, v):
+        return np.append(factor.lu.solve(v[:-1]), 0.0)
+
+    reports = []
+
+    def recording(nlp, cfg):
+        x, report = nonlinear.hybrid_newton(nlp, cfg)
+        reports.append(report)
+        return x, report
+
+    monkeypatch.setattr(nonlinear, "factorize", exact_factorize)
+    monkeypatch.setattr(krylov, "ml_solve", exact_solve)
+    monkeypatch.setattr(cli, "hybrid_newton", recording)
+    rc = main(["cavity", "--level", "5", "--re", "5000", "--sigma", "1e-5",
+               "--regime", "high_re", "--output-dir", str(tmp_path)])
+    assert rc == 1
+    (report,) = reports
+    assert not report.converged
+    assert report.message.startswith("no residual decrease after 20 halvings")
+    assert report.steps and all(s.phase == "picard" for s in report.steps)
+
+
 def test_cavity_reruns_bit_identical(tmp_path):
     # the rerun contract of every subcommand: cavity, and linsolve and
     # factor-stats on the same problem's exported Stokes system

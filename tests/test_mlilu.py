@@ -628,6 +628,44 @@ def cavity_oseen_levels(cavity_level4, cavity_level4_stokes):
     return calls
 
 
+def _block_product(nr, k0, entries, n=20):
+    """An nr-row CSR product over n indices with unit values at the
+    (row, index) pairs of ``entries``."""
+    rows, cols = zip(*entries) if entries else ((), ())
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(nr, n))
+
+
+def test_independent_prefix_is_the_whole_block_when_no_row_reaches_another():
+    k0, nr = 5, 4
+    # every row holds its own index, and indices before and after the block
+    entries = [(i, k0 + i) for i in range(nr)] + [(0, 2), (1, 19), (3, k0 + nr), (2, 0)]
+    rows = _block_product(nr, k0, entries)
+    cols = _block_product(nr, k0, [(i, k0 + i) for i in range(nr)] + [(1, 3)])
+    assert mlilu._independent_prefix(k0, rows, cols) == nr
+    assert mlilu._independent_prefix(k0, _block_product(nr, k0, []),
+                                     _block_product(nr, k0, [])) == nr
+
+
+@pytest.mark.parametrize("i, j", [(0, 3), (3, 0), (1, 2), (2, 1), (0, 1), (5, 4)])
+@pytest.mark.parametrize("side", [0, 1])
+def test_independent_prefix_ends_at_the_later_of_two_linked_indices(i, j, side):
+    k0, nr = 7, 6
+    diagonal = [(r, k0 + r) for r in range(nr)]
+    products = [_block_product(nr, k0, diagonal), _block_product(nr, k0, diagonal)]
+    products[side] = _block_product(nr, k0, diagonal + [(i, k0 + j)])
+    assert mlilu._independent_prefix(k0, *products) == max(i, j)
+
+
+def test_independent_prefix_is_never_empty_and_takes_the_first_link():
+    k0, nr = 0, 5
+    full = [(i, j) for i in range(nr) for j in range(nr)]
+    assert mlilu._independent_prefix(k0, _block_product(nr, k0, full),
+                                     _block_product(nr, k0, full)) == 1
+    rows = _block_product(nr, k0, [(4, 3), (2, 4)])
+    cols = _block_product(nr, k0, [(0, 4), (3, 1)])
+    assert mlilu._independent_prefix(k0, rows, cols) == 3
+
+
 @pytest.mark.parametrize("block", [1, 3, mlilu._BLOCK])
 @pytest.mark.parametrize("n, seed, n_trailing, params", DROPPING_CASES)
 def test_block_size_changes_no_bit_of_a_dropping_level(n, seed, n_trailing, params, block):

@@ -235,3 +235,50 @@ def test_write_csv_floats_read_back_bit_for_bit(tmp_path):
     assert [c for c, _ in fields] == ["1", "20", "300", "4000", "50000"]
     back = np.array([float(v) for _, v in fields])
     assert back.tobytes() == np.array(values).tobytes()
+
+
+def _interleave_comments(text: str) -> str:
+    """The same Matrix Market text with a comment line and a blank line
+    after the header, before the size line and after every data line."""
+    lines = text.splitlines(keepends=True)
+    out = [lines[0]]
+    for line in lines[1:]:
+        out += ["% a comment, 1 2 3.0\n", "\n", line]
+    return "".join(out) + "%\n   \n"
+
+
+@pytest.mark.parametrize("obj", ["matrix", "vector", "dense"])
+def test_comment_and_blank_lines_between_data_lines_change_no_bit(tmp_path, obj):
+    a, _ = random_sparse(12, 0.3, seed=5)
+    plain, commented = tmp_path / "plain.mtx", tmp_path / "commented.mtx"
+    if obj == "dense":
+        scipy.io.mmwrite(plain, a.toarray())
+    else:
+        mm_write(a if obj == "matrix" else a.toarray()[:, 0], plain)
+    commented.write_text(_interleave_comments(plain.read_text()))
+    kind = "vector" if obj == "vector" else "matrix"
+    want, got = mm_read(plain, kind=kind), mm_read(commented, kind=kind)
+    if kind == "vector":
+        assert got.tobytes() == want.tobytes()
+    else:
+        for x, y in ((got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr)):
+            assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["coordinate", "array"])
+def test_body_without_percent_reads_as_body_with_only_comment_lines(tmp_path, fmt):
+    body = ("3 3 3\n1 1 1.5\n3 2 -2.0\n2 3 4.0\n" if fmt == "coordinate"
+            else "3 1\n1.5\n-2.0\n4.0\n")
+    plain, commented = tmp_path / "plain.mtx", tmp_path / "commented.mtx"
+    plain.write_text(f"%%MatrixMarket matrix {fmt} real general\n{body}")
+    size, *data = body.splitlines(keepends=True)
+    commented.write_text(f"%%MatrixMarket matrix {fmt} real general\n{size}"
+                         + "%\n".join(data) + "%% last\n")
+    kind = "matrix" if fmt == "coordinate" else "vector"
+    want, got = mm_read(plain, kind=kind), mm_read(commented, kind=kind)
+    assert "%" not in plain.read_text().split("\n", 1)[1]
+    if kind == "vector":
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert (got != want).nnz == 0 and got.data.tobytes() == want.data.tobytes()
