@@ -26,9 +26,17 @@ LAPACK's dgetrs on the dense tail, directly, with the arguments scipy's
 spsolve_triangular and lu_solve pass once their per-call set-up is done:
 the same bits without that set-up.
 
-Factorization is single-threaded and builds fresh state per call.  The
-returned MultilevelFactor is safe for concurrent solves: a solve reads L,
-U, D, the permutations and the scalings and writes none of them.  The
+Factorization is single-threaded and holds one level's working set at a
+time.  Besides the input and the levels already built, a level holds its
+scaled and reordered matrix, that matrix's CSC copy, the two flat buffers
+and one block's products; that is its peak.  The previous Schur complement
+goes once its scaled copy exists (unless the level might eliminate
+nothing, as its tail then needs it), the scaled copy once the reordered
+matrix exists, and the rest of the elimination's state once the level's
+factors are built.
+
+The returned MultilevelFactor is safe for concurrent solves: a solve reads
+L, U, D, the permutations and the scalings and writes none of them.  The
 dense-tail solve holds a module lock: concurrent dgetrs calls on one LU
 factor (scipy 1.17 with OpenBLAS) can return wrong solutions, off by O(1)
 relative to serial ones.
@@ -323,7 +331,10 @@ def crout_ilu_level(
     deferred index keeps its entries in them; they are the L_NB and U_BN
     blocks of the Schur complement
     S = A_NN - L_NB diag(D) U_BN over the non-eliminated indices N, one
-    sparse product that keeps every stored entry of A_NN.  Returns a
+    sparse product that keeps every stored entry of A_NN.  The CSC copy
+    and the block products are released when the elimination ends, each
+    flat buffer once its factor is built, and S's two parts once they are
+    joined in one COO triple, before the conversion to CSR.  Returns a
     LevelFactor (with unit scalings and the dynamic-reordering order) and S.
     """
     acsr = as_csr(a)
@@ -553,18 +564,27 @@ def crout_ilu_level(
         m.sort_indices()
         return m
 
+    # the elimination's working set is dead; each flat buffer goes once its
+    # factor is built
+    acsc = row_sums = col_sums = row_earlier = col_earlier = None
+    row_mult = col_mult = row_has = col_has = acc = touched = None
     u_mat = unit_form(upper, sp.csr_matrix)
+    upper = None
     l_mat = unit_form(lower, sp.csc_matrix)
+    lower = None
     d = diag[:n_b].copy()
     base = acsr[nonelim, :][:, nonelim].tocoo()
-    # L's block as CSR: the product on the CSC block sums in another order
+    # L's block as CSR: the product on the CSC block sums in another order.
+    # Scaling L's data in place instead of the diags product changes bits:
+    # SMMP's unsorted output order sets the summation order of the next one.
     prod = (l_mat[n_b:, :n_b].tocsr() @ sp.diags(d) @ u_mat[:n_b, n_b:]).tocoo()
-    # summed as COO, so the stored zeros of A_NN stay stored
-    schur = sp.csr_matrix(
-        (np.concatenate([base.data, -prod.data]),
-         (np.concatenate([base.row, prod.row]), np.concatenate([base.col, prod.col]))),
-        shape=(nonelim.size, nonelim.size),
-    )
+    # summed as COO, so the stored zeros of A_NN stay stored; base and prod
+    # go before the CSR is built
+    val = np.concatenate([base.data, -prod.data])
+    row = np.concatenate([base.row, prod.row])
+    col = np.concatenate([base.col, prod.col])
+    base = prod = None
+    schur = sp.csr_matrix((val, (row, col)), shape=(nonelim.size, nonelim.size))
     level = LevelFactor(
         n=n, n_b=n_b, order=order, dr=np.ones(n), dc=np.ones(n), L=l_mat, U=u_mat, D=d,
         n_static_deferred=n - ncand, n_dynamic_deferred=n_dynamic,
@@ -599,18 +619,27 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
             break
         dr, dc = equilibrate(current)
         scaled = _scale(current, dr, dc)
+        diag = scaled.diagonal()
+        # The tail needs the level's input only if the level eliminates
+        # nothing.  Crout's first candidate clears diag_thresh times the
+        # largest diagonal (static_defer), and Crout accepts it if that
+        # clears the pivot floor, since its estimators start at 1.
+        if params.diag_thresh * np.abs(diag).max() >= params.pivot_floor:
+            current = None
         fill = reorder(scaled)
-        defer, ncand = static_defer(scaled.diagonal()[fill], params.diag_thresh)
+        defer, ncand = static_defer(diag[fill], params.diag_thresh)
         static = fill[defer]
-        level, schur = crout_ilu_level(
-            as_csr(scaled[static, :][:, static], overwrite_a=True), params, ncand)
+        level_a = as_csr(scaled[static, :][:, static], overwrite_a=True)
+        del scaled
+        level, schur = crout_ilu_level(level_a, params, ncand)
+        del level_a
         if level.n_b == 0:
             # no pivot was acceptable; stop and hand everything to the tail
             break
         levels.append(
             replace(level, order=static[level.order], dr=dr, dc=dc)
         )
-        current = schur
+        current, schur = schur, None
 
     tail_n = current.shape[0]
     tail_limit = max(dense_switch, _MAX_DENSE_TAIL)

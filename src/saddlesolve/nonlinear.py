@@ -192,7 +192,9 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
     step budget is exhausted.  Returns the final iterate and a report with
     one record per accepted step; a sparsifier that cannot be factorized, a
     failed line search or a non-finite direction ends the loop early with
-    the cause in report.message."""
+    the cause in report.message.  One factor is alive at a time: the loop
+    lets go of the previous factor and its preconditioner before it
+    factorizes again."""
     cfg = cfg or SolverConfig()
     x = np.asarray(prob.x0, dtype=np.float64).copy()
     fx = np.asarray(prob.residual(x), dtype=np.float64)
@@ -222,6 +224,8 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
             prev_iters, s_prev, x_prev, first_newton, cfg
         )
         if do_refactor:
+            # drop the old factor first: one factor is alive at a time
+            factor = precond = None
             try:
                 factor = factorize(prob.sparsifier(x, started_nt),
                                    cfg.phase_params[int(started_nt)])

@@ -1,8 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from saddlesolve import nonlinear
+from saddlesolve import cavity, nonlinear
 from saddlesolve.krylov import KrylovReport
 from saddlesolve.mlilu import FactorParams
 from saddlesolve.nonlinear import (
@@ -247,6 +250,26 @@ class TestHybridNewton:
         halvings = [round(-np.log2(s.omega)) for s in rep.steps]
         assert (sum(halvings) >= 1) == (fixture == "atan")
         assert len(calls) == 1 + sum(h + 1 for h in halvings)
+
+    def test_one_factor_is_alive_at_a_time(self, cavity_level4, cavity_level4_stokes,
+                                           monkeypatch):
+        # the driver lets go of the old factor and its preconditioner
+        # before it factorizes again
+        factors, alive = [], []
+        inner = nonlinear.factorize
+
+        def tracked(a, params):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in factors))
+            m = inner(a, params)
+            factors.append(weakref.ref(m))
+            return m
+
+        monkeypatch.setattr(nonlinear, "factorize", tracked)
+        _, rep = hybrid_newton(cavity.nonlinear_problem(cavity_level4, cavity_level4_stokes))
+        assert rep.converged
+        assert sum(s.refactorized for s in rep.steps) == len(alive) >= 2
+        assert alive == [0] * len(alive)
 
     def test_csv_roundtrip(self, tmp_path):
         prob = scalar_problem()

@@ -10,10 +10,12 @@ the Stokes initial guess, then ``hybrid_newton``) with
 captured level is factorized N times (default 3) by each tree, the trees
 alternating, every call in a fresh subprocess with one BLAS thread.  For
 each level it prints n, the stored entries per row, the CPU seconds of each
-call (``time.process_time``) and their median per tree, and ``same`` or
+call (``time.process_time``) and the peak resident memory in MiB of its
+subprocess (``ru_maxrss``, which includes the interpreter, the imports and
+the loaded input), each with its median per tree, and ``same`` or
 ``DIFFERS`` for the dtypes and bytes of the returned factor and Schur
-complement; then the sum of each tree's per-level medians.  Exits 1 on any
-difference.
+complement; then the sum of each tree's per-level CPU medians.  Exits 1 on
+any difference.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ with open(f"{out}/calls.json", "w") as f:
 """
 
 TIME = """
-import hashlib, json, sys, time
+import hashlib, json, resource, sys, time
 import numpy as np
 import scipy.sparse as sp
 from saddlesolve import mlilu
@@ -71,7 +73,7 @@ arrays = [arr for m in (level.L, level.U, schur) for arr in (m.data, m.indices, 
 for arr in (*arrays, level.order, level.D, np.array([level.n_b, level.n_dynamic_deferred])):
     h.update(str(arr.dtype).encode())
     h.update(np.ascontiguousarray(arr).tobytes())
-print(seconds, h.hexdigest())
+print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, h.hexdigest())
 """
 
 
@@ -80,6 +82,12 @@ def _python(src: Path, args: list[str]) -> str:
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return subprocess.run([sys.executable, *args], env=env, check=True,
                           capture_output=True, text=True).stdout
+
+
+def _per_tree(values: dict[str, list[float]], fmt: str) -> str:
+    """Each tree's values and their median."""
+    return "  ".join(f"{name} " + "/".join(format(v, fmt) for v in vs)
+                     + f" (median {np.median(vs):{fmt}})" for name, vs in values.items())
 
 
 def main(argv: list[str]) -> int:
@@ -102,19 +110,20 @@ def main(argv: list[str]) -> int:
             z = np.load(f"{out}/level{i}.npz")
             n = int(z["shape"][0])
             seconds = {name: [] for name in trees}
+            rss = {name: [] for name in trees}
             digests = {name: set() for name in trees}
             for _ in range(args.repeats):
                 for name, src in trees.items():
-                    s, digest = _python(src, ["-c", TIME, out, str(i)]).split()
+                    s, mib, digest = _python(src, ["-c", TIME, out, str(i)]).split()
                     seconds[name].append(float(s))
+                    rss[name].append(float(mib))
                     digests[name].add(digest)
             same = len(digests["parent"] | digests["change"]) == 1
             differs += not same
             for name in trees:
                 medians[name].append(float(np.median(seconds[name])))
-            times = "  ".join(f"{name} " + "/".join(f"{s:.2f}" for s in seconds[name])
-                              + f" (median {medians[name][-1]:.2f})" for name in trees)
-            print(f"level {i}: n {n}, {z['data'].size / n:.0f} nnz/row, CPU s {times}, "
+            print(f"level {i}: n {n}, {z['data'].size / n:.0f} nnz/row, "
+                  f"CPU s {_per_tree(seconds, '.2f')}, peak RSS MiB {_per_tree(rss, '.1f')}, "
                   f"{'same' if same else 'DIFFERS'}", flush=True)
     print("summed medians, CPU s: "
           + "  ".join(f"{name} {sum(medians[name]):.2f}" for name in trees))
