@@ -6,15 +6,17 @@ of unstable pivots and dual dropping (inverse-based drop tolerance plus a
 per-row/column fill cap).  The elimination runs in blocks of pivot steps.
 Before each block, one compiled sparse product per side gathers the
 block's rows (columns) of A minus the updates of every pivot accepted so
-far.  The block's longest leading run of indices that no row or column of
-those products links to another index of the run is eliminated in one
-vectorized step, since no pivot of it updates another; after it, each
-step adds the updates of the block's own earlier pivots in a dense
-accumulator.  Every entry is summed in the order of one sequential
-gather, A's entry first and then the pivots by rank, so the block size
-changes no value.  Each accepted pivot stores its U row and L
-column once, in the level's input indices, in flat buffers; an index
-deferred later simply stays in them.  The Schur complement over all
+far: one numeric pass of scipy's SMMP (_smmp), without the symbolic pass
+scipy's @ runs first, into arrays allocated at a bound on the product's
+size and shrunk in place to the entries written.  The block's longest
+leading run of indices that no row or column of those products links to
+another index of the run is eliminated in one vectorized step, since no
+pivot of it updates another; after it, each step adds the updates of the
+block's own earlier pivots in a dense accumulator.  Every entry is summed
+in the order of one sequential gather, A's entry first and then the
+pivots by rank, so the block size changes no value.  Each accepted pivot
+stores its U row and L column once, in the level's input indices, in flat
+buffers; an index deferred later simply stays in them.  The Schur complement over all
 deferred and trailing indices, S = A_NN - L_NB D U_BN, is one sparse
 product after the elimination.  It is factorized recursively; a dense LU
 with partial pivoting terminates the recursion.
@@ -48,6 +50,7 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -56,6 +59,9 @@ from scipy.linalg.lapack import dgetrs
 # the compiled substitution spsolve_triangular ends in, called without that
 # wrapper's per-call set-up; test_mlilu pins its bits to the public wrapper
 from scipy.sparse.linalg._dsolve._superlu import gstrs
+# the numeric pass of the SMMP product behind scipy's sparse @, called
+# without the symbolic pass that @ runs first to size its output
+from scipy.sparse._sparsetools import csr_matmat
 
 from .ordering import reorder
 from .sparse import as_csr
@@ -79,6 +85,7 @@ _MAX_LEVELS = 30
 _MAX_DENSE_TAIL = 4000  # largest dense tail allocated when dense_switch is below it
 _TAIL_LOCK = threading.Lock()
 _BLOCK = 128  # pivot steps per blocked gather in crout_ilu_level
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class FactorizationError(ValueError):
@@ -187,12 +194,16 @@ def equilibrate(a: sp.csr_matrix):
     if np.any(col_counts == 0):
         raise FactorizationError(f"structurally empty column {int(np.argmax(col_counts == 0))}")
 
+    # |a_ij| dr_i dc_j, in _scale's order, is |_scale(a, dr, dc)| bit for
+    # bit, since dr and dc are positive; every row is nonempty
+    magnitude = np.abs(a.data)
     dr = np.ones(n)
     dc = np.ones(n)
     for _ in range(10):
-        scaled = abs(_scale(a, dr, dc))
-        rn = scaled.max(axis=1).toarray().ravel()
-        cn = scaled.max(axis=0).toarray().ravel()
+        scaled = magnitude * np.repeat(dr, row_counts) * dc[a.indices]
+        rn = np.maximum.reduceat(scaled, a.indptr[:-1])
+        cn = np.zeros(n)
+        np.maximum.at(cn, a.indices, scaled)
         live_r = rn > 0
         live_c = cn > 0
         if (
@@ -220,24 +231,34 @@ def static_defer(diag: np.ndarray, diag_thresh: float):
 class _Flat:
     """Sparse vectors stored back to back in rank order: vector t has the
     indices idx[ptr[t]:ptr[t + 1]] and the values val[ptr[t]:ptr[t + 1]].
-    The buffers double when full."""
+    The buffers double when full, copying only what they store."""
 
     def __init__(self, count: int, capacity: int, idx_dtype):
         self.idx = np.empty(capacity, idx_dtype)
         self.val = np.empty(capacity)
         self.ptr = np.zeros(count + 1, dtype=np.intp)
 
+    def write(self, start: int, idx: np.ndarray, val: np.ndarray) -> int:
+        """Write ``idx`` and ``val`` from position start on, growing the
+        buffers if they are full; returns the end position."""
+        end = start + idx.size
+        if end > self.val.size:
+            # only the first start entries are copied: the new tail stays untouched
+            size = max(end, 2 * self.val.size)
+            grown_idx = np.empty(size, self.idx.dtype)
+            grown_idx[:start] = self.idx[:start]
+            grown_val = np.empty(size)
+            grown_val[:start] = self.val[:start]
+            self.idx, self.val = grown_idx, grown_val
+        self.idx[start:end] = idx
+        self.val[start:end] = val
+        return end
+
     def append(self, t: int, idx: np.ndarray, val: np.ndarray, sizes=None) -> None:
         """Store vector t, or with ``sizes`` the vectors t, t + 1, ... of
         those sizes, back to back in ``idx`` and ``val``."""
         start = self.ptr[t]
-        end = start + idx.size
-        if end > self.val.size:
-            size = max(end, 2 * self.val.size)
-            self.idx = np.concatenate([self.idx[:start], np.empty(size - start, self.idx.dtype)])
-            self.val = np.concatenate([self.val[:start], np.empty(size - start)])
-        self.idx[start:end] = idx
-        self.val[start:end] = val
+        end = self.write(start, idx, val)
         if sizes is None:
             self.ptr[t + 1] = end
         else:
@@ -258,13 +279,59 @@ class _Flat:
         return ptr, ranks, self.val[at]
 
 
+class _Product(NamedTuple):
+    """The CSR arrays of a sparse product."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _smmp_bound(l_ptr, l_idx, r_ptr, ncols: int) -> int:
+    """The sum over the rows of a CSR product of the lesser of ncols and
+    the row's multiply-adds: an upper bound on its stored entries."""
+    # running sums of the right row sizes over the left entries, read at
+    # the left row pointers
+    madds = np.zeros(l_idx.size + 1, np.int64)
+    np.cumsum(np.diff(r_ptr)[l_idx], dtype=np.int64, out=madds[1:])
+    return int(np.minimum(np.diff(madds[l_ptr]), ncols).sum())
+
+
+def _smmp(l_ptr, l_idx, l_data, r_ptr, r_idx, r_data, ncols: int) -> _Product:
+    """The CSR product of left (l_ptr, l_idx, l_data) and right (r_ptr,
+    r_idx, r_data, ncols columns), float64, by one numeric pass of scipy's
+    compiled SMMP (Gustavson, ACM TOMS 1978): the arrays and bits of
+    scipy's ``left @ right``, without its symbolic pass.
+
+    The output is allocated at a bound it cannot exceed: per row, the
+    lesser of ncols and the row's multiply-adds (the sizes of the right
+    rows its left entries name).  SMMP writes its nnz entries at the front
+    and the arrays are then shrunk in place, so the tail past nnz is never
+    written and never resident.  All index arrays share one dtype, int32
+    unless a size or index does not fit it."""
+    # nrows * ncols bounds the output's size
+    top = max((l_ptr.size - 1) * ncols, ncols, r_ptr.size, r_idx.size, l_idx.size)
+    idx = np.int32 if top <= _INT32_MAX else np.int64
+    l_ptr, l_idx, r_ptr, r_idx = (a.astype(idx, copy=False) for a in (l_ptr, l_idx, r_ptr, r_idx))
+    bound = _smmp_bound(l_ptr, l_idx, r_ptr, ncols)
+    c_ptr = np.empty(l_ptr.size, idx)
+    c_idx = np.empty(bound, idx)
+    c_data = np.empty(bound)
+    csr_matmat(l_ptr.size - 1, ncols, l_ptr, l_idx, l_data, r_ptr, r_idx, r_data,
+               c_ptr, c_idx, c_data)
+    nnz = int(c_ptr[-1])
+    c_idx.resize(nnz, refcheck=False)
+    c_data.resize(nnz, refcheck=False)
+    return _Product(c_ptr, c_idx, c_data)
+
+
 def _independent_prefix(k0: int, *products) -> int:
     """The length of the longest prefix of a block of indices k0, k0 + 1,
     ... in which no row of any block product (row i for index k0 + i)
     holds another prefix index: the least max(i, j) over the products'
     entries (i, k0 + j) with j in the block and i != j, or the block's
     size.  It is at least 1."""
-    nr = products[0].shape[0]
+    nr = products[0].indptr.size - 1
     size = nr
     for m in products:
         rows = np.repeat(np.arange(nr), np.diff(m.indptr))
@@ -294,17 +361,22 @@ def crout_ilu_level(
     minus l_kt d_t times the stored U row (u_tk d_t times the stored L
     column) of every earlier pivot t whose L column (U row) reaches k.  The
     steps run in blocks of _BLOCK.  Before a block, one sparse product per
-    side, [I | -(L_{R,<t0} D)] @ [A_R ; U_{<t0}] for the block's rows R and
+    side, [-(L_{R,<t0} D) | I] @ [U_{<t0} ; A_R] for the block's rows R and
     the t0 pivots accepted so far (and the same from the column side), sums
-    A's entry and then those pivots' updates in rank order, through
-    scipy's compiled SMMP (Gustavson, ACM TOMS 1978).  In the block, a
-    gather adds the updates of the block's own pivots to its row of that
-    product, in rank order, in a dense accumulator; its sorted unique
-    indices are read off a boolean mask of the touched positions.  A gather
-    with no in-block update only sorts its row of the product.  The sum
-    of every entry thus runs in the order of one sequential gather, so the
-    block size changes no value; SMMP only leaves out sums that are exactly
-    zero, so at droptol=0 explicit zeros may be stored or not.
+    A's entry and then those pivots' updates in rank order (each left row
+    holds its identity entry first), through one numeric pass of scipy's
+    compiled SMMP (_smmp; Gustavson, ACM TOMS 1978).  The right operand is
+    a view of the flat buffer, A_R written into its free tail.  The output
+    is allocated at the bound min(n, multiply-adds) per row, so no
+    symbolic pass sizes it, and shrunk in place to the entries written.
+    In the block, a gather adds the updates of the block's own pivots to
+    its row of that product, in rank order, in a dense accumulator; its
+    sorted unique indices are read off a boolean mask of the touched
+    positions.  A gather with no in-block update only sorts its row of the
+    product.  The sum of every entry thus runs in the order of one
+    sequential gather, so the block size changes no value; SMMP only leaves
+    out sums that are exactly zero, so at droptol=0 explicit zeros may be
+    stored or not.
 
     Each block first takes its independent prefix, the longest run
     k0..k0+L-1 in which no row of either product holds another index of
@@ -331,11 +403,12 @@ def crout_ilu_level(
     deferred index keeps its entries in them; they are the L_NB and U_BN
     blocks of the Schur complement
     S = A_NN - L_NB diag(D) U_BN over the non-eliminated indices N, one
-    sparse product that keeps every stored entry of A_NN.  The CSC copy
-    and the block products are released when the elimination ends, each
-    flat buffer once its factor is built, and S's two parts once they are
-    joined in one COO triple, before the conversion to CSR.  Returns a
-    LevelFactor (with unit scalings and the dynamic-reordering order) and S.
+    sparse product, negated in place, with A_NN's entries put after its
+    own in each row and summed with them, so every stored entry of A_NN
+    stays stored.  The CSC copy and the block products are released when
+    the elimination ends, each flat buffer once its factor is built.
+    Returns a LevelFactor (with unit scalings and the dynamic-reordering
+    order) and S.
     """
     acsr = as_csr(a)
     n = acsr.shape[0]
@@ -380,19 +453,19 @@ def crout_ilu_level(
         U rows) of those pivots at each index of the block, in rank order."""
         nr = k1 - k0
         ptr, ranks, vals = mults.at_indices(t0, k0, k1)
-        left = sp.csr_matrix(
-            (np.insert(-vals * diag[ranks], ptr[:-1], 1.0),
-             np.insert(ranks + nr, ptr[:-1], np.arange(nr)),
-             ptr + np.arange(nr + 1)),
-            shape=(nr, nr + t0))
         lo, hi = m.indptr[k0], m.indptr[k1]
         end = stored.ptr[t0]
-        right = sp.csr_matrix(
-            (np.concatenate([m.data[lo:hi], stored.val[:end]]),
-             np.concatenate([m.indices[lo:hi], stored.idx[:end]]),
-             np.concatenate([m.indptr[k0:k1] - lo, stored.ptr[:t0 + 1] + (hi - lo)])),
-            shape=(nr + t0, n))
-        return left @ right, (ptr, ranks, vals)
+        # [-(mults D) | I] @ [the stored vectors ; A's block rows], each left
+        # row with its identity entry first.  A's rows go into the buffers'
+        # free tail, where the block's appends overwrite them, so that the
+        # right operand is a view of the buffers.
+        tail = stored.write(end, m.indices[lo:hi], m.data[lo:hi])
+        sums = _smmp(ptr + np.arange(nr + 1),
+                     np.insert(ranks, ptr[:-1], t0 + np.arange(nr)),
+                     np.insert(-vals * diag[ranks], ptr[:-1], 1.0),
+                     np.concatenate([stored.ptr[:t0 + 1], m.indptr[k0 + 1:k1 + 1] - lo + end]),
+                     stored.idx[:tail], stored.val[:tail], n)
+        return sums, (ptr, ranks, vals)
 
     def gather(sums, r, earlier, own_mult, own_has, t0, nblk, stored, v):
         """Row or column k0 + r of the active matrix, sorted and restricted
@@ -573,18 +646,21 @@ def crout_ilu_level(
     l_mat = unit_form(lower, sp.csc_matrix)
     lower = None
     d = diag[:n_b].copy()
-    base = acsr[nonelim, :][:, nonelim].tocoo()
     # L's block as CSR: the product on the CSC block sums in another order.
     # Scaling L's data in place instead of the diags product changes bits:
     # SMMP's unsorted output order sets the summation order of the next one.
-    prod = (l_mat[n_b:, :n_b].tocsr() @ sp.diags(d) @ u_mat[:n_b, n_b:]).tocoo()
-    # summed as COO, so the stored zeros of A_NN stay stored; base and prod
-    # go before the CSR is built
-    val = np.concatenate([base.data, -prod.data])
-    row = np.concatenate([base.row, prod.row])
-    col = np.concatenate([base.col, prod.col])
-    base = prod = None
-    schur = sp.csr_matrix((val, (row, col)), shape=(nonelim.size, nonelim.size))
+    schur = l_mat[n_b:, :n_b].tocsr() @ sp.diags(d) @ u_mat[:n_b, n_b:]
+    np.negative(schur.data, out=schur.data)
+    # A_NN's entries go after the product's in each row and are summed
+    # with them: at most two terms per index, so the order of the sum
+    # changes no bit, and the stored zeros of A_NN stay stored
+    base = acsr[nonelim, :][:, nonelim]
+    at = np.repeat(schur.indptr[1:], np.diff(base.indptr))
+    schur = sp.csr_matrix((np.insert(schur.data, at, base.data),
+                           np.insert(schur.indices, at, base.indices),
+                           schur.indptr + base.indptr), shape=base.shape)
+    base = at = None
+    schur.sum_duplicates()
     level = LevelFactor(
         n=n, n_b=n_b, order=order, dr=np.ones(n), dc=np.ones(n), L=l_mat, U=u_mat, D=d,
         n_static_deferred=n - ncand, n_dynamic_deferred=n_dynamic,

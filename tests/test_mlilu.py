@@ -97,6 +97,44 @@ class TestEquilibrate:
             equilibrate(a)
 
 
+def _ruiz_with_sparse_copies(a):
+    """Ruiz sweeps as equilibrate once ran them, each on a scaled sparse
+    copy of the matrix."""
+    n = a.shape[0]
+    dr, dc = np.ones(n), np.ones(n)
+    for _ in range(10):
+        scaled = abs(mlilu._scale(a, dr, dc))
+        rn = scaled.max(axis=1).toarray().ravel()
+        cn = scaled.max(axis=0).toarray().ravel()
+        live_r, live_c = rn > 0, cn > 0
+        if (np.all((rn[live_r] >= 0.5) & (rn[live_r] <= 2.0))
+                and np.all((cn[live_c] >= 0.5) & (cn[live_c] <= 2.0))):
+            break
+        dr[live_r] /= np.sqrt(rn[live_r])
+        dc[live_c] /= np.sqrt(cn[live_c])
+    return dr, dc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.3, 1.0]),
+       st.integers(0, 40))
+def test_equilibrate_matches_the_sweeps_on_sparse_copies(n, seed, density, spread):
+    # magnitudes over 2 * spread decades of e, signs of both kinds, explicit
+    # zeros, and a diagonal (perhaps an explicit zero) in every row
+    rng = np.random.default_rng(seed)
+    dense = ((rng.random((n, n)) < density) * rng.choice([-1.0, 1.0], (n, n))
+             * np.exp(rng.uniform(-spread, spread, (n, n))))
+    dense[np.diag_indices(n)] *= rng.random(n) < 0.8
+    coo = sp.coo_matrix(dense)
+    zeros = np.flatnonzero(rng.random(n) < 0.3)
+    a = as_csr(sp.coo_matrix((np.r_[coo.data, np.zeros(n + zeros.size)],
+                              (np.r_[coo.row, np.arange(n), zeros],
+                               np.r_[coo.col, np.arange(n), zeros[::-1]])), shape=(n, n)))
+    dr, dc = equilibrate(a)
+    want_r, want_c = _ruiz_with_sparse_copies(a)
+    assert dr.tobytes() == want_r.tobytes() and dc.tobytes() == want_c.tobytes()
+
+
 class TestStaticDefer:
     def test_saddle_structure_is_identity(self):
         a = random_saddle(8, 4, seed=3)
@@ -734,3 +772,82 @@ def test_block_size_changes_no_value_at_zero_droptol(case, block):
     assert got.n_dynamic_deferred == want.n_dynamic_deferred
     for x, y in ((got.L, want.L), (got.U, want.U), (got_schur, want_schur)):
         assert np.array_equal(x.toarray(), y.toarray())
+
+
+def _smmp_of(left, right):
+    return mlilu._smmp(left.indptr, left.indices, left.data,
+                       right.indptr, right.indices, right.data, right.shape[1])
+
+
+def _bound_by_rows(left, right):
+    """The output size _smmp allocates: per row, the lesser of the column
+    count and the row's multiply-adds."""
+    sizes = np.diff(right.indptr)
+    return sum(min(right.shape[1], int(sizes[left.indices[left.indptr[i]:left.indptr[i + 1]]]
+                                      .sum()))
+               for i in range(left.shape[0]))
+
+
+def _assert_smmp_is_scipys_product(left, right, idx_dtype=np.int32):
+    got = _smmp_of(left, right)
+    want = left @ right
+    assert got.indptr.dtype == got.indices.dtype == idx_dtype
+    assert want.indptr.dtype == want.indices.dtype == np.int32
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)  # SMMP's unsorted order
+    assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
+    # shrunk to the entries SMMP wrote, never past the bound it was given
+    bound = _bound_by_rows(left, right)
+    assert mlilu._smmp_bound(left.indptr, left.indices, right.indptr, right.shape[1]) == bound
+    assert got.indices.size == got.data.size == got.indptr[-1] <= bound
+    return got
+
+
+def _random_operand(rng, rows, cols, density):
+    m = sp.random(rows, cols, density=density, random_state=rng, format="csr")
+    m.data = rng.standard_normal(m.nnz)
+    return m
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_smmp_is_scipys_product_of_random_operands(seed):
+    rng = np.random.default_rng(seed)
+    inner = int(rng.integers(1, 40))
+    left = _random_operand(rng, int(rng.integers(1, 30)), inner, rng.uniform(0.02, 0.5))
+    right = _random_operand(rng, inner, int(rng.integers(1, 50)), rng.uniform(0.02, 0.5))
+    # SMMP takes the entries of a row in any order
+    order = np.lexsort((-left.indices, np.repeat(np.arange(left.shape[0]), np.diff(left.indptr))))
+    left.indices, left.data = left.indices[order], left.data[order]
+    _assert_smmp_is_scipys_product(left, right)
+
+
+def test_smmp_leaves_out_sums_that_cancel_exactly():
+    # row 0 adds right's rows 0 and 1, which cancel; row 1 keeps two entries
+    left = sp.csr_matrix(([1.0, 1.0, 2.0], [0, 1, 0], [0, 2, 3]), shape=(2, 2))
+    right = sp.csr_matrix(([1.5, -0.25, -1.5, 0.25], [1, 3, 1, 3], [0, 2, 4]), shape=(2, 5))
+    got = _assert_smmp_is_scipys_product(left, right)
+    assert list(got.indptr) == [0, 0, 2] and _bound_by_rows(left, right) == 6
+
+
+def test_smmp_of_empty_right_rows_is_empty():
+    left = sp.csr_matrix(([1.0, -3.0, 2.0], [0, 2, 1], [0, 2, 2, 3]), shape=(3, 3))
+    right = sp.csr_matrix(([4.0], [1], [0, 0, 1, 1]), shape=(3, 4))
+    got = _assert_smmp_is_scipys_product(left, right)
+    assert list(got.indptr) == [0, 0, 0, 1] and got.data.tobytes() == np.float64(8.0).tobytes()
+    empty = sp.csr_matrix((3, 4))
+    assert _assert_smmp_is_scipys_product(left, empty).indices.size == 0
+
+
+def test_smmp_takes_int64_operands_and_uses_int64_past_int32(monkeypatch):
+    rng = np.random.default_rng(7)
+    left = _random_operand(rng, 20, 15, 0.3)
+    right = _random_operand(rng, 15, 25, 0.3)
+    wide = [x.astype(np.int64) for x in (left.indptr, left.indices, right.indptr, right.indices)]
+    got = mlilu._smmp(wide[0], wide[1], left.data, wide[2], wide[3], right.data, 25)
+    want = left @ right
+    assert got.indices.dtype == np.int32
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+    # an output bound past the int32 range runs every index array as int64
+    monkeypatch.setattr(mlilu, "_INT32_MAX", 10)
+    _assert_smmp_is_scipys_product(left, right, idx_dtype=np.int64)

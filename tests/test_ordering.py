@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from saddlesolve import ordering
 from saddlesolve.ordering import reorder
 from saddlesolve.sparse import as_csr
 
@@ -117,3 +118,32 @@ def test_order_equals_the_complete_lu_order(a):
     # the incomplete driver orders before any numeric work, as the complete
     # one does, so dropping nearly every entry leaves the order unchanged
     assert np.array_equal(reorder(a), complete_lu_order(a))
+
+
+@pytest.mark.parametrize("a", [
+    laplacian_2d(6),
+    random_saddle(30, 12, seed=5),
+    random_sparse(60, 0.08, seed=6)[0],
+    random_sparse(40, 0.3, seed=7, diag_shift=1.0)[0],
+], ids=["grid-laplacian", "saddle", "unsym-60", "unsym-40-dense"])
+def test_spilu_gets_the_stand_in_built_from_float_copies(a, monkeypatch):
+    # the stand-in as it was built on float64 copies of the pattern, which
+    # leaves out the diagonal where A + A^T has none: 2 + the column count
+    # there, 1 + the count where it has one
+    pat = sp.csr_matrix((np.ones_like(a.data), a.indices, a.indptr), shape=a.shape)
+    want = as_csr(pat + pat.T).tocsc()
+    want.data[:] = -1.0
+    want = (want + sp.diags(2.0 + np.diff(want.indptr))).tocsc()
+    seen = []
+    real = ordering.spilu
+
+    def spilu(m, **options):
+        seen.append(m)
+        return real(m, **options)
+
+    monkeypatch.setattr(ordering, "spilu", spilu)
+    reorder(a)
+    (got,) = seen
+    assert got.format == "csc" and got.shape == want.shape
+    for x, y in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
