@@ -13,9 +13,9 @@ from .mlilu import (
     equilibrate,
     factorize,
     ml_solve,
-    reorder,
     static_defer,
 )
+from .ordering import reorder
 from .krylov import (
     GmresParams,
     KrylovReport,

@@ -1,47 +1,18 @@
 """Multilevel Crout incomplete-LU factorization.
 
-Each level equilibrates, reorders, statically defers small diagonals, then
-runs a Crout elimination (Li, Saad & Chow, SISC 2003) with dynamic deferring
-of unstable pivots and dual dropping (inverse-based drop tolerance plus a
-per-row/column fill cap).  The elimination runs in blocks of pivot steps.
-Before each block, one compiled sparse product per side gathers the
-block's rows (columns) of A minus the updates of every pivot accepted so
-far: one numeric pass of scipy's SMMP (_smmp), without the symbolic pass
-scipy's @ runs first, into arrays allocated at a bound on the product's
-size and shrunk in place to the entries written.  The block's longest
-leading run of indices that no row or column of those products links to
-another index of the run is eliminated in one vectorized step, since no
-pivot of it updates another; after it, each step adds the updates of the
-block's own earlier pivots in a dense accumulator.  Every entry is summed
-in the order of one sequential gather, A's entry first and then the
-pivots by rank, so the block size changes no value.  Each accepted pivot
-stores its U row and L column once, in the level's input indices, in flat
-buffers; an index deferred later simply stays in them.  The Schur complement over all
-deferred and trailing indices, S = A_NN - L_NB D U_BN, is one sparse
-product after the elimination.  It is factorized recursively; a dense LU
-with partial pivoting terminates the recursion.
+Each level equilibrates, reorders, statically defers small diagonals, runs
+the Crout elimination of crout_ilu_level (which describes the kernel) and
+recurses on its Schur complement; a dense LU with partial pivoting ends
+the recursion.  factorize holds one level's working set at a time.
 
-Each level stores (L+I) as CSC and (U+I) as CSR with sorted indices, the
-unit-triangular forms its solves read.  Every application of the
-preconditioner calls SuperLU's compiled substitution (gstrs) on them, and
-LAPACK's dgetrs on the dense tail, directly, with the arguments scipy's
-spsolve_triangular and lu_solve pass once their per-call set-up is done:
-the same bits without that set-up.
-
-Factorization is single-threaded and holds one level's working set at a
-time.  Besides the input and the levels already built, a level holds its
-scaled and reordered matrix, that matrix's CSC copy, the two flat buffers
-and one block's products; that is its peak.  The previous Schur complement
-goes once its scaled copy exists (unless the level might eliminate
-nothing, as its tail then needs it), the scaled copy once the reordered
-matrix exists, and the rest of the elimination's state once the level's
-factors are built.
-
-The returned MultilevelFactor is safe for concurrent solves: a solve reads
-L, U, D, the permutations and the scalings and writes none of them.  The
-dense-tail solve holds a module lock: concurrent dgetrs calls on one LU
-factor (scipy 1.17 with OpenBLAS) can return wrong solutions, off by O(1)
-relative to serial ones.
+ml_solve calls SuperLU's compiled substitution (gstrs) on each level's
+stored unit-triangular factors and LAPACK's dgetrs on the dense tail
+directly, with the arguments scipy's spsolve_triangular and lu_solve pass
+once their per-call set-up is done: the same bits without that set-up.  A
+solve writes nothing in the factor, so concurrent solves are safe; the
+dense-tail solve holds a module lock, since concurrent dgetrs calls on one
+LU factor (scipy 1.17 with OpenBLAS) can return wrong solutions, off by
+O(1) relative to serial ones.
 """
 
 from __future__ import annotations
@@ -60,9 +31,12 @@ from scipy.linalg.lapack import dgetrs
 # wrapper's per-call set-up; test_mlilu pins its bits to the public wrapper
 from scipy.sparse.linalg._dsolve._superlu import gstrs
 # the numeric pass of the SMMP product behind scipy's sparse @, called
-# without the symbolic pass that @ runs first to size its output
-from scipy.sparse._sparsetools import csr_matmat
+# without the symbolic pass that @ runs first to size its output, and the
+# in-place row sort behind sort_indices, called on a few rows of it
+from scipy.sparse._sparsetools import csr_matmat, csr_sort_indices
 
+# factorize calls reorder through this module's namespace, where
+# perfbench's tracer wraps it
 from .ordering import reorder
 from .sparse import as_csr
 
@@ -73,7 +47,6 @@ __all__ = [
     "MultilevelFactor",
     "equilibrate",
     "static_defer",
-    "reorder",
     "crout_ilu_level",
     "factorize",
     "ml_solve",
@@ -102,9 +75,9 @@ class FactorParams:
     row or column of the level's matrix (at least 5); droptol drives
     inverse-based dropping; cond_thresh bounds the growth of the incremental
     inverse-norm estimates before a pivot is deferred; diag_thresh is the
-    relative static-deferring threshold on scaled diagonals; pivot_floor is
-    the absolute post-equilibration magnitude below which a pivot is
-    deferred.  dense_switch=None resolves to min(max(500, sqrt(n)), 2000).
+    relative static-deferring threshold on scaled diagonals; a pivot whose
+    post-equilibration magnitude is at or below pivot_floor is deferred.
+    dense_switch=None resolves to min(max(500, sqrt(n)), 2000).
     After 30 levels, whatever is left goes to the dense tail.
     """
 
@@ -353,9 +326,15 @@ def crout_ilu_level(
 
     ``a`` must already be scaled, reordered and statically deferred; only
     the leading ``n_candidates`` indices are pivot candidates (the trailing
-    block was statically deferred).  Each stored U row (L column) keeps at
-    most max(5, ceil(alpha * nnz)) entries, nnz being the stored entries of
-    that row (column) of ``a``, explicit zeros included.
+    block was statically deferred).  A pivot is accepted only if its
+    magnitude exceeds pivot_floor and both inverse-norm estimators are at
+    most cond_thresh; otherwise, a NaN included, its index is deferred.  An
+    entry v of an accepted pivot's U row (L column), divided by the pivot,
+    is stored only if |v| * est > droptol, est being the running maximum
+    of the matching estimator, at every droptol: no exact zero is stored in
+    L or U.  Then at most max(5, ceil(alpha * nnz)) entries are kept, the
+    largest, nnz being the stored entries of that row (column) of ``a``,
+    explicit zeros included.  The stored zeros of A_NN stay stored in S.
 
     Step k gathers row k and column k of the active matrix: A's entries
     minus l_kt d_t times the stored U row (u_tk d_t times the stored L
@@ -369,21 +348,22 @@ def crout_ilu_level(
     a view of the flat buffer, A_R written into its free tail.  The output
     is allocated at the bound min(n, multiply-adds) per row, so no
     symbolic pass sizes it, and shrunk in place to the entries written.
-    In the block, a gather adds the updates of the block's own pivots to
-    its row of that product, in rank order, in a dense accumulator; its
-    sorted unique indices are read off a boolean mask of the touched
-    positions.  A gather with no in-block update only sorts its row of the
-    product.  The sum of every entry thus runs in the order of one
-    sequential gather, so the block size changes no value; SMMP only leaves
-    out sums that are exactly zero, so at droptol=0 explicit zeros may be
-    stored or not.
+    In the block, a gather adds the updates of the block's own pivots (the
+    nonzero multipliers the block's pivots stored at its index) to its row
+    of that product, in rank order, in a dense accumulator; its sorted
+    unique indices are read off a boolean mask of the touched positions.  A
+    gather with no in-block update only sorts its row of the product in
+    place (scipy's compiled csr_sort_indices).  The sum of every entry thus
+    runs in the order of one sequential gather.  SMMP leaves out sums that
+    are exactly zero and the accumulator keeps them, but the value drop
+    stores none, so the block size changes no bit, at any droptol.
 
     Each block first takes its independent prefix, the longest run
     k0..k0+L-1 in which no row of either product holds another index of
     the run (_independent_prefix).  No pivot of the run then reaches
     another, so each of its gathers is its row of the product unchanged,
     and the L pivots are eliminated in one step, in index order: one
-    segmented sort and status filter per side, one estimator dot per row
+    in-place row sort and status filter per side, one estimator dot per row
     (the same call as in gather, so the same bits), a vectorized deferral
     test, the running maxima by np.maximum.accumulate, a segmented drop
     and cap, one append per side, and their multipliers at the rest of
@@ -412,9 +392,12 @@ def crout_ilu_level(
     """
     acsr = as_csr(a)
     n = acsr.shape[0]
+    if acsr.shape[1] != n:
+        raise ValueError("crout_ilu_level requires a square matrix")
     ncand = n if n_candidates is None else int(n_candidates)
+    if not (0 <= ncand <= n):
+        raise ValueError(f"n_candidates must be in [0, {n}], got {ncand}")
     acsc = acsr.tocsc()
-    acsc.sort_indices()
 
     counts = np.diff([acsr.indptr, acsc.indptr])
     u_caps, l_caps = np.maximum(_CAP_FLOOR, np.ceil(params.alpha * counts).astype(np.intp))
@@ -441,8 +424,6 @@ def crout_ilu_level(
     # update column k
     row_mult = np.zeros((block, block))
     col_mult = np.zeros((block, block))
-    row_has = np.zeros((block, block), dtype=bool)
-    col_has = np.zeros((block, block), dtype=bool)
     acc = np.zeros(n)  # dense accumulator, all zero between gathers
     touched = np.zeros(n, dtype=bool)  # all False between gathers
 
@@ -467,14 +448,14 @@ def crout_ilu_level(
                      stored.idx[:tail], stored.val[:tail], n)
         return sums, (ptr, ranks, vals)
 
-    def gather(sums, r, earlier, own_mult, own_has, t0, nblk, stored, v):
+    def gather(sums, r, earlier, own_mult, t0, nblk, stored, v):
         """Row or column k0 + r of the active matrix, sorted and restricted
         to the non-eliminated indices, and the estimator
         1 + |sum_t mult_t v_t|."""
         ptr, ranks, vals = earlier
         mults, ts = vals[ptr[r]:ptr[r + 1]], ranks[ptr[r]:ptr[r + 1]]
         lo, hi = sums.indptr[r], sums.indptr[r + 1]
-        s = own_has[r, :nblk].nonzero()[0]
+        s = own_mult[r, :nblk].nonzero()[0]
         if s.size:
             own = s + t0
             own_vals = own_mult[r, s]
@@ -494,44 +475,37 @@ def crout_ilu_level(
             mults = np.concatenate([mults, own_vals])
             ts = np.concatenate([ts, own])
         else:
-            # no in-block update: SMMP stores each index of its row once and
-            # no exact zero, so the row is the sum as it is, only unsorted
-            at = sums.indices[lo:hi].argsort()
-            uq, total = sums.indices[lo:hi][at], sums.data[lo:hi][at]
+            # no in-block update: SMMP stores each index of its row once, so
+            # the row is the sum as it is, sorted in place
+            csr_sort_indices(1, sums.indptr[r:r + 2], sums.indices, sums.data)
+            uq, total = sums.indices[lo:hi], sums.data[lo:hi]
         live = status[uq] != 1
         return uq[live], total[live], 1.0 + abs(mults @ v[ts])
 
-    def _dual_drop(idx, val, est, cap):
-        if droptol > 0.0 and idx.size:
-            keep = np.abs(val) * est > droptol
-            idx, val = idx[keep], val[keep]
+    def store(t, k, k0, k1, t0, idx, val, est, cap, stored, own_mult):
+        """Drop, then store pivot k's U row or L column (``val`` already
+        divided by the pivot) and note its entries at the block's pending
+        indices as multipliers of rank t."""
+        keep = (idx != k) & (np.abs(val) * est > droptol)
+        idx, val = idx[keep], val[keep]
         if idx.size > cap:
             sel = np.lexsort((idx, -np.abs(val)))[:cap]
             sel.sort()
             idx, val = idx[sel], val[sel]
-        return idx, val
-
-    def store(t, k, k0, k1, t0, idx, val, est, cap, stored, own_mult, own_has):
-        """Drop, then store pivot k's U row or L column (``val`` already
-        divided by the pivot) and note its entries at the block's pending
-        indices as multipliers of rank t."""
-        keep = idx != k
-        idx, val = _dual_drop(idx[keep], val[keep], est, cap)
         stored.append(t, idx, val)
         lo, hi = idx.searchsorted((k + 1, k1))
         own_mult[idx[lo:hi] - k0, t - t0] = val[lo:hi]
-        own_has[idx[lo:hi] - k0, t - t0] = True
 
     def prefix_rows(sums, earlier, v, npre):
         """Rows 0..npre-1 of a block product, which no pivot of the prefix
-        updates: their entries sorted within each row and restricted to the
-        non-eliminated indices, as (row, index, value) arrays, and each
-        row's estimator 1 + |sum_t mult_t v_t|, one dot per row as in
-        gather."""
+        updates: their entries, sorted in place within each row and
+        restricted to the non-eliminated indices, as (row, index, value)
+        arrays, and each row's estimator 1 + |sum_t mult_t v_t|, one dot per
+        row as in gather."""
         end = sums.indptr[npre]
+        csr_sort_indices(npre, sums.indptr, sums.indices, sums.data)
         seg = np.repeat(np.arange(npre), np.diff(sums.indptr[:npre + 1]))
-        at = np.lexsort((sums.indices[:end], seg))
-        seg, idx, val = seg[at], sums.indices[:end][at], sums.data[:end][at]
+        idx, val = sums.indices[:end], sums.data[:end]
         live = status[idx] != 1
         ptr, ranks, vals = earlier
         est = np.array([1.0 + abs(vals[ptr[r]:ptr[r + 1]] @ v[ranks[ptr[r]:ptr[r + 1]]])
@@ -539,7 +513,7 @@ def crout_ilu_level(
         return seg[live], idx[live], val[live], est
 
     def store_prefix(k0, k1, t0, t, rank, seg, idx, val, pivot, est, caps, stored,
-                     own_mult, own_has):
+                     own_mult):
         """store for the prefix's accepted pivots, ranks t, t + 1, ..., at
         once: ``rank`` is each prefix row's place among them (-1 if
         deferred); ``pivot``, ``est`` and ``caps`` are by that place, ``est``
@@ -547,9 +521,8 @@ def crout_ilu_level(
         keep = (rank[seg] >= 0) & (idx != k0 + seg)
         r, idx = rank[seg[keep]], idx[keep]
         val = val[keep] / pivot[r]
-        if droptol > 0.0:
-            keep = np.abs(val) * est[r] > droptol
-            r, idx, val = r[keep], idx[keep], val[keep]
+        keep = np.abs(val) * est[r] > droptol
+        r, idx, val = r[keep], idx[keep], val[keep]
         sizes = np.bincount(r, minlength=pivot.size)
         if np.any(sizes > caps):
             # in each vector, the cap largest magnitudes, ties to the lower index
@@ -562,7 +535,6 @@ def crout_ilu_level(
         stored.append(t, idx, val, sizes)
         own = (idx >= k0) & (idx < k1)
         own_mult[idx[own] - k0, r[own] + (t - t0)] = val[own]
-        own_has[idx[own] - k0, r[own] + (t - t0)] = True
 
     n_dynamic = 0
     for k0 in range(0, ncand, block):
@@ -570,8 +542,8 @@ def crout_ilu_level(
         t0 = len(elim)
         row_sums, row_earlier = block_sums(acsr, k0, k1, t0, upper, lower)
         col_sums, col_earlier = block_sums(acsc, k0, k1, t0, lower, upper)
-        for own in (row_mult, col_mult, row_has, col_has):
-            own.fill(0)
+        row_mult.fill(0.0)
+        col_mult.fill(0.0)
 
         # the independent prefix: every gather is its row of the products
         npre = _independent_prefix(k0, row_sums, col_sums)
@@ -580,7 +552,7 @@ def crout_ilu_level(
         on_diag = ridx == k0 + rseg
         pivot = np.zeros(npre)
         pivot[rseg[on_diag]] = rval[on_diag]
-        accept = ~((np.abs(pivot) < pivot_floor) | (vlk > cond_thresh) | (vuk > cond_thresh))
+        accept = (np.abs(pivot) > pivot_floor) & (vlk <= cond_thresh) & (vuk <= cond_thresh)
         status[k0:k0 + npre] = np.where(accept, 1, 2)
         kept = np.flatnonzero(accept)
         n_dynamic += npre - kept.size
@@ -593,19 +565,17 @@ def crout_ilu_level(
         rank = np.full(npre, -1)
         rank[kept] = np.arange(kept.size)
         store_prefix(k0, k1, t0, t, rank, rseg, ridx, rval, diag[t:t1], run_up[1:],
-                     u_caps[k0 + kept], upper, col_mult, col_has)
+                     u_caps[k0 + kept], upper, col_mult)
         store_prefix(k0, k1, t0, t, rank, cseg, cidx, cval, diag[t:t1], run_low[1:],
-                     l_caps[k0 + kept], lower, row_mult, row_has)
+                     l_caps[k0 + kept], lower, row_mult)
 
         for k in range(k0 + npre, k1):
             r, nblk = k - k0, len(elim) - t0
-            ridx, rval, vlk = gather(row_sums, r, row_earlier, row_mult, row_has, t0, nblk,
-                                     upper, v_low)
-            cidx, cval, vuk = gather(col_sums, r, col_earlier, col_mult, col_has, t0, nblk,
-                                     lower, v_up)
+            ridx, rval, vlk = gather(row_sums, r, row_earlier, row_mult, t0, nblk, upper, v_low)
+            cidx, cval, vuk = gather(col_sums, r, col_earlier, col_mult, t0, nblk, lower, v_up)
             at = ridx.searchsorted(k)
             pivot = rval[at] if at < ridx.size and ridx[at] == k else 0.0
-            if abs(pivot) < pivot_floor or vlk > cond_thresh or vuk > cond_thresh:
+            if not (abs(pivot) > pivot_floor and vlk <= cond_thresh and vuk <= cond_thresh):
                 status[k] = 2
                 n_dynamic += 1
                 continue
@@ -615,10 +585,8 @@ def crout_ilu_level(
             diag[t], v_low[t], v_up[t] = pivot, vlk, vuk
             est_low = max(est_low, vlk)
             est_up = max(est_up, vuk)
-            store(t, k, k0, k1, t0, ridx, rval / pivot, est_up, u_caps[k], upper,
-                  col_mult, col_has)
-            store(t, k, k0, k1, t0, cidx, cval / pivot, est_low, l_caps[k], lower,
-                  row_mult, row_has)
+            store(t, k, k0, k1, t0, ridx, rval / pivot, est_up, u_caps[k], upper, col_mult)
+            store(t, k, k0, k1, t0, cidx, cval / pivot, est_low, l_caps[k], lower, row_mult)
 
     # -- the level in elimination-then-deferred order, and its Schur complement --
     n_b = len(elim)
@@ -640,7 +608,7 @@ def crout_ilu_level(
     # the elimination's working set is dead; each flat buffer goes once its
     # factor is built
     acsc = row_sums = col_sums = row_earlier = col_earlier = None
-    row_mult = col_mult = row_has = col_has = acc = touched = None
+    row_mult = col_mult = acc = touched = None
     u_mat = unit_form(upper, sp.csr_matrix)
     upper = None
     l_mat = unit_form(lower, sp.csc_matrix)
@@ -675,7 +643,11 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
     singular dense tail is perturbed (pivots pushed to a signed floor) and
     flagged rather than failed.  A non-finite stored entry, and a tail
     larger than both dense_switch and 4000, are a FactorizationError,
-    raised before equilibration and before the dense allocation."""
+    raised before equilibration and before the dense allocation.
+
+    Besides the input and the levels built, a level holds its scaled and
+    reordered matrix, that matrix's CSC copy, the two flat buffers and one
+    block's products; that is its peak.  Each goes once it is used."""
     params = params or FactorParams()
     a = as_csr(a)
     if a.shape[0] != a.shape[1]:
@@ -699,8 +671,8 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
         # The tail needs the level's input only if the level eliminates
         # nothing.  Crout's first candidate clears diag_thresh times the
         # largest diagonal (static_defer), and Crout accepts it if that
-        # clears the pivot floor, since its estimators start at 1.
-        if params.diag_thresh * np.abs(diag).max() >= params.pivot_floor:
+        # exceeds the pivot floor, since its estimators start at 1.
+        if params.diag_thresh * np.abs(diag).max() > params.pivot_floor:
             current = None
         fill = reorder(scaled)
         defer, ncand = static_defer(diag[fill], params.diag_thresh)

@@ -758,20 +758,89 @@ def test_block_size_changes_no_bit_of_the_cavity_oseen_levels(cavity_oseen_level
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(deferring_levels(), st.sampled_from([1, 3, mlilu._BLOCK]))
 def test_block_size_changes_no_value_at_zero_droptol(case, block):
-    """At droptol=0 nothing is dropped by value, and the sparse product
-    behind each block leaves out sums that are exactly zero where a
-    one-by-one gather stores them: so only explicit zeros may differ, and
-    the factors are compared as dense values."""
+    """At droptol=0 the value drop still stores no exact zero, so the
+    sparse product behind each block, which leaves out exactly zero sums,
+    and a one-by-one gather, which keeps them, store the same entries."""
     a, cond_thresh, n_trailing = case
     n = a.shape[0]
     params = FactorParams(alpha=float(n), droptol=0.0, cond_thresh=cond_thresh, pivot_floor=1e-2)
-    want, want_schur = _one_by_one(a, params, n - n_trailing)
-    got, got_schur = _crout_in_blocks_of(block, a, params, n - n_trailing)
-    assert np.array_equal(got.order, want.order)
-    assert got.D.tobytes() == want.D.tobytes()
-    assert got.n_dynamic_deferred == want.n_dynamic_deferred
-    for x, y in ((got.L, want.L), (got.U, want.U), (got_schur, want_schur)):
-        assert np.array_equal(x.toarray(), y.toarray())
+    want = _level_bits(*_one_by_one(a, params, n - n_trailing))
+    assert _level_bits(*_crout_in_blocks_of(block, a, params, n - n_trailing)) == want
+
+
+def _integer_level(n, seed):
+    """Level matrix with small integer entries, so that sums cancel
+    exactly: off the diagonal {-2..2} at density 0.4, diagonals of
+    magnitude 1, 2 or 3."""
+    rng = np.random.default_rng(seed)
+    dense = rng.integers(-2, 3, (n, n)) * (rng.random((n, n)) < 0.4)
+    dense[np.diag_indices(n)] = rng.integers(1, 4, n) * rng.choice([-1, 1], n)
+    return as_csr(sp.csr_matrix(dense.astype(float)))
+
+
+INTEGER_PARAMS = FactorParams(alpha=20.0, droptol=0.0, cond_thresh=50.0, pivot_floor=1e-8)
+
+
+@pytest.mark.parametrize("block", [1, 3, mlilu._BLOCK])
+def test_block_size_changes_no_bit_of_an_integer_level_at_zero_droptol(block):
+    differ = []
+    for seed in range(60):
+        a = _integer_level(20, seed)
+        if (_level_bits(*_crout_in_blocks_of(block, a, INTEGER_PARAMS, 20))
+                != _level_bits(*_one_by_one(a, INTEGER_PARAMS, 20))):
+            differ.append(seed)
+    assert differ == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_zero_pivot_is_deferred_at_pivot_floor_zero():
+    # a pivot is accepted only above the floor: at floor 0 an exact zero,
+    # which would put infinities or NaNs in the factor, is deferred
+    params = FactorParams(pivot_floor=0.0, droptol=0.0, alpha=12.0, cond_thresh=50.0,
+                          dense_switch=2)
+    for seed in range(300):
+        a = _integer_level(12, seed)
+        m = factorize(a, params)
+        for lev in m.levels:
+            assert np.all(lev.D != 0.0), seed
+            assert all(np.isfinite(f.data).all() for f in (lev.L, lev.U)), seed
+        assert np.isfinite(ml_solve(m, a @ np.ones(12))).all(), seed
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_zero_diagonal_level_at_pivot_floor_zero_goes_to_the_tail():
+    a = cyclic_permutation(6)
+    m = factorize(a, FactorParams(pivot_floor=0.0, dense_switch=2))
+    assert m.levels == [] and m.tail_n == 6 and not m.perturbed
+    x = np.arange(1.0, 7.0)
+    assert np.array_equal(ml_solve(m, a @ x), x)
+
+
+@pytest.mark.parametrize("shape, n_candidates, match", [
+    ((4, 4), -1, r"n_candidates must be in \[0, 4\], got -1"),
+    ((4, 4), 6, r"n_candidates must be in \[0, 4\], got 6"),
+    ((2, 3), None, "requires a square matrix"),
+])
+def test_crout_level_rejects_bad_input_up_front(shape, n_candidates, match):
+    a = as_csr(sp.csr_matrix(np.ones(shape)))
+    with pytest.raises(ValueError, match=match):
+        crout_ilu_level(a, FactorParams(), n_candidates)
+
+
+def _assert_no_exact_zero(lev):
+    # the unit diagonals are stored as 1, every other stored entry is nonzero
+    for f in (lev.L, lev.U):
+        assert np.all(f.diagonal() == 1.0) and np.all(f.data != 0.0)
+
+
+def test_no_exact_zero_is_stored_in_l_or_u_at_zero_droptol():
+    for seed in range(60):
+        a = _integer_level(20, seed)
+        _assert_no_exact_zero(crout_ilu_level(a, INTEGER_PARAMS)[0])
+        levels = factorize(a, replace(INTEGER_PARAMS, dense_switch=4)).levels
+        assert levels
+        for lev in levels:
+            _assert_no_exact_zero(lev)
 
 
 def _smmp_of(left, right):
