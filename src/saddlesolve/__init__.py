@@ -9,18 +9,13 @@ from .mlilu import (
     FactorParams,
     LevelFactor,
     MultilevelFactor,
-    crout_ilu_level,
-    equilibrate,
     factorize,
     ml_solve,
-    static_defer,
 )
-from .ordering import reorder
 from .krylov import (
     GmresParams,
     KrylovReport,
     PrecondOperator,
-    eta_newton,
     fgmres,
 )
 from .nonlinear import (
@@ -29,9 +24,7 @@ from .nonlinear import (
     NonlinearReport,
     SolverConfig,
     StepRecord,
-    armijo_damp,
     hybrid_newton,
-    refactor_needed,
 )
 from . import cavity
 
@@ -40,12 +33,9 @@ __version__ = "0.1.0"
 __all__ = [
     "MatrixMarketError", "mm_read", "mm_write",
     "FactorizationError", "FactorParams", "LevelFactor", "MultilevelFactor",
-    "crout_ilu_level", "equilibrate", "factorize", "ml_solve",
-    "reorder", "static_defer",
-    "GmresParams", "KrylovReport", "PrecondOperator",
-    "eta_newton", "fgmres",
+    "factorize", "ml_solve",
+    "GmresParams", "KrylovReport", "PrecondOperator", "fgmres",
     "LineSearchError", "NonlinearProblem", "NonlinearReport", "SolverConfig",
-    "StepRecord", "armijo_damp", "hybrid_newton",
-    "refactor_needed",
+    "StepRecord", "hybrid_newton",
     "cavity",
 ]

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs
 # the compiled substitution spsolve_triangular ends in, called without that
 # wrapper's per-call set-up; test_mlilu pins its bits to the public wrapper
 from scipy.sparse.linalg._dsolve._superlu import gstrs
@@ -53,6 +51,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny  # every pivot at or below it is deferred
 _CAP_FLOOR = 5  # retained entries per row/column regardless of the fill cap
 _MAX_LEVELS = 30
 _MAX_DENSE_TAIL = 4000  # largest dense tail allocated when dense_switch is below it
@@ -76,7 +75,8 @@ class FactorParams:
     inverse-based dropping; cond_thresh bounds the growth of the incremental
     inverse-norm estimates before a pivot is deferred; diag_thresh is the
     relative static-deferring threshold on scaled diagonals; a pivot whose
-    post-equilibration magnitude is at or below pivot_floor is deferred.
+    post-equilibration magnitude is at or below pivot_floor or the smallest
+    normal float64 (whose reciprocal could overflow) is deferred.
     dense_switch=None resolves to min(max(500, sqrt(n)), 2000).
     After 30 levels, whatever is left goes to the dense tail.
     """
@@ -101,11 +101,6 @@ class FactorParams:
             raise ValueError("dense_switch must be >= 1")
         if not (self.pivot_floor >= 0):
             raise ValueError("pivot_floor must be >= 0")
-
-    def resolve_dense_switch(self, n: int) -> int:
-        if self.dense_switch is not None:
-            return self.dense_switch
-        return min(max(500, int(math.isqrt(n))), 2000)
 
 
 @dataclass
@@ -327,14 +322,15 @@ def crout_ilu_level(
     ``a`` must already be scaled, reordered and statically deferred; only
     the leading ``n_candidates`` indices are pivot candidates (the trailing
     block was statically deferred).  A pivot is accepted only if its
-    magnitude exceeds pivot_floor and both inverse-norm estimators are at
-    most cond_thresh; otherwise, a NaN included, its index is deferred.  An
-    entry v of an accepted pivot's U row (L column), divided by the pivot,
-    is stored only if |v| * est > droptol, est being the running maximum
-    of the matching estimator, at every droptol: no exact zero is stored in
-    L or U.  Then at most max(5, ceil(alpha * nnz)) entries are kept, the
-    largest, nnz being the stored entries of that row (column) of ``a``,
-    explicit zeros included.  The stored zeros of A_NN stay stored in S.
+    magnitude exceeds pivot_floor and the smallest normal float64 and both
+    inverse-norm estimators are at most cond_thresh; otherwise, a NaN
+    included, its index is deferred.  An entry v of an accepted pivot's U
+    row (L column), divided by the pivot, is stored only if |v| * est >
+    droptol, est being the running maximum of the matching estimator, at
+    every droptol: no exact zero is stored in L or U.  Then at most
+    max(5, ceil(alpha * nnz)) entries are kept, the largest, nnz being the
+    stored entries of that row (column) of ``a``, explicit zeros included.
+    The stored zeros of A_NN stay stored in S.
 
     Step k gathers row k and column k of the active matrix: A's entries
     minus l_kt d_t times the stored U row (u_tk d_t times the stored L
@@ -382,11 +378,12 @@ def crout_ilu_level(
     in front, and rows (columns) n_b..n-1 hold only their diagonal.  A
     deferred index keeps its entries in them; they are the L_NB and U_BN
     blocks of the Schur complement
-    S = A_NN - L_NB diag(D) U_BN over the non-eliminated indices N, one
-    sparse product, negated in place, with A_NN's entries put after its
-    own in each row and summed with them, so every stored entry of A_NN
-    stays stored.  The CSC copy and the block products are released when
-    the elimination ends, each flat buffer once its factor is built.
+    S = A_NN - L_NB diag(D) U_BN over the non-eliminated indices N, two
+    SMMP passes, L_NB diag(-D) and then that times U_BN, with A_NN's
+    entries put after the product's own in each row and summed with them,
+    so every stored entry of A_NN stays stored.  The CSC copy and the block
+    products are released when the elimination ends, each flat buffer once
+    its factor is built.
     Returns a LevelFactor (with unit scalings and the dynamic-reordering
     order) and S.
     """
@@ -402,7 +399,7 @@ def crout_ilu_level(
     counts = np.diff([acsr.indptr, acsc.indptr])
     u_caps, l_caps = np.maximum(_CAP_FLOOR, np.ceil(params.alpha * counts).astype(np.intp))
     droptol = params.droptol
-    pivot_floor = params.pivot_floor
+    pivot_floor = max(params.pivot_floor, _TINY)
     cond_thresh = params.cond_thresh
     block = _BLOCK
 
@@ -615,10 +612,15 @@ def crout_ilu_level(
     lower = None
     d = diag[:n_b].copy()
     # L's block as CSR: the product on the CSC block sums in another order.
-    # Scaling L's data in place instead of the diags product changes bits:
-    # SMMP's unsorted output order sets the summation order of the next one.
-    schur = l_mat[n_b:, :n_b].tocsr() @ sp.diags(d) @ u_mat[:n_b, n_b:]
-    np.negative(schur.data, out=schur.data)
+    # Two passes, since scaling L's data in place changes bits: the first
+    # pass's unsorted output order sets the summation order of the second.
+    # -d negates every term exactly, and so every sum.
+    l_nb = l_mat[n_b:, :n_b].tocsr()
+    ident = np.arange(n_b + 1)
+    l_nb = _smmp(l_nb.indptr, l_nb.indices, l_nb.data, ident, ident[:-1], -d, n_b)
+    u_bn = u_mat[:n_b, n_b:]
+    schur = _smmp(*l_nb, u_bn.indptr, u_bn.indices, u_bn.data, n - n_b)
+    l_nb = u_bn = None
     # A_NN's entries go after the product's in each row and are summed
     # with them: at most two terms per index, so the order of the sum
     # changes no bit, and the stored zeros of A_NN stay stored
@@ -658,7 +660,10 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
         row = int(np.searchsorted(a.indptr, k, side="right")) - 1
         raise FactorizationError(f"non-finite entry {a.data[k]} at ({row}, {a.indices[k]})")
     n0 = a.shape[0]
-    dense_switch = params.resolve_dense_switch(n0)
+    dense_switch = params.dense_switch
+    if dense_switch is None:
+        dense_switch = min(max(500, math.isqrt(n0)), 2000)
+    pivot_floor = max(params.pivot_floor, _TINY)
 
     levels: list[LevelFactor] = []
     current = a
@@ -672,13 +677,14 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
         # nothing.  Crout's first candidate clears diag_thresh times the
         # largest diagonal (static_defer), and Crout accepts it if that
         # exceeds the pivot floor, since its estimators start at 1.
-        if params.diag_thresh * np.abs(diag).max() > params.pivot_floor:
+        if params.diag_thresh * np.abs(diag).max() > pivot_floor:
             current = None
         fill = reorder(scaled)
         defer, ncand = static_defer(diag[fill], params.diag_thresh)
         static = fill[defer]
-        level_a = as_csr(scaled[static, :][:, static], overwrite_a=True)
+        level_a = scaled[static, :][:, static]
         del scaled
+        level_a.sort_indices()
         level, schur = crout_ilu_level(level_a, params, ncand)
         del level_a
         if level.n_b == 0:
@@ -697,12 +703,12 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
     tail = current.toarray()
     perturbed = False
     if tail_n:
-        with warnings.catch_warnings():
-            # singular tails are expected (e.g. pure-Neumann null spaces) and
-            # handled by the pivot perturbation below
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(tail, check_finite=False)
         scale = np.abs(tail).max()
+        # info > 0 flags an exactly singular tail (e.g. a pure-Neumann null
+        # space), which the pivot perturbation below handles
+        lu, piv, info = dgetrf(tail)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of getrf")
         floor = 1e3 * _EPS * (scale if scale > 0 else 1.0)
         d = np.abs(np.diag(lu))
         small = np.flatnonzero(d < floor)

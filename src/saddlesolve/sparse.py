@@ -15,16 +15,13 @@ import scipy.sparse as sp
 __all__ = ["as_csr"]
 
 
-def as_csr(a, overwrite_a: bool = False) -> sp.csr_matrix:
+def as_csr(a) -> sp.csr_matrix:
     """Coerce to canonical CSR (sorted indices, summed duplicates).  A CSR
     argument shares its arrays with the result, so one that is not yet
-    canonical is copied first and the caller's matrix is left as it was.
-    With overwrite_a the caller gives ``a`` up (a temporary it owns), and
-    it is canonicalized in place without the copy."""
+    canonical is copied first and the caller's matrix is left as it was."""
     m = sp.csr_matrix(a)
     if not m.has_canonical_format:
-        if not overwrite_a:
-            m = m.copy()
+        m = m.copy()
         m.sum_duplicates()
     return m
 

@@ -389,3 +389,8 @@ def test_build_problem_rejects_bad_reynolds(re):
     # a NaN or infinite Re would otherwise fail later, in the Stokes solve
     with pytest.raises(ValueError, match="Reynolds number must be positive and finite"):
         cav.build_problem(3, re)
+
+
+def test_build_problem_rejects_an_unknown_bc_kind():
+    with pytest.raises(ValueError, match="bc_kind must be 'standard' or 'regularized'"):
+        cav.build_problem(3, 100.0, bc_kind="periodic")

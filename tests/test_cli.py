@@ -87,6 +87,10 @@ def test_cavity_rejects_unknown_override(tmp_path, capsys, monkeypatch):
         (override("ordering=rcm"), "unknown parameter 'ordering'"),
         (override("cond_thresh=nan"), "cond_thresh must exceed 1"),
         (override("pivot_floor=nan"), "pivot_floor must be >= 0"),
+        (override("diag_thresh=0"), "diag_thresh must be in (0, 1)"),
+        (override("diag_thresh=1"), "diag_thresh must be in (0, 1)"),
+        (override("dense_switch=0"), "dense_switch must be >= 1"),
+        (override("sigma"), "override must be name=value, got 'sigma'"),
         (["--level", "2"], "argument --level: invalid choice: 2"),
     ]
     for tail, message in cases:

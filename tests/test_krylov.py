@@ -82,6 +82,15 @@ class TestApplyPrecond:
             z = p.apply(v / np.linalg.norm(v))
             assert abs(q @ z) <= 1e-15 * np.linalg.norm(z)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"refine_steps": 0}, "refine_steps must be >= 1"),
+        ({"null_basis": np.zeros(10)}, "null basis must be nonzero"),
+    ])
+    def test_bad_arguments_are_refused_at_construction(self, kwargs, match):
+        a, _ = random_sparse(10, 0.4, seed=35, diag_shift=3.0)
+        with pytest.raises(ValueError, match=match):
+            PrecondOperator(make_factor(a), j_op=a, **kwargs)
+
     def test_requires_operator_for_refinement(self):
         a, _ = random_sparse(10, 0.4, seed=35, diag_shift=3.0)
         with pytest.raises(ValueError, match="refinement"):
@@ -180,6 +189,15 @@ class TestFgmres:
         assert rep.converged and rep.iterations < 30
         assert op.calls == rep.iterations + 2
         assert rep.final_relres == np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+
+    def test_zero_operator_breaks_down_at_zero(self):
+        # A v = 0 for the first basis vector: the Givens rotation of a zero
+        # column is the identity, and the breakdown leaves x = 0
+        b = np.arange(1.0, 6.0)
+        x, rep = fgmres(sp.csr_matrix((5, 5)), None, b, GmresParams(restart=5, max_iters=10))
+        assert rep.breakdown and not rep.converged
+        assert rep.iterations == 1 and rep.final_relres == 1.0
+        assert np.array_equal(x, np.zeros(5))
 
     def test_nonfinite_rhs_rejected(self):
         a, _ = random_sparse(5, 0.5, seed=43, diag_shift=2.0)

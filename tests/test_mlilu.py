@@ -755,6 +755,38 @@ def test_block_size_changes_no_bit_of_the_cavity_oseen_levels(cavity_oseen_level
         assert _level_bits(*_crout_in_blocks_of(block, a, params, ncand)) == want
 
 
+def _schur_by_scipys_products(a, level):
+    """The Schur complement through scipy's sparse @: -(L_NB diag(D) U_BN),
+    with A_NN's entries put after the product's in each row and summed with
+    them."""
+    nb = level.n_b
+    product = level.L[nb:, :nb].tocsr() @ sp.diags(level.D) @ level.U[:nb, nb:]
+    np.negative(product.data, out=product.data)
+    nonelim = level.order[nb:]
+    base = a[nonelim, :][:, nonelim]
+    at = np.repeat(product.indptr[1:], np.diff(base.indptr))
+    schur = sp.csr_matrix((np.insert(product.data, at, base.data),
+                           np.insert(product.indices, at, base.indices),
+                           product.indptr + base.indptr), shape=base.shape)
+    schur.sum_duplicates()
+    return schur
+
+
+@pytest.mark.parametrize("n, seed, n_trailing, params", DROPPING_CASES)
+def test_schur_complement_has_the_bits_of_scipys_products(n, seed, n_trailing, params):
+    a = _dropping_level(n, seed)
+    level, schur = crout_ilu_level(a, params, n - n_trailing)
+    assert 0 < level.n_b < n
+    assert _fingerprint(schur) == _fingerprint(_schur_by_scipys_products(a, level))
+
+
+def test_schur_complement_of_the_cavity_oseen_levels_has_the_bits_of_scipys_products(
+        cavity_oseen_levels):
+    for a, params, ncand in cavity_oseen_levels:
+        level, schur = crout_ilu_level(a, params, ncand)
+        assert _fingerprint(schur) == _fingerprint(_schur_by_scipys_products(a, level))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(deferring_levels(), st.sampled_from([1, 3, mlilu._BLOCK]))
 def test_block_size_changes_no_value_at_zero_droptol(case, block):
@@ -808,6 +840,18 @@ def test_a_zero_pivot_is_deferred_at_pivot_floor_zero():
 
 
 @pytest.mark.filterwarnings("error")
+def test_a_subnormal_pivot_is_deferred_at_pivot_floor_zero():
+    # 1 / 1e-320 overflows: a pivot below the smallest normal float64 is
+    # deferred at any pivot_floor
+    a = as_csr(sp.csr_matrix([[1e-320, 1.0], [1.0, 1.0]]))
+    level, schur = crout_ilu_level(a, FactorParams(pivot_floor=0.0, droptol=0.0))
+    assert level.n_b == 1 and level.n_dynamic_deferred == 1
+    assert list(level.order) == [1, 0] and np.array_equal(schur.toarray(), [[-1.0]])
+    m = factorize(a, FactorParams(pivot_floor=0.0, droptol=0.0, dense_switch=1))
+    assert np.array_equal(ml_solve(m, a @ np.ones(2)), np.ones(2))
+
+
+@pytest.mark.filterwarnings("error")
 def test_a_zero_diagonal_level_at_pivot_floor_zero_goes_to_the_tail():
     a = cyclic_permutation(6)
     m = factorize(a, FactorParams(pivot_floor=0.0, dense_switch=2))
@@ -825,6 +869,14 @@ def test_crout_level_rejects_bad_input_up_front(shape, n_candidates, match):
     a = as_csr(sp.csr_matrix(np.ones(shape)))
     with pytest.raises(ValueError, match=match):
         crout_ilu_level(a, FactorParams(), n_candidates)
+
+
+@pytest.mark.parametrize("consumer, name", [(equilibrate, "equilibrate"),
+                                            (factorize, "factorize"),
+                                            (mlilu.reorder, "reorder")])
+def test_a_non_square_matrix_is_rejected(consumer, name):
+    with pytest.raises(ValueError, match=f"{name} requires a square matrix"):
+        consumer(as_csr(sp.csr_matrix(np.ones((2, 3)))))
 
 
 def _assert_no_exact_zero(lev):

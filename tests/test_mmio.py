@@ -133,6 +133,49 @@ def test_pattern_field_rejected(tmp_path):
         mm_read(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("%%MatrixMarket matrix coordinate real\n1 1 1\n1 1 1.0\n", r":1: expected '%%MatrixMarket"),
+    ("%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n",
+     r":1: expected '%%MatrixMarket"),
+    ("%%MatrixMarket vector coordinate real general\n1 1 1\n1 1 1.0\n",
+     r":1: unsupported object 'vector'"),
+    ("%%MatrixMarket matrix dense real general\n1 1\n1.0\n", r":1: unsupported format 'dense'"),
+    ("%%MatrixMarket matrix coordinate double general\n1 1 1\n1 1 1.0\n",
+     r":1: unknown field type 'double'"),
+    ("%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 1.0\n",
+     r":1: unsupported symmetry 'hermitian'"),
+    ("%%MatrixMarket matrix coordinate real general\n% only comments\n\n", "missing size line"),
+    ("%%MatrixMarket matrix coordinate real general\n% c\n2 2\n",
+     r":3: coordinate size line needs"),
+    ("%%MatrixMarket matrix array real general\n2 1 2\n1.0\n2.0\n", r":2: array size line needs"),
+    ("%%MatrixMarket matrix coordinate real general\n2 2.5 1\n1 1 1.0\n",
+     r":2: size line entries must be integers"),
+    ("%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n2.0\n3.0\n",
+     r":2: symmetric array storage not supported"),
+], ids=["empty", "four-word-banner", "one-percent-banner", "object", "format", "field",
+        "symmetry", "no-size-line", "coordinate-size-count", "array-size-count",
+        "non-integer-size", "symmetric-array"])
+def test_bad_header_or_size_line_is_rejected(tmp_path, text, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(MatrixMarketError, match=message):
+        mm_read(path)
+
+
+def test_read_rejects_an_unknown_kind(tmp_path):
+    path = tmp_path / "one.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 5.0\n")
+    with pytest.raises(ValueError, match="kind must be 'matrix' or 'vector', got 'dense'"):
+        mm_read(path, kind="dense")
+
+
+def test_write_rejects_a_two_dimensional_array(tmp_path):
+    with pytest.raises(ValueError, match="only 1-D arrays are written as vectors"):
+        mm_write(np.ones((2, 2)), tmp_path / "m.mtx")
+    assert not (tmp_path / "m.mtx").exists()
+
+
 @pytest.mark.parametrize("body, message", [
     ("coordinate real general\n2 2 2\n1 1 1.0\n2 x 2.0\n", r":4:"),
     # a comment or blank line before the bad one, so data rows and file lines differ

@@ -99,6 +99,11 @@ class TestHybridNewton:
         with pytest.raises(ValueError, match="zero"):
             hybrid_newton(prob, SolverConfig())
 
+    @pytest.mark.parametrize("x0", [np.inf, np.nan])
+    def test_non_finite_initial_residual_rejected(self, x0):
+        with pytest.raises(ValueError, match="residual at the initial guess is not finite"):
+            hybrid_newton(scalar_problem(x0=x0), SolverConfig())
+
     @pytest.mark.parametrize("fixture", ["scalar", "planar"])
     def test_quadratic_local_convergence_fit(self, fixture):
         # exact factorization, exact Jacobian, Eisenstat-Walker forcing:

@@ -3,24 +3,32 @@
     python tools/crout_levels.py PARENT_SRC CHANGE_SRC [--repeats N]
 
 Each argument is a ``src`` directory holding the ``saddlesolve`` package.
-The first tree runs the ``cavity-l6-re1000`` benchmark configuration once
-(level 6, Re 1000, sigma 1e-5, the high-Re regime, 2 refinement sweeps:
-the Stokes initial guess, then ``hybrid_newton``) with
-``mlilu.crout_ilu_level`` wrapped, and saves every call's input.  Then each
-captured level is factorized N times (default 3) by each tree, the trees
-alternating, every call in a fresh subprocess with one BLAS thread.  For
-each level it prints n, the stored entries per row, the CPU seconds of each
-call (``time.process_time``) and the peak resident memory in MiB of its
-subprocess (``ru_maxrss``, which includes the interpreter, the imports and
-the loaded input), each with its median per tree, and ``same`` or
-``DIFFERS`` for the dtypes and bytes of the returned factor and Schur
-complement; then the sum of each tree's per-level CPU medians.  Exits 1 on
-any difference.
+The first tree runs the factorizations of the three benchmark workloads
+once, with ``mlilu.crout_ilu_level`` wrapped, and saves every call's input
+and the workload it came from:
+
+- ``cavity-l6-re1000`` and ``cavity-l5-re200``: level 6 at Re 1000 and
+  level 5 at Re 200, each with sigma 1e-5, the high-Re regime and 2
+  refinement sweeps (the Stokes initial guess, then ``hybrid_newton``);
+- ``oseen-multirhs``: ``factorize`` with alpha 5 and droptol 0.01 of the
+  level-5 Re 1000 Oseen operator at the state 0.1*N(0,1) drawn with seed
+  0, read back from a Matrix Market file as the workload reads it.
+
+Then each captured level is factorized N times (default 3) by each tree,
+the trees alternating, every call in a fresh subprocess with one BLAS
+thread.  For each level it prints its workload, n, the stored entries per
+row, the CPU seconds of each call (``time.process_time``) and the peak
+resident memory in MiB of its subprocess (``ru_maxrss``, which includes
+the interpreter, the imports and the loaded input), each with its median
+per tree, and ``same`` or ``DIFFERS`` for the dtypes and bytes of the
+returned factor and Schur complement; then, per workload, the sum of each
+tree's per-level CPU medians.  Exits 1 on any difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -32,7 +40,7 @@ import numpy as np
 CAPTURE = """
 import dataclasses, json, sys
 import numpy as np
-from saddlesolve import cavity, mlilu, nonlinear
+from saddlesolve import cavity, mlilu, mmio, nonlinear
 
 out = sys.argv[1]
 inner = mlilu.crout_ilu_level
@@ -42,14 +50,21 @@ def capture(a, params, n_candidates=None):
     a = a.tocsr()
     np.savez(f"{out}/level{len(calls)}.npz", data=a.data, indices=a.indices,
              indptr=a.indptr, shape=np.array(a.shape))
-    calls.append({"params": dataclasses.asdict(params), "n_candidates": n_candidates})
+    calls.append({"workload": workload, "params": dataclasses.asdict(params),
+                  "n_candidates": n_candidates})
     return inner(a, params, n_candidates)
 
 mlilu.crout_ilu_level = capture
-prob = cavity.build_problem(6, 1000.0)
-nlp = cavity.nonlinear_problem(prob, cavity.stokes_initial_guess(prob))
-nonlinear.hybrid_newton(nlp, nonlinear.SolverConfig(sigma=1e-5, regime="high_re",
-                                                    refine_steps=2))
+for workload, level, re in (("cavity-l6-re1000", 6, 1000.0), ("cavity-l5-re200", 5, 200.0)):
+    prob = cavity.build_problem(level, re)
+    nlp = cavity.nonlinear_problem(prob, cavity.stokes_initial_guess(prob))
+    nonlinear.hybrid_newton(nlp, nonlinear.SolverConfig(sigma=1e-5, regime="high_re",
+                                                        refine_steps=2))
+workload = "oseen-multirhs"
+prob = cavity.build_problem(5, 1000.0)
+state = 0.1 * np.random.default_rng(0).standard_normal(prob.n_unknowns)
+mmio.mm_write(cavity.oseen_operator(prob, state), f"{out}/oseen.mtx")
+mlilu.factorize(mmio.mm_read(f"{out}/oseen.mtx"), mlilu.FactorParams(alpha=5.0, droptol=0.01))
 with open(f"{out}/calls.json", "w") as f:
     json.dump(calls, f)
 """
@@ -102,11 +117,12 @@ def main(argv: list[str]) -> int:
             print(f"error: no saddlesolve package under {src}", file=sys.stderr)
             return 2
     differs = 0
-    medians = {name: [] for name in trees}
+    medians = {name: {} for name in trees}
     with tempfile.TemporaryDirectory() as out:
         _python(trees["parent"], ["-c", CAPTURE, out])
-        n_levels = len(list(Path(out).glob("level*.npz")))
-        for i in range(n_levels):
+        with open(f"{out}/calls.json") as f:
+            workloads = [call["workload"] for call in json.load(f)]
+        for i, workload in enumerate(workloads):
             z = np.load(f"{out}/level{i}.npz")
             n = int(z["shape"][0])
             seconds = {name: [] for name in trees}
@@ -121,12 +137,13 @@ def main(argv: list[str]) -> int:
             same = len(digests["parent"] | digests["change"]) == 1
             differs += not same
             for name in trees:
-                medians[name].append(float(np.median(seconds[name])))
-            print(f"level {i}: n {n}, {z['data'].size / n:.0f} nnz/row, "
+                medians[name].setdefault(workload, []).append(float(np.median(seconds[name])))
+            print(f"level {i} ({workload}): n {n}, {z['data'].size / n:.0f} nnz/row, "
                   f"CPU s {_per_tree(seconds, '.2f')}, peak RSS MiB {_per_tree(rss, '.1f')}, "
                   f"{'same' if same else 'DIFFERS'}", flush=True)
-    print("summed medians, CPU s: "
-          + "  ".join(f"{name} {sum(medians[name]):.2f}" for name in trees))
+    for workload in medians["parent"]:
+        print(f"{workload} summed medians, CPU s: "
+              + "  ".join(f"{name} {sum(medians[name][workload]):.2f}" for name in trees))
     return 1 if differs else 0
 
 
