@@ -4,8 +4,9 @@ Three subcommands: ``cavity`` runs the built-in lid-driven benchmark end to
 end, ``linsolve`` factorizes and solves an external Matrix Market system,
 and ``factor-stats`` dumps per-level factorization statistics.  All outputs
 are CSV (plus Matrix Market for vectors); a run with identical flags writes
-bit-identical files.  The output directory defaults to the current
-directory or the SADDLESOLVE_OUTDIR environment variable.
+byte-identical files, summary.txt included, so no file holds a timing.
+The output directory defaults to the current directory or the
+SADDLESOLVE_OUTDIR environment variable.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -73,9 +73,11 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _out_dir(args) -> Path:
-    base = args.output_dir or os.environ.get("SADDLESOLVE_OUTDIR", ".")
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.output_dir or os.environ.get("SADDLESOLVE_OUTDIR", "."))
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _BadInput(f"unusable output directory: {exc}") from None
     return path
 
 
@@ -93,13 +95,11 @@ def _finish(out: Path, summary: str) -> None:
 
 
 def run_cavity(args) -> int:
-    out = _out_dir(args)
+    out = args.output_dir
     cfg = args.cfg
-    t0 = time.perf_counter()
     prob = cav.build_problem(args.level, args.re, bc_kind=args.bc)
     nlp = cav.nonlinear_problem(prob, cav.stokes_initial_guess(prob))
     x, report = hybrid_newton(nlp, cfg)
-    elapsed = time.perf_counter() - t0
 
     report.write_csv(out / "convergence.csv")
     cav.write_solution_csv(prob, x, out / "solution.csv")
@@ -107,13 +107,14 @@ def run_cavity(args) -> int:
         f"command=cavity level={args.level} re={args.re:g} sigma={cfg.sigma:g} "
         f"bc={args.bc} regime={cfg.regime} converged={int(report.converged)} "
         f"nonlinear_iters={len(report.steps)} total_gmres={report.total_gmres} "
-        f"final_normF={report.final_normF:.6e} wall_seconds={elapsed:.3f}"
+        f"final_normF={report.final_normF:.6e}"
     ))
     return 0 if report.converged else 1
 
 
 class _BadInput(Exception):
-    """An input file that cannot be used: one 'error:' line, exit 2."""
+    """An input file or output directory that cannot be used:
+    one 'error:' line, exit 2."""
 
 
 def _read(path, kind):
@@ -139,7 +140,7 @@ def _read_vector(path, what, n):
 
 
 def run_linsolve(args) -> int:
-    out = _out_dir(args)
+    out = args.output_dir
     a = _read_square(args.matrix)
     n = a.shape[0]
     b = _read_vector(args.rhs, "rhs", n) if args.rhs else a @ np.ones(n)
@@ -147,26 +148,23 @@ def run_linsolve(args) -> int:
     if null is not None and np.linalg.norm(null) == 0:
         raise _BadInput("null vector must be nonzero")
 
-    t0 = time.perf_counter()
     factor = factorize(a, args.params)
     precond = PrecondOperator(factor, j_op=a, null_basis=null,
                               refine_steps=args.refine_steps)
     x, rep = fgmres(a, precond, b, args.gmres)
-    elapsed = time.perf_counter() - t0
 
     mm_write(x, out / "solution.mtx")
     rep.write_history_csv(out / "residual_history.csv")
     _finish(out, (
         f"command=linsolve matrix={args.matrix} n={n} nnz={a.nnz} "
         f"factor_nnz={factor.total_nnz} converged={int(rep.converged)} "
-        f"iterations={rep.iterations} relres={rep.final_relres:.6e} "
-        f"wall_seconds={elapsed:.3f}"
+        f"iterations={rep.iterations} relres={rep.final_relres:.6e}"
     ))
     return 0 if rep.converged else 1
 
 
 def run_factor_stats(args) -> int:
-    out = _out_dir(args)
+    out = args.output_dir
     a = _read_square(args.matrix)
     factor = factorize(a, args.params)
     tail = factor.tail_n
@@ -227,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # parameters are checked before any assembly or file read
+    # parameters, then the output directory, are checked before any assembly
+    # or file read
     try:
         if args.command == "cavity":
             args.cfg = _solver_config(args)
@@ -241,6 +240,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     try:
+        args.output_dir = _out_dir(args)
         return args.func(args)
     except (_BadInput, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -64,6 +64,8 @@ class PrecondOperator:
             if null_basis.shape != (factor.n,):
                 raise ValueError(f"null basis length {null_basis.shape} does not match "
                                  f"factor size {factor.n}")
+            if not np.isfinite(null_basis).all():
+                raise ValueError("null basis must be finite")
             nrm = np.linalg.norm(null_basis)
             if nrm == 0:
                 raise ValueError("null basis must be nonzero")

@@ -225,14 +225,15 @@ def test_cavity_reruns_bit_identical(tmp_path):
                      "--null-vector", str(tmp_path / "null.mtx"), "--refine-steps", "2"],
         "factor-stats": ["--matrix", str(tmp_path / "stokes.mtx")],
     }
-    d1 = tmp_path / "a"
-    d2 = tmp_path / "b"
-    for d in (d1, d2):
-        for command, flags in runs.items():
-            assert main([command, *flags, "--output-dir", str(d)]) == 0
-    for name in ("convergence.csv", "solution.csv", "solution.mtx", "residual_history.csv",
-                 "factor_stats.csv"):
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    for command, flags in runs.items():
+        # each run in its own directory, so every file it writes is compared
+        files = []
+        for rerun in ("a", "b"):
+            out = tmp_path / command / rerun
+            assert main([command, *flags, "--output-dir", str(out)]) == 0
+            files.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert "summary.txt" in files[0]
+        assert files[0] == files[1], command
 
 
 def test_cavity_pair_override_plumbs_through(tmp_path):
@@ -382,6 +383,33 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     rc = main(["linsolve", "--matrix", str(tmp_path / "eye.mtx")])
     assert rc == 0
     assert (tmp_path / "from_env" / "solution.mtx").exists()
+
+
+@pytest.mark.parametrize("command", ["cavity", "linsolve", "factor-stats"])
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+@pytest.mark.parametrize("from_env", [False, True])
+def test_unusable_output_dir_exits_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                                   command, target, from_env):
+    # an existing file, or a path below one, is refused before any assembly
+    # or file read
+    from saddlesolve import cavity, cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the output directory was checked")
+
+    monkeypatch.setattr(cavity, "build_problem", no_work)
+    monkeypatch.setattr(cli, "mm_read", no_work)
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / target)
+    flags = ["--level", "3", "--re", "50"] if command == "cavity" else ["--matrix", "a.mtx"]
+    if from_env:
+        monkeypatch.setenv("SADDLESOLVE_OUTDIR", out)
+    else:
+        flags += ["--output-dir", out]
+    assert main([command, *flags]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: unusable output directory"), err
+    assert out in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, flags, message", [

@@ -85,6 +85,8 @@ class TestApplyPrecond:
     @pytest.mark.parametrize("kwargs, match", [
         ({"refine_steps": 0}, "refine_steps must be >= 1"),
         ({"null_basis": np.zeros(10)}, "null basis must be nonzero"),
+        ({"null_basis": np.r_[np.ones(9), np.nan]}, "null basis must be finite"),
+        ({"null_basis": np.r_[np.ones(9), np.inf]}, "null basis must be finite"),
     ])
     def test_bad_arguments_are_refused_at_construction(self, kwargs, match):
         a, _ = random_sparse(10, 0.4, seed=35, diag_shift=3.0)

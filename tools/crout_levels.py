@@ -3,16 +3,11 @@
     python tools/crout_levels.py PARENT_SRC CHANGE_SRC [--repeats N]
 
 Each argument is a ``src`` directory holding the ``saddlesolve`` package.
-The first tree runs the factorizations of the three benchmark workloads
-once, with ``mlilu.crout_ilu_level`` wrapped, and saves every call's input
-and the workload it came from:
-
-- ``cavity-l6-re1000`` and ``cavity-l5-re200``: level 6 at Re 1000 and
-  level 5 at Re 200, each with sigma 1e-5, the high-Re regime and 2
-  refinement sweeps (the Stokes initial guess, then ``hybrid_newton``);
-- ``oseen-multirhs``: ``factorize`` with alpha 5 and droptol 0.01 of the
-  level-5 Re 1000 Oseen operator at the state 0.1*N(0,1) drawn with seed
-  0, read back from a Matrix Market file as the workload reads it.
+The first tree runs the three benchmark workloads of
+``perfbench/workloads.py`` once each (``prepare`` with seed 0, ``setup``,
+``operation`` and ``check``), with ``mlilu.crout_ilu_level`` wrapped, and
+saves every call's input and the workload it came from; it fails if a
+workload's check fails.
 
 Then each captured level is factorized N times (default 3) by each tree,
 the trees alternating, every call in a fresh subprocess with one BLAS
@@ -37,12 +32,18 @@ from pathlib import Path
 
 import numpy as np
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
 CAPTURE = """
 import dataclasses, json, sys
+from pathlib import Path
 import numpy as np
-from saddlesolve import cavity, mlilu, mmio, nonlinear
+from saddlesolve import mlilu
 
-out = sys.argv[1]
+out = Path(sys.argv[1])
+sys.path.insert(0, sys.argv[2])
+from workloads import WORKLOADS
+
 inner = mlilu.crout_ilu_level
 calls = []
 
@@ -55,16 +56,13 @@ def capture(a, params, n_candidates=None):
     return inner(a, params, n_candidates)
 
 mlilu.crout_ilu_level = capture
-for workload, level, re in (("cavity-l6-re1000", 6, 1000.0), ("cavity-l5-re200", 5, 200.0)):
-    prob = cavity.build_problem(level, re)
-    nlp = cavity.nonlinear_problem(prob, cavity.stokes_initial_guess(prob))
-    nonlinear.hybrid_newton(nlp, nonlinear.SolverConfig(sigma=1e-5, regime="high_re",
-                                                        refine_steps=2))
-workload = "oseen-multirhs"
-prob = cavity.build_problem(5, 1000.0)
-state = 0.1 * np.random.default_rng(0).standard_normal(prob.n_unknowns)
-mmio.mm_write(cavity.oseen_operator(prob, state), f"{out}/oseen.mtx")
-mlilu.factorize(mmio.mm_read(f"{out}/oseen.mtx"), mlilu.FactorParams(alpha=5.0, droptol=0.01))
+for workload, make in WORKLOADS.items():
+    w = make()
+    w.prepare(0, out)
+    inputs = w.setup()
+    attempted, failed = w.check(inputs, w.operation(inputs))
+    if failed:
+        sys.exit(f"{workload}: {failed} of {attempted} checks failed")
 with open(f"{out}/calls.json", "w") as f:
     json.dump(calls, f)
 """
@@ -96,7 +94,7 @@ def _python(src: Path, args: list[str]) -> str:
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return subprocess.run([sys.executable, *args], env=env, check=True,
-                          capture_output=True, text=True).stdout
+                          stdout=subprocess.PIPE, text=True).stdout
 
 
 def _per_tree(values: dict[str, list[float]], fmt: str) -> str:
@@ -119,7 +117,7 @@ def main(argv: list[str]) -> int:
     differs = 0
     medians = {name: {} for name in trees}
     with tempfile.TemporaryDirectory() as out:
-        _python(trees["parent"], ["-c", CAPTURE, out])
+        _python(trees["parent"], ["-c", CAPTURE, out, str(PERFBENCH)])
         with open(f"{out}/calls.json") as f:
             workloads = [call["workload"] for call in json.load(f)]
         for i, workload in enumerate(workloads):

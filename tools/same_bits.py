@@ -4,20 +4,19 @@
 
 Each argument is a ``src`` directory holding the ``saddlesolve`` package.
 Both trees run the same CLI commands, each with PYTHONPATH set to its own
-``src`` and one BLAS thread: four cavity runs, and ``linsolve`` and
-``factor-stats`` on the level-4 Re 100 Stokes system, which the first tree
-exports once so both sides read the same files.  Every CSV and Matrix
-Market artifact is compared byte for byte, and so is each run's
-``summary.txt`` with its ``wall_seconds=`` field removed, so that the
-converged flag, the counts, ``final_normF`` and ``factor_nnz`` /
-``total_nnz`` are checked too.  Prints ``same <artifact>`` or
-``DIFFERS <artifact>`` per artifact and exits 1 on any difference.
+``src``, one BLAS thread and its own output directory: four cavity runs,
+and ``linsolve`` and ``factor-stats`` on the level-4 Re 100 Stokes system,
+which the first tree exports once so both sides read the same files.
+Every artifact, ``summary.txt`` included, is compared byte for byte, and
+so is each run's exit status.  Prints ``same <artifact>`` or ``DIFFERS
+<artifact>`` per artifact and ``same exit <run>`` or ``DIFFERS exit
+<run>`` per run, and exits 1 on any difference.  Given the same tree
+twice, it checks that reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -34,6 +33,13 @@ CAVITY_RUNS = {
                               "--regime", "high_re"],
 }
 
+# the files each command writes besides summary.txt
+ARTIFACTS = {
+    "cavity": ("convergence.csv", "solution.csv"),
+    "linsolve": ("solution.mtx", "residual_history.csv"),
+    "factor-stats": ("factor_stats.csv",),
+}
+
 EXPORT = """
 import sys
 from saddlesolve import cavity, mm_write
@@ -44,45 +50,33 @@ mm_write(cavity.null_vector(prob), sys.argv[1] + "/null.mtx")
 """
 
 
-def _python(src: Path, args: list[str]) -> None:
+def _python(src: Path, args: list[str]) -> int:
+    """Run python with this tree; returns the exit status."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    # the exit status is not compared: a run that does not converge still
-    # writes its artifacts, and those are what must match
-    subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL, check=False)
+    return subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL).returncode
 
 
-def _run_tree(src: Path, out: Path, system: Path) -> list[str]:
-    """Run every command with this tree; returns the artifact paths under out."""
-    cli = ["-m", "saddlesolve.cli"]
-    for name, flags in CAVITY_RUNS.items():
-        _python(src, [*cli, "cavity", *flags, "--output-dir", str(out / name)])
-    _python(src, [*cli, "linsolve", "--matrix", str(system / "stokes.mtx"),
-                  "--rhs", str(system / "rhs.mtx"), "--null-vector", str(system / "null.mtx"),
-                  "--refine-steps", "2", "--output-dir", str(out / "linsolve")])
-    _python(src, [*cli, "factor-stats", "--matrix", str(system / "stokes.mtx"),
-                  "--output-dir", str(out / "factor-stats")])
-    return ([f"{name}/{f}" for name in CAVITY_RUNS
-             for f in ("convergence.csv", "solution.csv", "summary.txt")]
-            + ["linsolve/solution.mtx", "linsolve/residual_history.csv", "linsolve/summary.txt",
-               "factor-stats/factor_stats.csv", "factor-stats/summary.txt"])
+def _runs(system: Path) -> dict[str, list[str]]:
+    """Each run's CLI arguments, by run name."""
+    runs = {name: ["cavity", *flags] for name, flags in CAVITY_RUNS.items()}
+    runs["linsolve"] = ["linsolve", "--matrix", str(system / "stokes.mtx"),
+                        "--rhs", str(system / "rhs.mtx"),
+                        "--null-vector", str(system / "null.mtx"), "--refine-steps", "2"]
+    runs["factor-stats"] = ["factor-stats", "--matrix", str(system / "stokes.mtx")]
+    return runs
 
 
 def _content(path: Path) -> bytes | None:
-    """The artifact's bytes, a summary's without its wall time; None if absent."""
-    if not path.is_file():
-        return None
-    data = path.read_bytes()
-    if path.name == "summary.txt":
-        data = re.sub(rb" wall_seconds=\S+", b"", data)
-    return data
+    """The artifact's bytes; None if absent."""
+    return path.read_bytes() if path.is_file() else None
 
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    parent, change = (Path(p).resolve() for p in argv)
-    for src in (parent, change):
+    trees = {"parent": Path(argv[0]).resolve(), "change": Path(argv[1]).resolve()}
+    for src in trees.values():
         if not (src / "saddlesolve" / "__init__.py").is_file():
             print(f"error: no saddlesolve package under {src}", file=sys.stderr)
             return 2
@@ -90,15 +84,20 @@ def main(argv: list[str]) -> int:
         tmp = Path(tmp)
         system = tmp / "system"
         system.mkdir()
-        _python(parent, ["-c", EXPORT, str(system)])
-        artifacts = _run_tree(parent, tmp / "parent", system)
-        _run_tree(change, tmp / "change", system)
+        _python(trees["parent"], ["-c", EXPORT, str(system)])
         differs = 0
-        for name in artifacts:
-            a, b = _content(tmp / "parent" / name), _content(tmp / "change" / name)
-            same = a is not None and a == b
+        for run, args in _runs(system).items():
+            status = {tree: _python(src, ["-m", "saddlesolve.cli", *args,
+                                          "--output-dir", str(tmp / tree / run)])
+                      for tree, src in trees.items()}
+            for name in (*ARTIFACTS[args[0]], "summary.txt"):
+                a, b = (_content(tmp / tree / run / name) for tree in trees)
+                same = a is not None and a == b
+                differs += not same
+                print(f"{'same' if same else 'DIFFERS'} {run}/{name}")
+            same = status["parent"] == status["change"]
             differs += not same
-            print(f"{'same' if same else 'DIFFERS'} {name}")
+            print(f"{'same' if same else 'DIFFERS'} exit {run}", flush=True)
     return 1 if differs else 0
 
 
