@@ -69,31 +69,21 @@ _QP = np.array(
 )
 
 
+# the P2 triangle's local numbering: vertices 0, 1, 2, then the midpoints
+# 3, 4, 5 of these vertex pairs
+_EDGES = ((0, 1), (1, 2), (2, 0))
+
+
 def _p2_basis(pts):
     """Values and reference gradients of the 6 quadratic basis functions
-    (vertices then edge midpoints 01, 12, 20) at the given (xi, eta)."""
+    (vertices, then the midpoints of _EDGES) at the given (xi, eta)."""
     xi, eta = pts[:, 0], pts[:, 1]
     lam = np.stack([1.0 - xi - eta, xi, eta], axis=1)
-    n = np.stack(
-        [
-            lam[:, 0] * (2 * lam[:, 0] - 1),
-            lam[:, 1] * (2 * lam[:, 1] - 1),
-            lam[:, 2] * (2 * lam[:, 2] - 1),
-            4 * lam[:, 0] * lam[:, 1],
-            4 * lam[:, 1] * lam[:, 2],
-            4 * lam[:, 2] * lam[:, 0],
-        ],
-        axis=1,
-    )
     gl = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    dn = np.empty((pts.shape[0], 6, 2))
-    for d in range(2):
-        dn[:, 0, d] = (4 * lam[:, 0] - 1) * gl[0, d]
-        dn[:, 1, d] = (4 * lam[:, 1] - 1) * gl[1, d]
-        dn[:, 2, d] = (4 * lam[:, 2] - 1) * gl[2, d]
-        dn[:, 3, d] = 4 * (lam[:, 1] * gl[0, d] + lam[:, 0] * gl[1, d])
-        dn[:, 4, d] = 4 * (lam[:, 2] * gl[1, d] + lam[:, 1] * gl[2, d])
-        dn[:, 5, d] = 4 * (lam[:, 0] * gl[2, d] + lam[:, 2] * gl[0, d])
+    i, j = np.array(_EDGES).T
+    n = np.concatenate([lam * (2 * lam - 1), 4 * lam[:, i] * lam[:, j]], axis=1)
+    dn = np.concatenate([(4 * lam - 1)[:, :, None] * gl,
+                         4 * (lam[:, j, None] * gl[i] + lam[:, i, None] * gl[j])], axis=1)
     return n, dn
 
 
@@ -145,18 +135,12 @@ def build_mesh(level: int) -> CavityMesh:
     bx = (2 * cx.ravel()).astype(np.intp)
     by = (2 * cy.ravel()).astype(np.intp)
     # lower-right triangle then upper-left, both counterclockwise, split
-    # along the same lower-left to upper-right diagonal in every square
-    t_low = np.column_stack([
-        nid(bx, by), nid(bx + 2, by), nid(bx + 2, by + 2),
-        nid(bx + 1, by), nid(bx + 2, by + 1), nid(bx + 1, by + 1),
-    ])
-    t_up = np.column_stack([
-        nid(bx, by), nid(bx + 2, by + 2), nid(bx, by + 2),
-        nid(bx + 1, by + 1), nid(bx + 1, by + 2), nid(bx, by + 1),
-    ])
+    # along the same lower-left to upper-right diagonal in every square:
+    # each by its vertices' fine-grid offsets, its midpoints their means
     triangles = np.empty((2 * ncell * ncell, 6), dtype=np.intp)
-    triangles[0::2] = t_low
-    triangles[1::2] = t_up
+    for half, corners in enumerate((((0, 0), (2, 0), (2, 2)), ((0, 0), (2, 2), (0, 2)))):
+        offsets = [*corners, *(np.add(corners[i], corners[j]) // 2 for i, j in _EDGES)]
+        triangles[half::2] = np.column_stack([nid(bx + ox, by + oy) for ox, oy in offsets])
 
     px, py = np.meshgrid(np.arange(0, m + 1, 2), np.arange(0, m + 1, 2))
     pressure_nodes = nid(px.ravel().astype(np.intp), py.ravel().astype(np.intp))
@@ -439,8 +423,8 @@ def pressure_to_nodes(prob: CavityProblem, p: np.ndarray) -> np.ndarray:
     pv = p[mesh.p1_conn]
     out = np.empty(mesh.n_nodes)
     out[mesh.triangles[:, :3]] = pv
-    # midpoints of edges 01, 12, 20
-    out[mesh.triangles[:, 3:]] = 0.5 * (pv + pv[:, [1, 2, 0]])
+    i, j = np.array(_EDGES).T
+    out[mesh.triangles[:, 3:]] = 0.5 * (pv[:, i] + pv[:, j])
     return out
 
 

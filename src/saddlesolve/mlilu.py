@@ -197,8 +197,8 @@ def static_defer(diag: np.ndarray, diag_thresh: float):
 
 
 class _Flat:
-    """Sparse vectors stored back to back in rank order: vector t has the
-    indices idx[ptr[t]:ptr[t + 1]] and the values val[ptr[t]:ptr[t + 1]].
+    """Sparse vectors stored back to back in index order: vector k has the
+    indices idx[ptr[k]:ptr[k + 1]] and the values val[ptr[k]:ptr[k + 1]].
     The buffers double when full, copying only what they store."""
 
     def __init__(self, count: int, capacity: int, idx_dtype):
@@ -222,29 +222,30 @@ class _Flat:
         self.val[start:end] = val
         return end
 
-    def append(self, t: int, idx: np.ndarray, val: np.ndarray, sizes=None) -> None:
-        """Store vector t, or with ``sizes`` the vectors t, t + 1, ... of
+    def append(self, k: int, idx: np.ndarray, val: np.ndarray, sizes=None) -> None:
+        """Store vector k, or with ``sizes`` the vectors k, k + 1, ... of
         those sizes, back to back in ``idx`` and ``val``."""
-        start = self.ptr[t]
+        start = self.ptr[k]
         end = self.write(start, idx, val)
         if sizes is None:
-            self.ptr[t + 1] = end
+            self.ptr[k + 1] = end
         else:
-            self.ptr[t + 1:t + 1 + len(sizes)] = start + np.cumsum(sizes)
+            self.ptr[k + 1:k + 1 + len(sizes)] = start + np.cumsum(sizes)
 
-    def at_indices(self, t0: int, k0: int, k1: int):
-        """The entries of the first t0 vectors at indices k0..k1-1, grouped
-        by index and in rank order within each: (pointer over the k1 - k0
-        indices, ranks, values)."""
-        end = self.ptr[t0]
+    def at_indices(self, k0: int, k1: int):
+        """The entries of the first k0 vectors at indices k0..k1-1, grouped
+        by index and in vector order within each: (pointer over the k1 - k0
+        indices, the vectors holding them, values)."""
+        end = self.ptr[k0]
         idx = self.idx[:end]
         at = np.flatnonzero((idx >= k0) & (idx < k1))
         rows = idx[at] - k0
         at = at[np.argsort(rows, kind="stable")]
         ptr = np.zeros(k1 - k0 + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=k1 - k0), out=ptr[1:])
-        ranks = np.searchsorted(self.ptr[:t0 + 1], at, side="right") - 1
-        return ptr, ranks, self.val[at]
+        # an empty vector starts where the next one does; side="right" skips it
+        cands = np.searchsorted(self.ptr[:k0 + 1], at, side="right") - 1
+        return ptr, cands, self.val[at]
 
 
 class _Product(NamedTuple):
@@ -333,20 +334,18 @@ def crout_ilu_level(
     The stored zeros of A_NN stay stored in S.
 
     Step k gathers row k and column k of the active matrix: A's entries
-    minus l_kt d_t times the stored U row (u_tk d_t times the stored L
-    column) of every earlier pivot t whose L column (U row) reaches k.  The
-    steps run in blocks of _BLOCK.  Before a block, one sparse product per
-    side, [-(L_{R,<t0} D) | I] @ [U_{<t0} ; A_R] for the block's rows R and
-    the t0 pivots accepted so far (and the same from the column side), sums
-    A's entry and then those pivots' updates in rank order (each left row
-    holds its identity entry first), through one numeric pass of scipy's
-    compiled SMMP (_smmp; Gustavson, ACM TOMS 1978).  The right operand is
-    a view of the flat buffer, A_R written into its free tail.  The output
-    is allocated at the bound min(n, multiply-adds) per row, so no
-    symbolic pass sizes it, and shrunk in place to the entries written.
+    minus l_kj d_j times the stored U row (u_jk d_j times the stored L
+    column) of every earlier pivot j whose L column (U row) reaches k.  The
+    steps run in blocks k0..k1-1 of _BLOCK.  Before a block, one sparse
+    product per side, [-(L_{R,<k0} D) | I] @ [U_{<k0} ; A_R] for the
+    block's rows R (and the same from the column side), sums A's entry and
+    then the earlier pivots' updates in index order (each left row holds
+    its identity entry first), through one numeric pass of scipy's
+    compiled SMMP (_smmp; Gustavson, ACM TOMS 1978), whose right operand is
+    a view of the flat buffer, A_R written into its free tail.
     In the block, a gather adds the updates of the block's own pivots (the
     nonzero multipliers the block's pivots stored at its index) to its row
-    of that product, in rank order, in a dense accumulator; its sorted
+    of that product, in index order, in a dense accumulator; its sorted
     unique indices are read off a boolean mask of the touched positions.  A
     gather with no in-block update only sorts its row of the product in
     place (scipy's compiled csr_sort_indices).  The sum of every entry thus
@@ -366,16 +365,16 @@ def crout_ilu_level(
     the block recorded as in store.  The rest of the block runs one pivot
     at a time.
 
-    An accepted pivot stores its dropped U row and L column once, in
-    ``a``'s indices, at the end of flat index/value buffers.  The block's
-    multipliers are read back from them: those of earlier pivots by one
-    vectorized transpose per block (the buffers' entries at the block's
-    indices, stably sorted by index), those of the block's own pivots from
-    a dense _BLOCK x _BLOCK array; the inverse-norm estimator dots them in
-    rank order.  After the loop, (U+I) as CSR and (L+I) as CSC are built
-    from the flat buffers: each stored vector is a row of U (a column of
-    L), its indices mapped to factor positions and its unit diagonal put
-    in front, and rows (columns) n_b..n-1 hold only their diagonal.  A
+    Every per-pivot array is keyed by k.  Candidate k stores its dropped U
+    row and L column, empty if it is deferred, once, in ``a``'s indices, as
+    vector k of flat index/value buffers.  The block's multipliers are read
+    back from them: those of earlier pivots by one vectorized transpose per
+    block (the buffers' entries at the block's indices, stably sorted by
+    index), those of the block's own pivots from a dense _BLOCK x _BLOCK
+    array.  After the loop, (U+I) as CSR and (L+I) as CSC are built from
+    the flat buffers: the i-th accepted pivot's vector is row (column) i,
+    its indices mapped to factor positions and its unit diagonal put in
+    front, and rows (columns) n_b..n-1 hold only their diagonal.  A
     deferred index keeps its entries in them; they are the L_NB and U_BN
     blocks of the Schur complement
     S = A_NN - L_NB diag(D) U_BN over the non-eliminated indices N, two
@@ -397,7 +396,8 @@ def crout_ilu_level(
     acsc = acsr.tocsc()
 
     counts = np.diff([acsr.indptr, acsc.indptr])
-    u_caps, l_caps = np.maximum(_CAP_FLOOR, np.ceil(params.alpha * counts).astype(np.intp))
+    # a cap of n never binds, and a larger alpha could overflow the cast
+    u_caps, l_caps = np.maximum(_CAP_FLOOR, np.ceil(min(params.alpha, n) * counts).astype(np.intp))
     droptol = params.droptol
     pivot_floor = max(params.pivot_floor, _TINY)
     cond_thresh = params.cond_thresh
@@ -406,9 +406,9 @@ def crout_ilu_level(
     # status: 0 pending candidate, 1 eliminated, 2 deferred or trailing
     status = np.zeros(n, dtype=np.int8)
     status[ncand:] = 2
-    elim: list[int] = []
-    # by elimination rank t: the pivot, the incremental inverse-norm
-    # estimator states for L and U, and the stored U rows and L columns
+    # by candidate k: the pivot, the incremental inverse-norm estimator
+    # states for L and U, and the stored U rows and L columns (empty if k
+    # is deferred)
     diag = np.zeros(ncand)
     v_low = np.zeros(ncand)
     v_up = np.zeros(ncand)
@@ -416,48 +416,50 @@ def crout_ilu_level(
     est_up = 1.0
     upper = _Flat(ncand, acsr.nnz, acsr.indices.dtype)
     lower = _Flat(ncand, acsr.nnz, acsr.indices.dtype)
-    # multipliers of the block's own pivots, by (row in the block, rank in
-    # the block): l_kt from the L columns update row k, u_tk from the U rows
-    # update column k
+    # multipliers of the block's own pivots, by (row in the block, pivot's
+    # place in the block): l_kj from the L columns update row k, u_jk from
+    # the U rows update column k
     row_mult = np.zeros((block, block))
     col_mult = np.zeros((block, block))
     acc = np.zeros(n)  # dense accumulator, all zero between gathers
     touched = np.zeros(n, dtype=bool)  # all False between gathers
 
-    def block_sums(m, k0, k1, t0, stored, mults):
+    def block_sums(m, k0, k1, stored, mults):
         """Rows (CSR ``m``, stored U rows) or columns (CSC ``m``, stored L
-        columns) k0..k1-1 of A minus the updates of the first t0 pivots, as
-        one SMMP product, and the multipliers (``mults``: stored L columns or
-        U rows) of those pivots at each index of the block, in rank order."""
+        columns) k0..k1-1 of A minus the updates of the pivots before k0,
+        as one SMMP product, and the multipliers (``mults``: stored L
+        columns or U rows) of those pivots at each index of the block, in
+        index order."""
         nr = k1 - k0
-        ptr, ranks, vals = mults.at_indices(t0, k0, k1)
+        ptr, cands, vals = mults.at_indices(k0, k1)
         lo, hi = m.indptr[k0], m.indptr[k1]
-        end = stored.ptr[t0]
+        end = stored.ptr[k0]
         # [-(mults D) | I] @ [the stored vectors ; A's block rows], each left
-        # row with its identity entry first.  A's rows go into the buffers'
-        # free tail, where the block's appends overwrite them, so that the
-        # right operand is a view of the buffers.
+        # row with its identity entry first; A's row k0 + r is right row
+        # k0 + r.  A's rows go into the buffers' free tail, where the
+        # block's appends overwrite them, so that the right operand is a
+        # view of the buffers.
         tail = stored.write(end, m.indices[lo:hi], m.data[lo:hi])
         sums = _smmp(ptr + np.arange(nr + 1),
-                     np.insert(ranks, ptr[:-1], t0 + np.arange(nr)),
-                     np.insert(-vals * diag[ranks], ptr[:-1], 1.0),
-                     np.concatenate([stored.ptr[:t0 + 1], m.indptr[k0 + 1:k1 + 1] - lo + end]),
+                     np.insert(cands, ptr[:-1], np.arange(k0, k1)),
+                     np.insert(-vals * diag[cands], ptr[:-1], 1.0),
+                     np.concatenate([stored.ptr[:k0 + 1], m.indptr[k0 + 1:k1 + 1] - lo + end]),
                      stored.idx[:tail], stored.val[:tail], n)
-        return sums, (ptr, ranks, vals)
+        return sums, (ptr, cands, vals)
 
-    def gather(sums, r, earlier, own_mult, t0, nblk, stored, v):
+    def gather(sums, r, earlier, own_mult, k0, stored, v):
         """Row or column k0 + r of the active matrix, sorted and restricted
         to the non-eliminated indices, and the estimator
-        1 + |sum_t mult_t v_t|."""
-        ptr, ranks, vals = earlier
-        mults, ts = vals[ptr[r]:ptr[r + 1]], ranks[ptr[r]:ptr[r + 1]]
+        1 + |sum_j mult_j v_j|."""
+        ptr, cands, vals = earlier
+        mults, js = vals[ptr[r]:ptr[r + 1]], cands[ptr[r]:ptr[r + 1]]
         lo, hi = sums.indptr[r], sums.indptr[r + 1]
-        s = own_mult[r, :nblk].nonzero()[0]
+        s = own_mult[r, :r].nonzero()[0]
         if s.size:
-            own = s + t0
+            own = s + k0
             own_vals = own_mult[r, s]
             p = stored.ptr
-            cuts = [slice(p[t], p[t + 1]) for t in own.tolist()]
+            cuts = [slice(p[j], p[j + 1]) for j in own.tolist()]
             # intp indexes fastest; the flat buffers keep A's narrower index dtype
             gi = np.concatenate([sums.indices[lo:hi], *[stored.idx[c] for c in cuts]],
                                 dtype=np.intp)
@@ -470,53 +472,51 @@ def crout_ilu_level(
             total = acc[uq]
             acc[uq] = 0.0
             mults = np.concatenate([mults, own_vals])
-            ts = np.concatenate([ts, own])
+            js = np.concatenate([js, own])
         else:
             # no in-block update: SMMP stores each index of its row once, so
             # the row is the sum as it is, sorted in place
             csr_sort_indices(1, sums.indptr[r:r + 2], sums.indices, sums.data)
             uq, total = sums.indices[lo:hi], sums.data[lo:hi]
         live = status[uq] != 1
-        return uq[live], total[live], 1.0 + abs(mults @ v[ts])
+        return uq[live], total[live], 1.0 + abs(mults @ v[js])
 
-    def store(t, k, k0, k1, t0, idx, val, est, cap, stored, own_mult):
+    def store(k, k0, k1, idx, val, est, cap, stored, own_mult):
         """Drop, then store pivot k's U row or L column (``val`` already
         divided by the pivot) and note its entries at the block's pending
-        indices as multipliers of rank t."""
+        indices as its multipliers."""
         keep = (idx != k) & (np.abs(val) * est > droptol)
         idx, val = idx[keep], val[keep]
         if idx.size > cap:
             sel = np.lexsort((idx, -np.abs(val)))[:cap]
             sel.sort()
             idx, val = idx[sel], val[sel]
-        stored.append(t, idx, val)
+        stored.append(k, idx, val)
         lo, hi = idx.searchsorted((k + 1, k1))
-        own_mult[idx[lo:hi] - k0, t - t0] = val[lo:hi]
+        own_mult[idx[lo:hi] - k0, k - k0] = val[lo:hi]
 
     def prefix_rows(sums, earlier, v, npre):
         """Rows 0..npre-1 of a block product, which no pivot of the prefix
         updates: their entries, sorted in place within each row and
         restricted to the non-eliminated indices, as (row, index, value)
-        arrays, and each row's estimator 1 + |sum_t mult_t v_t|, one dot per
+        arrays, and each row's estimator 1 + |sum_j mult_j v_j|, one dot per
         row as in gather."""
         end = sums.indptr[npre]
         csr_sort_indices(npre, sums.indptr, sums.indices, sums.data)
         seg = np.repeat(np.arange(npre), np.diff(sums.indptr[:npre + 1]))
         idx, val = sums.indices[:end], sums.data[:end]
         live = status[idx] != 1
-        ptr, ranks, vals = earlier
-        est = np.array([1.0 + abs(vals[ptr[r]:ptr[r + 1]] @ v[ranks[ptr[r]:ptr[r + 1]]])
+        ptr, cands, vals = earlier
+        est = np.array([1.0 + abs(vals[ptr[r]:ptr[r + 1]] @ v[cands[ptr[r]:ptr[r + 1]]])
                         for r in range(npre)])
         return seg[live], idx[live], val[live], est
 
-    def store_prefix(k0, k1, t0, t, rank, seg, idx, val, pivot, est, caps, stored,
-                     own_mult):
-        """store for the prefix's accepted pivots, ranks t, t + 1, ..., at
-        once: ``rank`` is each prefix row's place among them (-1 if
-        deferred); ``pivot``, ``est`` and ``caps`` are by that place, ``est``
-        the running maximum each pivot drops with."""
-        keep = (rank[seg] >= 0) & (idx != k0 + seg)
-        r, idx = rank[seg[keep]], idx[keep]
+    def store_prefix(k0, k1, accept, seg, idx, val, pivot, est, caps, stored, own_mult):
+        """store for the prefix's pivots at once, an empty vector for each
+        deferred one: ``accept``, ``pivot``, ``est`` and ``caps`` are by
+        prefix row, ``est`` the running maximum each pivot drops with."""
+        keep = accept[seg] & (idx != k0 + seg)
+        r, idx = seg[keep], idx[keep]
         val = val[keep] / pivot[r]
         keep = np.abs(val) * est[r] > droptol
         r, idx, val = r[keep], idx[keep], val[keep]
@@ -529,16 +529,14 @@ def crout_ilu_level(
             keep[at] = np.arange(r.size) - first[r[at]] < caps[r[at]]
             r, idx, val = r[keep], idx[keep], val[keep]
             sizes = np.minimum(sizes, caps)
-        stored.append(t, idx, val, sizes)
+        stored.append(k0, idx, val, sizes)
         own = (idx >= k0) & (idx < k1)
-        own_mult[idx[own] - k0, r[own] + (t - t0)] = val[own]
+        own_mult[idx[own] - k0, r[own]] = val[own]
 
-    n_dynamic = 0
     for k0 in range(0, ncand, block):
         k1 = min(k0 + block, ncand)
-        t0 = len(elim)
-        row_sums, row_earlier = block_sums(acsr, k0, k1, t0, upper, lower)
-        col_sums, col_earlier = block_sums(acsc, k0, k1, t0, lower, upper)
+        row_sums, row_earlier = block_sums(acsr, k0, k1, upper, lower)
+        col_sums, col_earlier = block_sums(acsc, k0, k1, lower, upper)
         row_mult.fill(0.0)
         col_mult.fill(0.0)
 
@@ -550,52 +548,48 @@ def crout_ilu_level(
         pivot = np.zeros(npre)
         pivot[rseg[on_diag]] = rval[on_diag]
         accept = (np.abs(pivot) > pivot_floor) & (vlk <= cond_thresh) & (vuk <= cond_thresh)
-        status[k0:k0 + npre] = np.where(accept, 1, 2)
-        kept = np.flatnonzero(accept)
-        n_dynamic += npre - kept.size
-        t, t1 = len(elim), len(elim) + kept.size
-        elim.extend((k0 + kept).tolist())
-        diag[t:t1], v_low[t:t1], v_up[t:t1] = pivot[kept], vlk[kept], vuk[kept]
-        run_low = np.maximum.accumulate(np.r_[est_low, vlk[kept]])
-        run_up = np.maximum.accumulate(np.r_[est_up, vuk[kept]])
+        pre = slice(k0, k0 + npre)
+        status[pre] = np.where(accept, 1, 2)
+        diag[pre], v_low[pre], v_up[pre] = pivot, vlk, vuk
+        # every estimate is at least 1, so a deferred row leaves the maxima be
+        run_low = np.maximum.accumulate(np.r_[est_low, np.where(accept, vlk, 1.0)])
+        run_up = np.maximum.accumulate(np.r_[est_up, np.where(accept, vuk, 1.0)])
         est_low, est_up = run_low[-1], run_up[-1]
-        rank = np.full(npre, -1)
-        rank[kept] = np.arange(kept.size)
-        store_prefix(k0, k1, t0, t, rank, rseg, ridx, rval, diag[t:t1], run_up[1:],
-                     u_caps[k0 + kept], upper, col_mult)
-        store_prefix(k0, k1, t0, t, rank, cseg, cidx, cval, diag[t:t1], run_low[1:],
-                     l_caps[k0 + kept], lower, row_mult)
+        store_prefix(k0, k1, accept, rseg, ridx, rval, pivot, run_up[1:], u_caps[pre],
+                     upper, col_mult)
+        store_prefix(k0, k1, accept, cseg, cidx, cval, pivot, run_low[1:], l_caps[pre],
+                     lower, row_mult)
 
         for k in range(k0 + npre, k1):
-            r, nblk = k - k0, len(elim) - t0
-            ridx, rval, vlk = gather(row_sums, r, row_earlier, row_mult, t0, nblk, upper, v_low)
-            cidx, cval, vuk = gather(col_sums, r, col_earlier, col_mult, t0, nblk, lower, v_up)
+            r = k - k0
+            ridx, rval, vlk = gather(row_sums, r, row_earlier, row_mult, k0, upper, v_low)
+            cidx, cval, vuk = gather(col_sums, r, col_earlier, col_mult, k0, lower, v_up)
             at = ridx.searchsorted(k)
             pivot = rval[at] if at < ridx.size and ridx[at] == k else 0.0
             if not (abs(pivot) > pivot_floor and vlk <= cond_thresh and vuk <= cond_thresh):
                 status[k] = 2
-                n_dynamic += 1
+                upper.ptr[k + 1] = upper.ptr[k]
+                lower.ptr[k + 1] = lower.ptr[k]
                 continue
-            t = len(elim)
             status[k] = 1
-            elim.append(k)
-            diag[t], v_low[t], v_up[t] = pivot, vlk, vuk
+            diag[k], v_low[k], v_up[k] = pivot, vlk, vuk
             est_low = max(est_low, vlk)
             est_up = max(est_up, vuk)
-            store(t, k, k0, k1, t0, ridx, rval / pivot, est_up, u_caps[k], upper, col_mult)
-            store(t, k, k0, k1, t0, cidx, cval / pivot, est_low, l_caps[k], lower, row_mult)
+            store(k, k0, k1, ridx, rval / pivot, est_up, u_caps[k], upper, col_mult)
+            store(k, k0, k1, cidx, cval / pivot, est_low, l_caps[k], lower, row_mult)
 
     # -- the level in elimination-then-deferred order, and its Schur complement --
-    n_b = len(elim)
+    elim = np.flatnonzero(status == 1)
     nonelim = np.flatnonzero(status != 1)
-    order = np.concatenate([np.asarray(elim, dtype=np.intp), nonelim])
+    n_b = elim.size
+    order = np.concatenate([elim, nonelim])
     pos = np.empty(n, dtype=acsr.indices.dtype)
     pos[order] = np.arange(n)
 
     def unit_form(f, fmt):
         # np.insert copies, so the factor does not keep the whole buffer alive
-        end = f.ptr[n_b]
-        starts = np.pad(f.ptr[:n_b + 1], (0, n - n_b), mode="edge")
+        end = f.ptr[ncand]
+        starts = np.pad(f.ptr[elim], (0, n - n_b + 1), constant_values=end)
         m = fmt((np.insert(f.val[:end], starts[:-1], 1.0),
                  np.insert(pos[f.idx[:end]], starts[:-1], np.arange(n)),
                  starts + np.arange(n + 1)), shape=(n, n))
@@ -610,7 +604,7 @@ def crout_ilu_level(
     upper = None
     l_mat = unit_form(lower, sp.csc_matrix)
     lower = None
-    d = diag[:n_b].copy()
+    d = diag[elim]
     # L's block as CSR: the product on the CSC block sums in another order.
     # Two passes, since scaling L's data in place changes bits: the first
     # pass's unsorted output order sets the summation order of the second.
@@ -633,7 +627,7 @@ def crout_ilu_level(
     schur.sum_duplicates()
     level = LevelFactor(
         n=n, n_b=n_b, order=order, dr=np.ones(n), dc=np.ones(n), L=l_mat, U=u_mat, D=d,
-        n_static_deferred=n - ncand, n_dynamic_deferred=n_dynamic,
+        n_static_deferred=n - ncand, n_dynamic_deferred=ncand - n_b,
     )
     return level, schur
 

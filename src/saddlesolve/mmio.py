@@ -88,6 +88,8 @@ def mm_read(path, kind: str = "matrix"):
     if min(sizes) < 0:
         _fail(path, size_no, size_line, "sizes must be nonnegative")
     nrows, ncols = sizes[:2]
+    if symmetry != "general" and nrows != ncols:
+        _fail(path, size_no, size_line, f"{symmetry} storage needs a square matrix")
     if kind == "vector" and ncols != 1:
         raise MatrixMarketError(f"{path}: vector requested but file has {ncols} columns")
 
@@ -119,8 +121,11 @@ def mm_read(path, kind: str = "matrix"):
         off = rows != cols
         rows, cols = np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]])
         vals = np.concatenate([vals, (-1.0 if skew else 1.0) * vals[off]])
-    mat = as_csr(sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)))
-    return mat.toarray()[:, 0] if kind == "vector" else mat
+    try:  # the declared shape sizes the row pointer and the dense vector
+        mat = as_csr(sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)))
+        return mat.toarray()[:, 0] if kind == "vector" else mat
+    except MemoryError:
+        _fail(path, size_no, size_line, f"no memory for the declared {nrows} x {ncols} matrix")
 
 
 def _loadtxt(rows, dtype):

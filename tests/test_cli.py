@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from saddlesolve import mmio
 from saddlesolve.cli import main
 from saddlesolve.mmio import mm_read, mm_write
 from saddlesolve.sparse import as_csr
@@ -447,6 +448,8 @@ def _bad_input_files(tmp_path):
     # above dense_switch (500 unknowns by default), so a level equilibrates it
     mm_write(_last_row_empty(600), tmp_path / "empty600.mtx")
     (tmp_path / "bad.mtx").write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n")
+    (tmp_path / "symwide.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n3 2 2\n1 1 1.0\n3 1 2.0\n")
     nan = np.ones((3, 3))
     nan[0, 1] = np.nan
     mm_write(as_csr(sp.csr_matrix(nan)), tmp_path / "nan.mtx")
@@ -471,6 +474,7 @@ def _bad_input_files(tmp_path):
     (["factor-stats", "--matrix", "nan.mtx"], "value 2 is not finite (nan)"),
     (["linsolve", "--matrix", "a.mtx", "--rhs", "nan4.mtx"], "value 2 is not finite (nan)"),
     (["linsolve", "--matrix", "a.mtx", "--null-vector", "nan4.mtx"], "value 2 is not finite (nan)"),
+    (["factor-stats", "--matrix", "symwide.mtx"], "symmetric storage needs a square matrix"),
 ])
 def test_bad_input_files_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, message):
     _bad_input_files(tmp_path)
@@ -479,6 +483,20 @@ def test_bad_input_files_exit_2_with_one_line(tmp_path, capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert message in err
+
+
+def test_a_declared_shape_without_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    def no_memory(a):  # planted: a real allocation need not fail fast
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(mmio, "as_csr", no_memory)
+    (tmp_path / "huge.mtx").write_text("%%MatrixMarket matrix coordinate real general\n"
+                                       "100000000000 100000000000 1\n1 1 1.0\n")
+    assert main(["factor-stats", "--matrix", str(tmp_path / "huge.mtx"),
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "no memory for the declared 100000000000 x 100000000000 matrix" in err
 
 
 def test_oversized_dense_tail_exits_2_with_one_line(tmp_path, capsys):

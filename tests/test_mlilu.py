@@ -860,6 +860,18 @@ def test_a_zero_diagonal_level_at_pivot_floor_zero_goes_to_the_tail():
     assert np.array_equal(ml_solve(m, a @ x), x)
 
 
+@pytest.mark.parametrize("alpha", [np.inf, 1e300])
+def test_a_huge_alpha_caps_like_the_level_size(alpha):
+    # alpha * nnz past the int64 range used to cast to the most negative
+    # int64 (with a warning), which made every cap the floor of 5
+    a = _dropping_level(40, 3)
+    params = FactorParams(alpha=40.0, droptol=0.0)
+    level, schur = crout_ilu_level(a, params, 35)
+    assert np.diff(level.U.indptr).max() > 1 + mlilu._CAP_FLOOR
+    assert _level_bits(*crout_ilu_level(a, replace(params, alpha=alpha), 35)) == _level_bits(
+        level, schur)
+
+
 @pytest.mark.parametrize("shape, n_candidates, match", [
     ((4, 4), -1, r"n_candidates must be in \[0, 4\], got -1"),
     ((4, 4), 6, r"n_candidates must be in \[0, 4\], got 6"),

@@ -3,6 +3,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
+from saddlesolve import mmio
 from saddlesolve.mmio import MatrixMarketError, mm_read, mm_write, write_csv
 from saddlesolve.sparse import as_csr
 
@@ -153,9 +154,15 @@ def test_pattern_field_rejected(tmp_path):
      r":2: size line entries must be integers"),
     ("%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n2.0\n3.0\n",
      r":2: symmetric array storage not supported"),
+    # the mirrored entry (1, 3) would lie outside the declared shape
+    ("%%MatrixMarket matrix coordinate real symmetric\n3 2 2\n1 1 1.0\n3 1 2.0\n",
+     r":2: symmetric storage needs a square matrix"),
+    ("%%MatrixMarket matrix coordinate real skew-symmetric\n3 2 1\n3 1 2.0\n",
+     r":2: skew-symmetric storage needs a square matrix"),
 ], ids=["empty", "four-word-banner", "one-percent-banner", "object", "format", "field",
         "symmetry", "no-size-line", "coordinate-size-count", "array-size-count",
-        "non-integer-size", "symmetric-array"])
+        "non-integer-size", "symmetric-array", "symmetric-not-square",
+        "skew-symmetric-not-square"])
 def test_bad_header_or_size_line_is_rejected(tmp_path, text, message):
     path = tmp_path / "bad.mtx"
     path.write_text(text)
@@ -254,6 +261,23 @@ def test_impossible_count_fails_before_allocating(tmp_path, body, message):
     path.write_text("%%MatrixMarket matrix " + body)
     with pytest.raises(MatrixMarketError, match=message):
         mm_read(path)
+
+
+@pytest.mark.parametrize("kind, size", [("matrix", "100000000000 100000000000"),
+                                        ("vector", "100000000000 1")])
+def test_a_declared_shape_without_memory_is_a_matrix_market_error(tmp_path, monkeypatch,
+                                                                  kind, size):
+    # the failure is planted: allocating for real need not fail fast where
+    # the host overcommits memory
+    def no_memory(a):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(mmio, "as_csr", no_memory)
+    path = tmp_path / "huge.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n{size} 1\n1 1 1.0\n")
+    rows, cols = size.split()
+    with pytest.raises(MatrixMarketError, match=f":2: no memory for the declared {rows} x {cols} "):
+        mm_read(path, kind)
 
 
 @pytest.mark.parametrize("body, message", [
