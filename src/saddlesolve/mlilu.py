@@ -56,7 +56,11 @@ _CAP_FLOOR = 5  # retained entries per row/column regardless of the fill cap
 _MAX_LEVELS = 30
 _MAX_DENSE_TAIL = 4000  # largest dense tail allocated when dense_switch is below it
 _TAIL_LOCK = threading.Lock()
-_BLOCK = 128  # pivot steps per blocked gather in crout_ilu_level
+# pivot steps per block of crout_ilu_level, and the stored entries per row
+# from which a level takes the dense one (_block_size)
+_BLOCK = 128
+_DENSE_BLOCK = 64
+_DENSE_ROW = 64
 _INT32_MAX = np.iinfo(np.int32).max
 
 
@@ -294,6 +298,20 @@ def _smmp(l_ptr, l_idx, l_data, r_ptr, r_idx, r_data, ncols: int) -> _Product:
     return _Product(c_ptr, c_idx, c_data)
 
 
+def _block_size(a: sp.csr_matrix) -> int:
+    """Pivot steps per block of crout_ilu_level on level ``a``: _BLOCK, or
+    _DENSE_BLOCK if ``a`` stores at least _DENSE_ROW entries per row.  On
+    a dense level a gather at the end of a large block adds the updates of
+    many earlier pivots of its block one at a time; a smaller block moves
+    that work into the block's compiled SMMP product and holds smaller
+    block products.  On the cavity runs' levels the large block is the
+    faster on the first levels (17-18 entries per row), and the small one
+    the faster or tied on the Schur levels (129-254), with a lower peak
+    memory on every one of them; any _DENSE_ROW from 19 to 129 splits those
+    levels alike."""
+    return _BLOCK if a.nnz < _DENSE_ROW * a.shape[0] else _DENSE_BLOCK
+
+
 def _independent_prefix(k0: int, *products) -> int:
     """The length of the longest prefix of a block of indices k0, k0 + 1,
     ... in which no row of any block product (row i for index k0 + i)
@@ -336,22 +354,29 @@ def crout_ilu_level(
     Step k gathers row k and column k of the active matrix: A's entries
     minus l_kj d_j times the stored U row (u_jk d_j times the stored L
     column) of every earlier pivot j whose L column (U row) reaches k.  The
-    steps run in blocks k0..k1-1 of _BLOCK.  Before a block, one sparse
-    product per side, [-(L_{R,<k0} D) | I] @ [U_{<k0} ; A_R] for the
-    block's rows R (and the same from the column side), sums A's entry and
-    then the earlier pivots' updates in index order (each left row holds
-    its identity entry first), through one numeric pass of scipy's
-    compiled SMMP (_smmp; Gustavson, ACM TOMS 1978), whose right operand is
-    a view of the flat buffer, A_R written into its free tail.
-    In the block, a gather adds the updates of the block's own pivots (the
-    nonzero multipliers the block's pivots stored at its index) to its row
-    of that product, in index order, in a dense accumulator; its sorted
-    unique indices are read off a boolean mask of the touched positions.  A
-    gather with no in-block update only sorts its row of the product in
-    place (scipy's compiled csr_sort_indices).  The sum of every entry thus
-    runs in the order of one sequential gather.  SMMP leaves out sums that
-    are exactly zero and the accumulator keeps them, but the value drop
-    stores none, so the block size changes no bit, at any droptol.
+    estimators 1 + |sum_j mult_j v_j| read only the multipliers of those
+    pivots, so step k computes both first and defers k without a gather if
+    either exceeds cond_thresh; otherwise it gathers row k, and column k
+    only if the pivot on row k passes the floor.  The steps run in blocks
+    k0..k1-1 of _block_size(a) pivots: _BLOCK, or _DENSE_BLOCK on a level
+    with at least _DENSE_ROW stored entries per row, where a gather late in
+    a large block would add the updates of many of the block's pivots one
+    at a time.  Before a block, one sparse product per side,
+    [-(L_{R,<k0} D) | I] @ [U_{<k0} ; A_R] for the block's rows R (and the
+    same from the column side), sums A's entry and then the earlier pivots'
+    updates in index order (each left row holds its identity entry first),
+    through one numeric pass of scipy's compiled SMMP (_smmp; Gustavson,
+    ACM TOMS 1978), whose right operand is a view of the flat buffer, A_R
+    written into its free tail.  In the block, a gather adds the updates
+    of the block's own pivots (the nonzero multipliers the block's pivots
+    stored at its index) to its row of that product, in index order, in a
+    dense accumulator; its sorted unique indices are read off a boolean
+    mask of the touched positions.  A gather with no in-block update only
+    sorts its row of the product in place (scipy's compiled
+    csr_sort_indices).  The sum of every entry thus runs in the order of
+    one sequential gather.  SMMP leaves out sums that are exactly zero and
+    the accumulator keeps them, but the value drop stores none, so the
+    block size changes no bit, at any droptol.
 
     Each block first takes its independent prefix, the longest run
     k0..k0+L-1 in which no row of either product holds another index of
@@ -359,24 +384,24 @@ def crout_ilu_level(
     another, so each of its gathers is its row of the product unchanged,
     and the L pivots are eliminated in one step, in index order: one
     in-place row sort and status filter per side, one estimator dot per row
-    (the same call as in gather, so the same bits), a vectorized deferral
-    test, the running maxima by np.maximum.accumulate, a segmented drop
-    and cap, one append per side, and their multipliers at the rest of
-    the block recorded as in store.  The rest of the block runs one pivot
-    at a time.
+    (the helper of the one-by-one steps, so the same bits), a vectorized
+    deferral test, the running maxima by np.maximum.accumulate, a
+    segmented drop and cap, one append per side, and their multipliers at
+    the rest of the block recorded as in store.  The rest of the block
+    runs one pivot at a time.
 
     Every per-pivot array is keyed by k.  Candidate k stores its dropped U
     row and L column, empty if it is deferred, once, in ``a``'s indices, as
     vector k of flat index/value buffers.  The block's multipliers are read
     back from them: those of earlier pivots by one vectorized transpose per
     block (the buffers' entries at the block's indices, stably sorted by
-    index), those of the block's own pivots from a dense _BLOCK x _BLOCK
-    array.  After the loop, (U+I) as CSR and (L+I) as CSC are built from
-    the flat buffers: the i-th accepted pivot's vector is row (column) i,
-    its indices mapped to factor positions and its unit diagonal put in
-    front, and rows (columns) n_b..n-1 hold only their diagonal.  A
-    deferred index keeps its entries in them; they are the L_NB and U_BN
-    blocks of the Schur complement
+    index), those of the block's own pivots from a dense array, one row and
+    column per pivot of the block.  After the loop, (U+I) as CSR and (L+I)
+    as CSC are built from the flat buffers: the i-th accepted pivot's
+    vector is row (column) i, its indices mapped to factor positions and
+    its unit diagonal put in front, and rows (columns) n_b..n-1 hold only
+    their diagonal.  A deferred index keeps its entries in them; they are
+    the L_NB and U_BN blocks of the Schur complement
     S = A_NN - L_NB diag(D) U_BN over the non-eliminated indices N, two
     SMMP passes, L_NB diag(-D) and then that times U_BN, with A_NN's
     entries put after the product's own in each row and summed with them,
@@ -401,7 +426,7 @@ def crout_ilu_level(
     droptol = params.droptol
     pivot_floor = max(params.pivot_floor, _TINY)
     cond_thresh = params.cond_thresh
-    block = _BLOCK
+    block = _block_size(acsr)
 
     # status: 0 pending candidate, 1 eliminated, 2 deferred or trailing
     status = np.zeros(n, dtype=np.int8)
@@ -447,17 +472,29 @@ def crout_ilu_level(
                      stored.idx[:tail], stored.val[:tail], n)
         return sums, (ptr, cands, vals)
 
-    def gather(sums, r, earlier, own_mult, k0, stored, v):
-        """Row or column k0 + r of the active matrix, sorted and restricted
-        to the non-eliminated indices, and the estimator
-        1 + |sum_j mult_j v_j|."""
+    def own_pivots(own_mult, r, k0):
+        """The block's pivots that update block row r (their indices k) and
+        their multipliers there."""
+        s = own_mult[r, :r].nonzero()[0]
+        return s + k0, own_mult[r, s]
+
+    def estimator(earlier, r, own, own_vals, v):
+        """1 + |sum_j mult_j v_j| over the multipliers at block row r: the
+        earlier pivots' in index order, then ``own_vals`` of the block's
+        pivots ``own``."""
         ptr, cands, vals = earlier
         mults, js = vals[ptr[r]:ptr[r + 1]], cands[ptr[r]:ptr[r + 1]]
+        if own.size:
+            mults = np.concatenate([mults, own_vals])
+            js = np.concatenate([js, own])
+        return 1.0 + abs(mults @ v[js])
+
+    def gather(sums, r, own, own_vals, stored):
+        """Row or column k0 + r of the active matrix, sorted and restricted
+        to the non-eliminated indices: row r of the block product plus the
+        updates of the block's pivots ``own``."""
         lo, hi = sums.indptr[r], sums.indptr[r + 1]
-        s = own_mult[r, :r].nonzero()[0]
-        if s.size:
-            own = s + k0
-            own_vals = own_mult[r, s]
+        if own.size:
             p = stored.ptr
             cuts = [slice(p[j], p[j + 1]) for j in own.tolist()]
             # intp indexes fastest; the flat buffers keep A's narrower index dtype
@@ -471,15 +508,13 @@ def crout_ilu_level(
             touched[uq] = False
             total = acc[uq]
             acc[uq] = 0.0
-            mults = np.concatenate([mults, own_vals])
-            js = np.concatenate([js, own])
         else:
             # no in-block update: SMMP stores each index of its row once, so
             # the row is the sum as it is, sorted in place
             csr_sort_indices(1, sums.indptr[r:r + 2], sums.indices, sums.data)
             uq, total = sums.indices[lo:hi], sums.data[lo:hi]
         live = status[uq] != 1
-        return uq[live], total[live], 1.0 + abs(mults @ v[js])
+        return uq[live], total[live]
 
     def store(k, k0, k1, idx, val, est, cap, stored, own_mult):
         """Drop, then store pivot k's U row or L column (``val`` already
@@ -499,16 +534,14 @@ def crout_ilu_level(
         """Rows 0..npre-1 of a block product, which no pivot of the prefix
         updates: their entries, sorted in place within each row and
         restricted to the non-eliminated indices, as (row, index, value)
-        arrays, and each row's estimator 1 + |sum_j mult_j v_j|, one dot per
-        row as in gather."""
+        arrays, and each row's estimator, which no pivot of the block
+        enters."""
         end = sums.indptr[npre]
         csr_sort_indices(npre, sums.indptr, sums.indices, sums.data)
         seg = np.repeat(np.arange(npre), np.diff(sums.indptr[:npre + 1]))
         idx, val = sums.indices[:end], sums.data[:end]
         live = status[idx] != 1
-        ptr, cands, vals = earlier
-        est = np.array([1.0 + abs(vals[ptr[r]:ptr[r + 1]] @ v[cands[ptr[r]:ptr[r + 1]]])
-                        for r in range(npre)])
+        est = np.array([estimator(earlier, r, _NO_PIVOTS, _NO_DATA, v) for r in range(npre)])
         return seg[live], idx[live], val[live], est
 
     def store_prefix(k0, k1, accept, seg, idx, val, pivot, est, caps, stored, own_mult):
@@ -562,15 +595,24 @@ def crout_ilu_level(
 
         for k in range(k0 + npre, k1):
             r = k - k0
-            ridx, rval, vlk = gather(row_sums, r, row_earlier, row_mult, k0, upper, v_low)
-            cidx, cval, vuk = gather(col_sums, r, col_earlier, col_mult, k0, lower, v_up)
-            at = ridx.searchsorted(k)
-            pivot = rval[at] if at < ridx.size and ridx[at] == k else 0.0
-            if not (abs(pivot) > pivot_floor and vlk <= cond_thresh and vuk <= cond_thresh):
+            row_own = own_pivots(row_mult, r, k0)
+            col_own = own_pivots(col_mult, r, k0)
+            vlk = estimator(row_earlier, r, *row_own, v_low)
+            vuk = estimator(col_earlier, r, *col_own, v_up)
+            # a candidate its estimators defer is not gathered, and its
+            # column is gathered only if the pivot on its row passes
+            pivot = 0.0
+            if vlk <= cond_thresh and vuk <= cond_thresh:
+                ridx, rval = gather(row_sums, r, *row_own, upper)
+                at = ridx.searchsorted(k)
+                if at < ridx.size and ridx[at] == k:
+                    pivot = rval[at]
+            if not abs(pivot) > pivot_floor:
                 status[k] = 2
                 upper.ptr[k + 1] = upper.ptr[k]
                 lower.ptr[k + 1] = lower.ptr[k]
                 continue
+            cidx, cval = gather(col_sums, r, *col_own, lower)
             status[k] = 1
             diag[k], v_low[k], v_up[k] = pivot, vlk, vuk
             est_low = max(est_low, vlk)
@@ -727,6 +769,7 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
 
 _NO_DATA = np.zeros(0)
 _NO_INDICES = np.zeros(0, np.intc)
+_NO_PIVOTS = np.zeros(0, np.intp)
 
 
 def _substitute(trans: str, t, b: np.ndarray) -> np.ndarray:

@@ -640,6 +640,8 @@ DROPPING_CASES = [
     (25, 2, 3, FactorParams(alpha=1.5, droptol=0.02)),
     (40, 3, 0, FactorParams(alpha=1.0, droptol=0.01, cond_thresh=10.0)),
     (40, 4, 5, FactorParams(alpha=2.0, droptol=0.1, cond_thresh=3.0)),
+    # 19 of the 28 candidates are deferred, 18 of them by an estimator
+    (32, 7, 4, FactorParams(alpha=1.5, droptol=0.05, cond_thresh=1.5)),
 ]
 
 
@@ -668,8 +670,11 @@ def test_crout_level_matches_the_dense_reference_with_dropping(n, seed, n_traili
 
 
 def _crout_in_blocks_of(block, a, params, ncand):
+    """The level in blocks of ``block`` pivots, or of the size the block
+    rule gives if ``block`` is None."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mlilu, "_BLOCK", block)
+        if block is not None:
+            mp.setattr(mlilu, "_block_size", lambda a: block)
         return crout_ilu_level(a, params, ncand)
 
 
@@ -699,7 +704,27 @@ def cavity_oseen_levels(cavity_level4, cavity_level4_stokes):
         factorize(cavity.oseen_operator(cavity_level4, cavity_level4_stokes),
                   FactorParams(dense_switch=50))
     assert len(calls) >= 2 and calls[0][0].shape[0] > 3 * mlilu._BLOCK
+    # a sparse first level and a dense Schur level, one on each side of the
+    # block rule
+    assert [mlilu._block_size(a) for a, _, _ in calls[:2]] == [mlilu._BLOCK, mlilu._DENSE_BLOCK]
     return calls
+
+
+def _level_with_entries_per_row(n, per_row):
+    """An n x n CSR matrix with ``per_row`` entries in each row."""
+    cols = (np.arange(n)[:, None] + np.arange(per_row)) % n
+    return sp.csr_matrix((np.ones(n * per_row), cols.ravel(), np.arange(n + 1) * per_row),
+                         shape=(n, n))
+
+
+@pytest.mark.parametrize("per_row, block", [
+    (17, mlilu._BLOCK),  # the benchmark's first levels store 17-18 entries per row
+    (mlilu._DENSE_ROW - 1, mlilu._BLOCK),
+    (mlilu._DENSE_ROW, mlilu._DENSE_BLOCK),
+    (130, mlilu._DENSE_BLOCK),  # and its Schur levels 129-254
+])
+def test_the_block_size_follows_the_stored_entries_per_row(per_row, block):
+    assert mlilu._block_size(_level_with_entries_per_row(300, per_row)) == block
 
 
 def _block_product(nr, k0, entries, n=20):
@@ -748,7 +773,8 @@ def test_block_size_changes_no_bit_of_a_dropping_level(n, seed, n_trailing, para
     assert _level_bits(*_crout_in_blocks_of(block, a, params, n - n_trailing)) == want
 
 
-@pytest.mark.parametrize("block", [1, 3, mlilu._BLOCK])
+@pytest.mark.parametrize("block", [1, 3, mlilu._BLOCK, mlilu._DENSE_BLOCK,
+                                   pytest.param(None, id="rule")])
 def test_block_size_changes_no_bit_of_the_cavity_oseen_levels(cavity_oseen_levels, block):
     for a, params, ncand in cavity_oseen_levels:
         want = _level_bits(*_one_by_one(a, params, ncand))

@@ -12,12 +12,14 @@ workload's check fails.
 Then each captured level is factorized N times (default 3) by each tree,
 the trees alternating, every call in a fresh subprocess with one BLAS
 thread.  For each level it prints its workload, n, the stored entries per
-row, the CPU seconds of each call (``time.process_time``) and the peak
-resident memory in MiB of its subprocess (``ru_maxrss``, which includes
-the interpreter, the imports and the loaded input), each with its median
-per tree, and ``same`` or ``DIFFERS`` for the dtypes and bytes of the
-returned factor and Schur complement; then, per workload, the sum of each
-tree's per-level CPU medians.  Exits 1 on any difference.
+row, each tree's block size for it (parent/change; ``_BLOCK`` for a tree
+without the block rule), the CPU seconds of each call
+(``time.process_time``) and the peak resident memory in MiB of its
+subprocess (``ru_maxrss``, which includes the interpreter, the imports
+and the loaded input), each with its median per tree, and ``same`` or
+``DIFFERS`` for the dtypes and bytes of the returned factor and Schur
+complement; then, per workload, the sum of each tree's per-level CPU
+medians.  Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -78,6 +80,7 @@ call = json.load(open(f"{out}/calls.json"))[i]
 z = np.load(f"{out}/level{i}.npz")
 a = sp.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=tuple(z["shape"]))
 params = mlilu.FactorParams(**call["params"])
+block = getattr(mlilu, "_block_size", lambda a: mlilu._BLOCK)(a)
 start = time.process_time()
 level, schur = mlilu.crout_ilu_level(a, params, call["n_candidates"])
 seconds = time.process_time() - start
@@ -86,7 +89,7 @@ arrays = [arr for m in (level.L, level.U, schur) for arr in (m.data, m.indices, 
 for arr in (*arrays, level.order, level.D, np.array([level.n_b, level.n_dynamic_deferred])):
     h.update(str(arr.dtype).encode())
     h.update(np.ascontiguousarray(arr).tobytes())
-print(seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, h.hexdigest())
+print(block, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, h.hexdigest())
 """
 
 
@@ -126,9 +129,10 @@ def main(argv: list[str]) -> int:
             seconds = {name: [] for name in trees}
             rss = {name: [] for name in trees}
             digests = {name: set() for name in trees}
+            blocks = {}
             for _ in range(args.repeats):
                 for name, src in trees.items():
-                    s, mib, digest = _python(src, ["-c", TIME, out, str(i)]).split()
+                    blocks[name], s, mib, digest = _python(src, ["-c", TIME, out, str(i)]).split()
                     seconds[name].append(float(s))
                     rss[name].append(float(mib))
                     digests[name].add(digest)
@@ -137,6 +141,7 @@ def main(argv: list[str]) -> int:
             for name in trees:
                 medians[name].setdefault(workload, []).append(float(np.median(seconds[name])))
             print(f"level {i} ({workload}): n {n}, {z['data'].size / n:.0f} nnz/row, "
+                  f"block {'/'.join(blocks.values())}, "
                   f"CPU s {_per_tree(seconds, '.2f')}, peak RSS MiB {_per_tree(rss, '.1f')}, "
                   f"{'same' if same else 'DIFFERS'}", flush=True)
     for workload in medians["parent"]:
