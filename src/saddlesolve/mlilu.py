@@ -3,7 +3,8 @@
 Each level equilibrates, reorders, statically defers small diagonals, runs
 the Crout elimination of crout_ilu_level (which describes the kernel) and
 recurses on its Schur complement; a dense LU with partial pivoting ends
-the recursion.  factorize holds one level's working set at a time.
+the recursion.  factorize holds one level's working set at a time, in
+every case.
 
 ml_solve calls SuperLU's compiled substitution (gstrs) on each level's
 stored unit-triangular factors and LAPACK's dgetrs on the dense tail
@@ -383,9 +384,9 @@ def crout_ilu_level(
     the run (_independent_prefix).  No pivot of the run then reaches
     another, so each of its gathers is its row of the product unchanged,
     and the L pivots are eliminated in one step, in index order: one
-    in-place row sort and status filter per side, one estimator dot per row
-    (the helper of the one-by-one steps, so the same bits), a vectorized
-    deferral test, the running maxima by np.maximum.accumulate, a
+    in-place row sort and eliminated-mask filter per side, one estimator
+    dot per row (the helper of the one-by-one steps, so the same bits), a
+    vectorized deferral test, the running maxima by np.maximum.accumulate, a
     segmented drop and cap, one append per side, and their multipliers at
     the rest of the block recorded as in store.  The rest of the block
     runs one pivot at a time.
@@ -428,9 +429,8 @@ def crout_ilu_level(
     cond_thresh = params.cond_thresh
     block = _block_size(acsr)
 
-    # status: 0 pending candidate, 1 eliminated, 2 deferred or trailing
-    status = np.zeros(n, dtype=np.int8)
-    status[ncand:] = 2
+    # by index: accepted as a pivot (a deferred or trailing index is not)
+    eliminated = np.zeros(n, dtype=bool)
     # by candidate k: the pivot, the incremental inverse-norm estimator
     # states for L and U, and the stored U rows and L columns (empty if k
     # is deferred)
@@ -513,7 +513,7 @@ def crout_ilu_level(
             # the row is the sum as it is, sorted in place
             csr_sort_indices(1, sums.indptr[r:r + 2], sums.indices, sums.data)
             uq, total = sums.indices[lo:hi], sums.data[lo:hi]
-        live = status[uq] != 1
+        live = ~eliminated[uq]
         return uq[live], total[live]
 
     def store(k, k0, k1, idx, val, est, cap, stored, own_mult):
@@ -540,7 +540,7 @@ def crout_ilu_level(
         csr_sort_indices(npre, sums.indptr, sums.indices, sums.data)
         seg = np.repeat(np.arange(npre), np.diff(sums.indptr[:npre + 1]))
         idx, val = sums.indices[:end], sums.data[:end]
-        live = status[idx] != 1
+        live = ~eliminated[idx]
         est = np.array([estimator(earlier, r, _NO_PIVOTS, _NO_DATA, v) for r in range(npre)])
         return seg[live], idx[live], val[live], est
 
@@ -582,7 +582,7 @@ def crout_ilu_level(
         pivot[rseg[on_diag]] = rval[on_diag]
         accept = (np.abs(pivot) > pivot_floor) & (vlk <= cond_thresh) & (vuk <= cond_thresh)
         pre = slice(k0, k0 + npre)
-        status[pre] = np.where(accept, 1, 2)
+        eliminated[pre] = accept
         diag[pre], v_low[pre], v_up[pre] = pivot, vlk, vuk
         # every estimate is at least 1, so a deferred row leaves the maxima be
         run_low = np.maximum.accumulate(np.r_[est_low, np.where(accept, vlk, 1.0)])
@@ -608,12 +608,11 @@ def crout_ilu_level(
                 if at < ridx.size and ridx[at] == k:
                     pivot = rval[at]
             if not abs(pivot) > pivot_floor:
-                status[k] = 2
                 upper.ptr[k + 1] = upper.ptr[k]
                 lower.ptr[k + 1] = lower.ptr[k]
                 continue
             cidx, cval = gather(col_sums, r, *col_own, lower)
-            status[k] = 1
+            eliminated[k] = True
             diag[k], v_low[k], v_up[k] = pivot, vlk, vuk
             est_low = max(est_low, vlk)
             est_up = max(est_up, vuk)
@@ -621,8 +620,8 @@ def crout_ilu_level(
             store(k, k0, k1, cidx, cval / pivot, est_low, l_caps[k], lower, row_mult)
 
     # -- the level in elimination-then-deferred order, and its Schur complement --
-    elim = np.flatnonzero(status == 1)
-    nonelim = np.flatnonzero(status != 1)
+    elim = np.flatnonzero(eliminated)
+    nonelim = np.flatnonzero(~eliminated)
     n_b = elim.size
     order = np.concatenate([elim, nonelim])
     pos = np.empty(n, dtype=acsr.indices.dtype)
@@ -681,11 +680,16 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
     singular dense tail is perturbed (pivots pushed to a signed floor) and
     flagged rather than failed.  A non-finite stored entry, and a tail
     larger than both dense_switch and 4000, are a FactorizationError,
-    raised before equilibration and before the dense allocation.
+    raised before equilibration and before the dense allocation.  A level
+    that accepts no pivot is kept, with n_b 0 and unit L and U, and ends
+    the recursion: its Schur complement, the level's scaled and reordered
+    matrix, is the tail.
 
     Besides the input and the levels built, a level holds its scaled and
     reordered matrix, that matrix's CSC copy, the two flat buffers and one
-    block's products; that is its peak.  Each goes once it is used."""
+    block's products; that is its peak.  The previous level's Schur
+    complement goes once it is scaled, and each of the rest once it is
+    used."""
     params = params or FactorParams()
     a = as_csr(a)
     if a.shape[0] != a.shape[1]:
@@ -699,7 +703,6 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
     dense_switch = params.dense_switch
     if dense_switch is None:
         dense_switch = min(max(500, math.isqrt(n0)), 2000)
-    pivot_floor = max(params.pivot_floor, _TINY)
 
     levels: list[LevelFactor] = []
     current = a
@@ -708,28 +711,20 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
             break
         dr, dc = equilibrate(current)
         scaled = _scale(current, dr, dc)
+        current = None
         diag = scaled.diagonal()
-        # The tail needs the level's input only if the level eliminates
-        # nothing.  Crout's first candidate clears diag_thresh times the
-        # largest diagonal (static_defer), and Crout accepts it if that
-        # exceeds the pivot floor, since its estimators start at 1.
-        if params.diag_thresh * np.abs(diag).max() > pivot_floor:
-            current = None
         fill = reorder(scaled)
         defer, ncand = static_defer(diag[fill], params.diag_thresh)
         static = fill[defer]
         level_a = scaled[static, :][:, static]
         del scaled
         level_a.sort_indices()
-        level, schur = crout_ilu_level(level_a, params, ncand)
+        level, current = crout_ilu_level(level_a, params, ncand)
         del level_a
+        levels.append(replace(level, order=static[level.order], dr=dr, dc=dc))
         if level.n_b == 0:
-            # no pivot was acceptable; stop and hand everything to the tail
+            # no pivot was acceptable: the level's matrix is the tail
             break
-        levels.append(
-            replace(level, order=static[level.order], dr=dr, dc=dc)
-        )
-        current, schur = schur, None
 
     tail_n = current.shape[0]
     tail_limit = max(dense_switch, _MAX_DENSE_TAIL)
@@ -799,8 +794,7 @@ def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
     y = (lev.dr * v)[lev.order]
     y = _substitute("N", lev.L, y)
     nb = lev.n_b
-    if nb:
-        y[:nb] /= lev.D
+    y[:nb] /= lev.D
     y[nb:] = _solve_from(m, li + 1, y[nb:])
     y = _substitute("T", lev.U, y)
     out = np.empty_like(y)

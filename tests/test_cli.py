@@ -506,7 +506,7 @@ def test_oversized_dense_tail_exits_2_with_one_line(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
-    assert "dense tail of 4001 unknowns after 0 levels" in err
+    assert "dense tail of 4001 unknowns after 1 levels" in err
 
 
 def test_structurally_empty_row_below_dense_switch_is_perturbed(tmp_path, capsys):

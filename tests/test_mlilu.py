@@ -297,9 +297,10 @@ class TestFactorize:
     def test_oversized_dense_tail_is_refused_before_allocation(self):
         # no pivot of a zero-diagonal permutation is acceptable, so without
         # the bound the whole matrix would become a 4001^2 dense tail
-        with pytest.raises(FactorizationError, match="dense tail of 4001 unknowns after 0 levels"):
+        with pytest.raises(FactorizationError, match="dense tail of 4001 unknowns after 1 levels"):
             factorize(cyclic_permutation(4001))
-        assert factorize(cyclic_permutation(600)).tail_n == 600
+        m = factorize(cyclic_permutation(600))
+        assert [lev.n_b for lev in m.levels] == [0] and m.tail_n == 600
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_is_refused_before_equilibration(self, bad, monkeypatch):
@@ -321,12 +322,42 @@ class TestFactorize:
     def test_a_schur_level_without_an_acceptable_pivot_goes_to_the_tail(self):
         # the first level eliminates the diagonal block and leaves the
         # zero-diagonal permutation block as its Schur complement; the
-        # second level accepts no pivot of that, so the complement itself,
-        # as the first level left it, is the dense tail
+        # second level accepts no pivot of that and is kept, so the
+        # complement, scaled and reordered, is the dense tail
         a = as_csr(sp.block_diag([4.0 * sp.eye(30), cyclic_permutation(20)], format="csr"))
         m = factorize(a, FactorParams(dense_switch=10))
-        assert len(m.levels) == 1 and m.tail_n == 20 and not m.perturbed
+        assert [lev.n_b for lev in m.levels] == [30, 0] and m.tail_n == 20 and not m.perturbed
         assert np.allclose(reassemble(m), a.toarray(), rtol=0, atol=1e-14)
+
+    def test_a_level_without_an_acceptable_pivot_is_kept_with_its_matrix_as_the_tail(
+            self, monkeypatch):
+        # no equilibrated entry exceeds 2, so a pivot floor of 10 accepts no
+        # pivot; the diagonal spans six decades, so some indices are also
+        # statically deferred
+        rng = np.random.default_rng(21)
+        n = 40
+        dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+        dense[np.diag_indices(n)] = 10.0 ** rng.uniform(-6, 0, n)
+        a = as_csr(sp.csr_matrix(dense))
+        tails = []
+        lapack_getrf = mlilu.dgetrf
+
+        def getrf(tail):
+            tails.append(tail.copy())
+            return lapack_getrf(tail)
+
+        monkeypatch.setattr(mlilu, "dgetrf", getrf)
+        m = factorize(a, FactorParams(pivot_floor=10.0, dense_switch=10))
+        [lev] = m.levels
+        assert lev.n_b == 0 and lev.nnz == 0 and lev.D.size == 0
+        assert 0 < lev.n_static_deferred < n
+        assert lev.n_dynamic_deferred == n - lev.n_static_deferred
+        assert m.tail_n == n and m.total_nnz == n * n
+        # _scale's products, in its order
+        scaled = dense * lev.dr[:, None] * lev.dc
+        assert np.array_equal(tails[0], scaled[np.ix_(lev.order, lev.order)])
+        x = np.arange(1.0, n + 1)
+        assert np.allclose(ml_solve(m, a @ x), x, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("droptol", [0.01, 0.001])
     def test_peak_memory_is_bounded_by_input_and_factor(self, cavity_level4,
@@ -881,7 +912,7 @@ def test_a_subnormal_pivot_is_deferred_at_pivot_floor_zero():
 def test_a_zero_diagonal_level_at_pivot_floor_zero_goes_to_the_tail():
     a = cyclic_permutation(6)
     m = factorize(a, FactorParams(pivot_floor=0.0, dense_switch=2))
-    assert m.levels == [] and m.tail_n == 6 and not m.perturbed
+    assert [lev.n_b for lev in m.levels] == [0] and m.tail_n == 6 and not m.perturbed
     x = np.arange(1.0, 7.0)
     assert np.array_equal(ml_solve(m, a @ x), x)
 

@@ -10,16 +10,17 @@ saves every call's input and the workload it came from; it fails if a
 workload's check fails.
 
 Then each captured level is factorized N times (default 3) by each tree,
-the trees alternating, every call in a fresh subprocess with one BLAS
-thread.  For each level it prints its workload, n, the stored entries per
-row, each tree's block size for it (parent/change; ``_BLOCK`` for a tree
-without the block rule), the CPU seconds of each call
-(``time.process_time``) and the peak resident memory in MiB of its
-subprocess (``ru_maxrss``, which includes the interpreter, the imports
-and the loaded input), each with its median per tree, and ``same`` or
-``DIFFERS`` for the dtypes and bytes of the returned factor and Schur
-complement; then, per workload, the sum of each tree's per-level CPU
-medians.  Exits 1 on any difference.
+in pairs: each repeat runs both trees, and the tree that goes first
+alternates between repeats.  Every call runs in a fresh subprocess with
+one BLAS thread.  For each level it prints its workload, n, the stored
+entries per row, each tree's block size for it (parent/change), the CPU
+seconds of each call (``time.process_time``) and the peak resident
+memory in MiB of its subprocess (``ru_maxrss``, which includes the
+interpreter, the imports and the loaded input), each with its median per
+tree, in how many of the N pairs the change took less CPU than the
+parent, and ``same`` or ``DIFFERS`` for the dtypes and bytes of the
+returned factor and Schur complement; then, per workload, the sum of each
+tree's per-level CPU medians.  Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ call = json.load(open(f"{out}/calls.json"))[i]
 z = np.load(f"{out}/level{i}.npz")
 a = sp.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=tuple(z["shape"]))
 params = mlilu.FactorParams(**call["params"])
-block = getattr(mlilu, "_block_size", lambda a: mlilu._BLOCK)(a)
+block = mlilu._block_size(a)
 start = time.process_time()
 level, schur = mlilu.crout_ilu_level(a, params, call["n_candidates"])
 seconds = time.process_time() - start
@@ -113,6 +114,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    names = list(trees)
     for src in trees.values():
         if not (src / "saddlesolve" / "__init__.py").is_file():
             print(f"error: no saddlesolve package under {src}", file=sys.stderr)
@@ -130,19 +132,24 @@ def main(argv: list[str]) -> int:
             rss = {name: [] for name in trees}
             digests = {name: set() for name in trees}
             blocks = {}
-            for _ in range(args.repeats):
-                for name, src in trees.items():
-                    blocks[name], s, mib, digest = _python(src, ["-c", TIME, out, str(i)]).split()
+            for repeat in range(args.repeats):
+                # the parent runs first in even repeats, the change in odd ones
+                for name in names if repeat % 2 == 0 else names[::-1]:
+                    blocks[name], s, mib, digest = _python(trees[name],
+                                                           ["-c", TIME, out, str(i)]).split()
                     seconds[name].append(float(s))
                     rss[name].append(float(mib))
                     digests[name].add(digest)
             same = len(digests["parent"] | digests["change"]) == 1
+            faster = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
             differs += not same
             for name in trees:
                 medians[name].setdefault(workload, []).append(float(np.median(seconds[name])))
             print(f"level {i} ({workload}): n {n}, {z['data'].size / n:.0f} nnz/row, "
-                  f"block {'/'.join(blocks.values())}, "
-                  f"CPU s {_per_tree(seconds, '.2f')}, peak RSS MiB {_per_tree(rss, '.1f')}, "
+                  f"block {blocks['parent']}/{blocks['change']}, "
+                  f"CPU s {_per_tree(seconds, '.2f')}, "
+                  f"change faster in {faster} of {args.repeats}, "
+                  f"peak RSS MiB {_per_tree(rss, '.1f')}, "
                   f"{'same' if same else 'DIFFERS'}", flush=True)
     for workload in medians["parent"]:
         print(f"{workload} summed medians, CPU s: "
