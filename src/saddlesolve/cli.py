@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cavity as cav
-from .krylov import GmresParams, PrecondOperator, fgmres
+from .krylov import GmresParams, PrecondOperator, fgmres, finite_norm
 from .mlilu import FactorizationError, FactorParams, factorize
 from .mmio import mm_read, mm_write, write_csv
 from .nonlinear import SolverConfig, hybrid_newton
@@ -145,8 +145,12 @@ def run_linsolve(args) -> int:
     n = a.shape[0]
     b = _read_vector(args.rhs, "rhs", n) if args.rhs else a @ np.ones(n)
     null = _read_vector(args.null_vector, "null vector", n) if args.null_vector else None
-    if null is not None and np.linalg.norm(null) == 0:
-        raise _BadInput("null vector must be nonzero")
+    try:
+        finite_norm(b, "rhs")
+        if null is not None and finite_norm(null, "null vector") == 0:
+            raise _BadInput("null vector must be nonzero")
+    except ValueError as exc:
+        raise _BadInput(exc) from None
 
     factor = factorize(a, args.params)
     precond = PrecondOperator(factor, j_op=a, null_basis=null,

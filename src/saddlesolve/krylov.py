@@ -21,6 +21,7 @@ __all__ = [
     "PrecondOperator",
     "KrylovReport",
     "fgmres",
+    "finite_norm",
     "eta_newton",
 ]
 
@@ -64,9 +65,7 @@ class PrecondOperator:
             if null_basis.shape != (factor.n,):
                 raise ValueError(f"null basis length {null_basis.shape} does not match "
                                  f"factor size {factor.n}")
-            if not np.isfinite(null_basis).all():
-                raise ValueError("null basis must be finite")
-            nrm = np.linalg.norm(null_basis)
+            nrm = finite_norm(null_basis, "null basis")
             if nrm == 0:
                 raise ValueError("null basis must be nonzero")
             null_basis = null_basis / nrm
@@ -100,20 +99,33 @@ class KrylovReport:
         write_csv(path, ("iteration", "relres"), enumerate(self.residual_history, 1))
 
 
+def finite_norm(v: np.ndarray, what: str):
+    """np.linalg.norm(v); a ValueError naming ``what`` if an entry of v is
+    not finite or the sum of squares the norm is taken of overflows (as it
+    does from entries of about 1e154), which raises no RuntimeWarning."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not np.isfinite(norm):
+        raise ValueError(f"{what} must be finite, with a norm that does not overflow")
+    return norm
+
+
 def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray, params: GmresParams):
     """Flexible restarted GMRES on A x = b from x = 0, with right
     preconditioning.
 
     Modified Gram-Schmidt Arnoldi with Givens-rotation least squares; the
     true residual is checked at every restart and decides the converged
-    flag.  An Arnoldi breakdown is treated as convergence to the current
-    subspace and flagged on the report.
+    flag.  An Arnoldi breakdown, orthogonalization leaving at most 1e3 eps
+    of the norm of w = A z_j (Saad, Iterative Methods for Sparse Linear
+    Systems, 2nd ed., ch. 6), is treated as convergence to the current
+    subspace and flagged on the report.  Scaling b by a power of 2 scales x
+    by it bit for bit, away from overflow and underflow; a b whose norm
+    overflows is refused.
     """
     b = np.asarray(b, dtype=np.float64)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side must be finite")
     n = b.size
-    bnorm = np.linalg.norm(b)
+    bnorm = finite_norm(b, "right-hand side")
     report = KrylovReport()
     x = np.zeros(n)
     if bnorm == 0.0:
@@ -122,7 +134,6 @@ def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray, params: GmresPa
         return x, report
 
     tol = params.rtol * bnorm
-    brk_tol = 1e3 * _EPS * bnorm
     total = 0
     while True:
         r = b - a_op @ x
@@ -142,11 +153,12 @@ def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray, params: GmresPa
         for j in range(m):
             zmat[j] = precond.apply(basis[j]) if precond is not None else basis[j]
             w = a_op @ zmat[j]
+            w_norm = np.linalg.norm(w)
             for i in range(j + 1):
                 h[i, j] = basis[i] @ w
                 w -= h[i, j] * basis[i]
             h[j + 1, j] = np.linalg.norm(w)
-            happy = h[j + 1, j] < brk_tol
+            happy = h[j + 1, j] <= 1e3 * _EPS * w_norm
             if not happy:
                 basis[j + 1] = w / h[j + 1, j]
             for i in range(j):

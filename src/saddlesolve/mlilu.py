@@ -56,6 +56,10 @@ _TINY = np.finfo(np.float64).tiny  # every pivot at or below it is deferred
 _CAP_FLOOR = 5  # retained entries per row/column regardless of the fill cap
 _MAX_LEVELS = 30
 _MAX_DENSE_TAIL = 4000  # largest dense tail allocated when dense_switch is below it
+# most entries a level's Schur product may be bounded at, per stored entry
+# of the level: the cavity operators' first levels measure 19-35 (L6-L8,
+# alpha 5 to 50), an arrow matrix's n / 3, which passes 256 from n 770
+_MAX_SCHUR_GROWTH = 256
 _TAIL_LOCK = threading.Lock()
 # pivot steps per block of crout_ilu_level, and the stored entries per row
 # from which a level takes the dense one (_block_size)
@@ -67,8 +71,8 @@ _INT32_MAX = np.iinfo(np.int32).max
 
 class FactorizationError(ValueError):
     """The matrix cannot be factorized as given (a non-finite entry, a
-    structurally empty row or column, or a dense tail too large to
-    allocate)."""
+    structurally empty row or column, or a Schur complement or dense tail
+    too large to allocate)."""
 
 
 @dataclass(frozen=True)
@@ -263,7 +267,7 @@ class _Product(NamedTuple):
 
 def _smmp_bound(l_ptr, l_idx, r_ptr, ncols: int) -> int:
     """The sum over the rows of a CSR product of the lesser of ncols and
-    the row's multiply-adds: an upper bound on its stored entries."""
+    the row's multiply-adds: a bound its stored entries cannot exceed."""
     # running sums of the right row sizes over the left entries, read at
     # the left row pointers
     madds = np.zeros(l_idx.size + 1, np.int64)
@@ -307,7 +311,7 @@ def _block_size(a: sp.csr_matrix) -> int:
     that work into the block's compiled SMMP product and holds smaller
     block products.  On the cavity runs' levels the large block is the
     faster on the first levels (17-18 entries per row), and the small one
-    the faster or tied on the Schur levels (129-254), with a lower peak
+    the faster or tied on the Schur levels (129-254), with a smaller peak
     memory on every one of them; any _DENSE_ROW from 19 to 129 splits those
     levels alike."""
     return _BLOCK if a.nnz < _DENSE_ROW * a.shape[0] else _DENSE_BLOCK
@@ -391,24 +395,34 @@ def crout_ilu_level(
     the rest of the block recorded as in store.  The rest of the block
     runs one pivot at a time.
 
-    Every per-pivot array is keyed by k.  Candidate k stores its dropped U
-    row and L column, empty if it is deferred, once, in ``a``'s indices, as
-    vector k of flat index/value buffers.  The block's multipliers are read
-    back from them: those of earlier pivots by one vectorized transpose per
-    block (the buffers' entries at the block's indices, stably sorted by
-    index), those of the block's own pivots from a dense array, one row and
-    column per pivot of the block.  After the loop, (U+I) as CSR and (L+I)
-    as CSC are built from the flat buffers: the i-th accepted pivot's
-    vector is row (column) i, its indices mapped to factor positions and
-    its unit diagonal put in front, and rows (columns) n_b..n-1 hold only
-    their diagonal.  A deferred index keeps its entries in them; they are
-    the L_NB and U_BN blocks of the Schur complement
-    S = A_NN - L_NB diag(D) U_BN over the non-eliminated indices N, two
-    SMMP passes, L_NB diag(-D) and then that times U_BN, with A_NN's
-    entries put after the product's own in each row and summed with them,
-    so every stored entry of A_NN stays stored.  The CSC copy and the block
-    products are released when the elimination ends, each flat buffer once
-    its factor is built.
+    Every per-pivot array is keyed by k, and the state of each factor by
+    its side s: 0 is U, gathered from A's CSR rows, 1 is L, from its CSC
+    columns.  Side s holds its flat buffer, caps, estimator states and
+    running maximum, the multipliers its stores note in the block and, per
+    block, its product and its multipliers of the earlier pivots.  Its
+    estimator and its store read side s only; the sides cross in two
+    places, where side s's product (block_sums) and gather add the updates
+    of its stored vectors weighted by the multipliers of side 1 - s.
+    Candidate k stores its dropped U row and L column, empty if it is
+    deferred, once, in ``a``'s indices, as vector k of flat index/value
+    buffers.  The block's multipliers are read back from them: those of
+    earlier pivots by one vectorized transpose per block (the buffers'
+    entries at the block's indices, stably sorted by index), those of the
+    block's own pivots from a dense array, one row and column per pivot of
+    the block.  After the loop, (U+I) as CSR and (L+I) as CSC are built
+    from the flat buffers: the i-th accepted pivot's vector is row (column)
+    i, its indices mapped to factor positions and its unit diagonal put in
+    front, and rows (columns) n_b..n-1 hold only their diagonal.  A
+    deferred index keeps its entries in them; they are the L_NB and U_BN
+    blocks of the Schur complement S = A_NN - L_NB diag(D) U_BN over the
+    non-eliminated indices N, two SMMP passes, L_NB diag(-D) and then that
+    times U_BN, with A_NN's entries put after the product's own in each row
+    and summed with them, so every stored entry of A_NN stays stored.  The
+    CSC copy and the block products are released when the elimination ends,
+    each flat buffer once its factor is built.  Before the second pass
+    allocates S, a bound on its entries (_smmp_bound) above
+    _MAX_SCHUR_GROWTH times the stored entries of ``a`` is a
+    FactorizationError.
     Returns a LevelFactor (with unit scalings and the dynamic-reordering
     order) and S.
     """
@@ -419,11 +433,11 @@ def crout_ilu_level(
     ncand = n if n_candidates is None else int(n_candidates)
     if not (0 <= ncand <= n):
         raise ValueError(f"n_candidates must be in [0, {n}], got {ncand}")
-    acsc = acsr.tocsc()
-
-    counts = np.diff([acsr.indptr, acsc.indptr])
+    # by side: 0 is U, gathered from A's rows, 1 is L, from its columns
+    mats = (acsr, acsr.tocsc())
+    counts = np.diff([m.indptr for m in mats])
     # a cap of n never binds, and a larger alpha could overflow the cast
-    u_caps, l_caps = np.maximum(_CAP_FLOOR, np.ceil(min(params.alpha, n) * counts).astype(np.intp))
+    caps = np.maximum(_CAP_FLOOR, np.ceil(min(params.alpha, n) * counts).astype(np.intp))
     droptol = params.droptol
     pivot_floor = max(params.pivot_floor, _TINY)
     cond_thresh = params.cond_thresh
@@ -431,76 +445,70 @@ def crout_ilu_level(
 
     # by index: accepted as a pivot (a deferred or trailing index is not)
     eliminated = np.zeros(n, dtype=bool)
-    # by candidate k: the pivot, the incremental inverse-norm estimator
-    # states for L and U, and the stored U rows and L columns (empty if k
-    # is deferred)
+    # by candidate k: the pivot, and by side and k the incremental
+    # inverse-norm estimator state and the stored vector (empty if k is
+    # deferred); by side, the estimators' running maxima
     diag = np.zeros(ncand)
-    v_low = np.zeros(ncand)
-    v_up = np.zeros(ncand)
-    est_low = 1.0
-    est_up = 1.0
-    upper = _Flat(ncand, acsr.nnz, acsr.indices.dtype)
-    lower = _Flat(ncand, acsr.nnz, acsr.indices.dtype)
-    # multipliers of the block's own pivots, by (row in the block, pivot's
-    # place in the block): l_kj from the L columns update row k, u_jk from
-    # the U rows update column k
-    row_mult = np.zeros((block, block))
-    col_mult = np.zeros((block, block))
+    v = list(np.zeros((2, ncand)))
+    est = [1.0, 1.0]
+    flat = [_Flat(ncand, acsr.nnz, acsr.indices.dtype) for _ in (0, 1)]
+    # by side, the multipliers of the block's own pivots, by (row in the
+    # block, pivot's place in the block): the other side's gathers add them
+    mult = np.zeros((2, block, block))
     acc = np.zeros(n)  # dense accumulator, all zero between gathers
     touched = np.zeros(n, dtype=bool)  # all False between gathers
 
-    def block_sums(m, k0, k1, stored, mults):
-        """Rows (CSR ``m``, stored U rows) or columns (CSC ``m``, stored L
-        columns) k0..k1-1 of A minus the updates of the pivots before k0,
-        as one SMMP product, and the multipliers (``mults``: stored L
-        columns or U rows) of those pivots at each index of the block, in
-        index order."""
-        nr = k1 - k0
-        ptr, cands, vals = mults.at_indices(k0, k1)
+    def block_sums(s, k0, k1):
+        """Side s's vectors k0..k1-1 of A minus the updates of the pivots
+        before k0, as one SMMP product whose left operand holds the other
+        side's multipliers of those pivots at the block's indices."""
+        ptr, cands, vals = earlier[1 - s]
+        m, f = mats[s], flat[s]
         lo, hi = m.indptr[k0], m.indptr[k1]
-        end = stored.ptr[k0]
+        end = f.ptr[k0]
         # [-(mults D) | I] @ [the stored vectors ; A's block rows], each left
         # row with its identity entry first; A's row k0 + r is right row
         # k0 + r.  A's rows go into the buffers' free tail, where the
         # block's appends overwrite them, so that the right operand is a
         # view of the buffers.
-        tail = stored.write(end, m.indices[lo:hi], m.data[lo:hi])
-        sums = _smmp(ptr + np.arange(nr + 1),
+        tail = f.write(end, m.indices[lo:hi], m.data[lo:hi])
+        return _smmp(ptr + np.arange(k1 - k0 + 1),
                      np.insert(cands, ptr[:-1], np.arange(k0, k1)),
                      np.insert(-vals * diag[cands], ptr[:-1], 1.0),
-                     np.concatenate([stored.ptr[:k0 + 1], m.indptr[k0 + 1:k1 + 1] - lo + end]),
-                     stored.idx[:tail], stored.val[:tail], n)
-        return sums, (ptr, cands, vals)
+                     np.concatenate([f.ptr[:k0 + 1], m.indptr[k0 + 1:k1 + 1] - lo + end]),
+                     f.idx[:tail], f.val[:tail], n)
 
-    def own_pivots(own_mult, r, k0):
-        """The block's pivots that update block row r (their indices k) and
-        their multipliers there."""
-        s = own_mult[r, :r].nonzero()[0]
-        return s + k0, own_mult[r, s]
+    def own_pivots(s, r, k0):
+        """The block's pivots whose side-s vectors reach block row r (their
+        indices k) and their multipliers there."""
+        row = mult[s, r]
+        j = row[:r].nonzero()[0]
+        return j + k0, row[j]
 
-    def estimator(earlier, r, own, own_vals, v):
-        """1 + |sum_j mult_j v_j| over the multipliers at block row r: the
-        earlier pivots' in index order, then ``own_vals`` of the block's
-        pivots ``own``."""
-        ptr, cands, vals = earlier
+    def estimator(s, r, own, own_vals):
+        """Side s's 1 + |sum_j mult_j v_j| over its multipliers at block
+        row r: the earlier pivots' in index order, then ``own_vals`` of the
+        block's pivots ``own``."""
+        ptr, cands, vals = earlier[s]
         mults, js = vals[ptr[r]:ptr[r + 1]], cands[ptr[r]:ptr[r + 1]]
         if own.size:
             mults = np.concatenate([mults, own_vals])
             js = np.concatenate([js, own])
-        return 1.0 + abs(mults @ v[js])
+        return 1.0 + abs(mults @ v[s][js])
 
-    def gather(sums, r, own, own_vals, stored):
-        """Row or column k0 + r of the active matrix, sorted and restricted
-        to the non-eliminated indices: row r of the block product plus the
-        updates of the block's pivots ``own``."""
-        lo, hi = sums.indptr[r], sums.indptr[r + 1]
+    def gather(s, r, own, own_vals):
+        """Side s's vector k0 + r of the active matrix, sorted and
+        restricted to the non-eliminated indices: row r of its block
+        product plus the updates of the block's pivots ``own``, whose
+        multipliers ``own_vals`` the other side stored."""
+        m, f = sums[s], flat[s]
+        lo, hi = m.indptr[r], m.indptr[r + 1]
         if own.size:
-            p = stored.ptr
+            p = f.ptr
             cuts = [slice(p[j], p[j + 1]) for j in own.tolist()]
             # intp indexes fastest; the flat buffers keep A's narrower index dtype
-            gi = np.concatenate([sums.indices[lo:hi], *[stored.idx[c] for c in cuts]],
-                                dtype=np.intp)
-            gv = np.concatenate([sums.data[lo:hi], *[stored.val[c] for c in cuts]])
+            gi = np.concatenate([m.indices[lo:hi], *[f.idx[c] for c in cuts]], dtype=np.intp)
+            gv = np.concatenate([m.data[lo:hi], *[f.val[c] for c in cuts]])
             gv[hi - lo:] *= (-own_vals * diag[own]).repeat([c.stop - c.start for c in cuts])
             np.add.at(acc, gi, gv)
             touched[gi] = True
@@ -511,113 +519,113 @@ def crout_ilu_level(
         else:
             # no in-block update: SMMP stores each index of its row once, so
             # the row is the sum as it is, sorted in place
-            csr_sort_indices(1, sums.indptr[r:r + 2], sums.indices, sums.data)
-            uq, total = sums.indices[lo:hi], sums.data[lo:hi]
+            csr_sort_indices(1, m.indptr[r:r + 2], m.indices, m.data)
+            uq, total = m.indices[lo:hi], m.data[lo:hi]
         live = ~eliminated[uq]
         return uq[live], total[live]
 
-    def store(k, k0, k1, idx, val, est, cap, stored, own_mult):
-        """Drop, then store pivot k's U row or L column (``val`` already
-        divided by the pivot) and note its entries at the block's pending
-        indices as its multipliers."""
-        keep = (idx != k) & (np.abs(val) * est > droptol)
+    def store(s, k, k0, k1, idx, val, vk):
+        """Record pivot k's side-s estimator ``vk`` in its state and
+        running maximum, drop, then store its side-s vector (``val``
+        already divided by the pivot) and note its entries at the block's
+        pending indices as its multipliers."""
+        v[s][k] = vk
+        est[s] = max(est[s], vk)
+        keep = (idx != k) & (np.abs(val) * est[s] > droptol)
         idx, val = idx[keep], val[keep]
-        if idx.size > cap:
-            sel = np.lexsort((idx, -np.abs(val)))[:cap]
+        if idx.size > caps[s, k]:
+            sel = np.lexsort((idx, -np.abs(val)))[:caps[s, k]]
             sel.sort()
             idx, val = idx[sel], val[sel]
-        stored.append(k, idx, val)
+        flat[s].append(k, idx, val)
         lo, hi = idx.searchsorted((k + 1, k1))
-        own_mult[idx[lo:hi] - k0, k - k0] = val[lo:hi]
+        mult[s, idx[lo:hi] - k0, k - k0] = val[lo:hi]
 
-    def prefix_rows(sums, earlier, v, npre):
-        """Rows 0..npre-1 of a block product, which no pivot of the prefix
-        updates: their entries, sorted in place within each row and
+    def prefix_rows(s, npre):
+        """Rows 0..npre-1 of side s's block product, which no pivot of the
+        prefix updates: their entries, sorted in place within each row and
         restricted to the non-eliminated indices, as (row, index, value)
-        arrays, and each row's estimator, which no pivot of the block
-        enters."""
-        end = sums.indptr[npre]
-        csr_sort_indices(npre, sums.indptr, sums.indices, sums.data)
-        seg = np.repeat(np.arange(npre), np.diff(sums.indptr[:npre + 1]))
-        idx, val = sums.indices[:end], sums.data[:end]
+        arrays."""
+        m = sums[s]
+        end = m.indptr[npre]
+        csr_sort_indices(npre, m.indptr, m.indices, m.data)
+        seg = np.repeat(np.arange(npre), np.diff(m.indptr[:npre + 1]))
+        idx, val = m.indices[:end], m.data[:end]
         live = ~eliminated[idx]
-        est = np.array([estimator(earlier, r, _NO_PIVOTS, _NO_DATA, v) for r in range(npre)])
-        return seg[live], idx[live], val[live], est
+        return seg[live], idx[live], val[live]
 
-    def store_prefix(k0, k1, accept, seg, idx, val, pivot, est, caps, stored, own_mult):
+    def store_prefix(s, k0, k1, accept, seg, idx, val, pivot, vk):
         """store for the prefix's pivots at once, an empty vector for each
-        deferred one: ``accept``, ``pivot``, ``est`` and ``caps`` are by
-        prefix row, ``est`` the running maximum each pivot drops with."""
+        deferred one: ``accept``, ``pivot`` and ``vk`` are by prefix row."""
+        pre = slice(k0, k0 + pivot.size)
+        v[s][pre] = vk
+        # every estimate is at least 1, so a deferred row leaves the maximum be
+        run = np.maximum.accumulate(np.r_[est[s], np.where(accept, vk, 1.0)])
+        est[s] = run[-1]
+        caps_pre = caps[s, pre]
         keep = accept[seg] & (idx != k0 + seg)
         r, idx = seg[keep], idx[keep]
         val = val[keep] / pivot[r]
-        keep = np.abs(val) * est[r] > droptol
+        keep = np.abs(val) * run[r + 1] > droptol
         r, idx, val = r[keep], idx[keep], val[keep]
         sizes = np.bincount(r, minlength=pivot.size)
-        if np.any(sizes > caps):
-            # in each vector, the cap largest magnitudes, ties to the lower index
+        if np.any(sizes > caps_pre):
+            # in each vector, the cap largest magnitudes, ties to the smaller index
             at = np.lexsort((idx, -np.abs(val), r))
             first = np.cumsum(sizes) - sizes
             keep = np.empty(r.size, dtype=bool)
-            keep[at] = np.arange(r.size) - first[r[at]] < caps[r[at]]
+            keep[at] = np.arange(r.size) - first[r[at]] < caps_pre[r[at]]
             r, idx, val = r[keep], idx[keep], val[keep]
-            sizes = np.minimum(sizes, caps)
-        stored.append(k0, idx, val, sizes)
+            sizes = np.minimum(sizes, caps_pre)
+        flat[s].append(k0, idx, val, sizes)
         own = (idx >= k0) & (idx < k1)
-        own_mult[idx[own] - k0, r[own]] = val[own]
+        mult[s, idx[own] - k0, r[own]] = val[own]
 
     for k0 in range(0, ncand, block):
         k1 = min(k0 + block, ncand)
-        row_sums, row_earlier = block_sums(acsr, k0, k1, upper, lower)
-        col_sums, col_earlier = block_sums(acsc, k0, k1, lower, upper)
-        row_mult.fill(0.0)
-        col_mult.fill(0.0)
+        # the last block's products and prefix rows go before this block's
+        sums = earlier = rows = None
+        earlier = [f.at_indices(k0, k1) for f in flat]
+        sums = [block_sums(s, k0, k1) for s in (0, 1)]
+        mult.fill(0.0)
 
         # the independent prefix: every gather is its row of the products
-        npre = _independent_prefix(k0, row_sums, col_sums)
-        rseg, ridx, rval, vlk = prefix_rows(row_sums, row_earlier, v_low, npre)
-        cseg, cidx, cval, vuk = prefix_rows(col_sums, col_earlier, v_up, npre)
-        on_diag = ridx == k0 + rseg
+        npre = _independent_prefix(k0, *sums)
+        rows = [prefix_rows(s, npre) for s in (0, 1)]
+        vk = np.array([[estimator(s, r, _NO_PIVOTS, _NO_DATA) for r in range(npre)]
+                       for s in (0, 1)])
+        seg, idx, val = rows[0]
+        on_diag = idx == k0 + seg
         pivot = np.zeros(npre)
-        pivot[rseg[on_diag]] = rval[on_diag]
-        accept = (np.abs(pivot) > pivot_floor) & (vlk <= cond_thresh) & (vuk <= cond_thresh)
+        pivot[seg[on_diag]] = val[on_diag]
+        accept = (np.abs(pivot) > pivot_floor) & (vk <= cond_thresh).all(axis=0)
         pre = slice(k0, k0 + npre)
         eliminated[pre] = accept
-        diag[pre], v_low[pre], v_up[pre] = pivot, vlk, vuk
-        # every estimate is at least 1, so a deferred row leaves the maxima be
-        run_low = np.maximum.accumulate(np.r_[est_low, np.where(accept, vlk, 1.0)])
-        run_up = np.maximum.accumulate(np.r_[est_up, np.where(accept, vuk, 1.0)])
-        est_low, est_up = run_low[-1], run_up[-1]
-        store_prefix(k0, k1, accept, rseg, ridx, rval, pivot, run_up[1:], u_caps[pre],
-                     upper, col_mult)
-        store_prefix(k0, k1, accept, cseg, cidx, cval, pivot, run_low[1:], l_caps[pre],
-                     lower, row_mult)
+        diag[pre] = pivot
+        for s in (0, 1):
+            store_prefix(s, k0, k1, accept, *rows[s], pivot, vk[s])
 
         for k in range(k0 + npre, k1):
             r = k - k0
-            row_own = own_pivots(row_mult, r, k0)
-            col_own = own_pivots(col_mult, r, k0)
-            vlk = estimator(row_earlier, r, *row_own, v_low)
-            vuk = estimator(col_earlier, r, *col_own, v_up)
+            own = own_pivots(0, r, k0), own_pivots(1, r, k0)
+            vk = estimator(0, r, *own[0]), estimator(1, r, *own[1])
             # a candidate its estimators defer is not gathered, and its
             # column is gathered only if the pivot on its row passes
             pivot = 0.0
-            if vlk <= cond_thresh and vuk <= cond_thresh:
-                ridx, rval = gather(row_sums, r, *row_own, upper)
-                at = ridx.searchsorted(k)
-                if at < ridx.size and ridx[at] == k:
-                    pivot = rval[at]
+            if vk[0] <= cond_thresh and vk[1] <= cond_thresh:
+                idx, val = gather(0, r, *own[1])
+                at = idx.searchsorted(k)
+                if at < idx.size and idx[at] == k:
+                    pivot = val[at]
             if not abs(pivot) > pivot_floor:
-                upper.ptr[k + 1] = upper.ptr[k]
-                lower.ptr[k + 1] = lower.ptr[k]
+                for s in (0, 1):
+                    flat[s].ptr[k + 1] = flat[s].ptr[k]
                 continue
-            cidx, cval = gather(col_sums, r, *col_own, lower)
+            cidx, cval = gather(1, r, *own[0])
             eliminated[k] = True
-            diag[k], v_low[k], v_up[k] = pivot, vlk, vuk
-            est_low = max(est_low, vlk)
-            est_up = max(est_up, vuk)
-            store(k, k0, k1, ridx, rval / pivot, est_up, u_caps[k], upper, col_mult)
-            store(k, k0, k1, cidx, cval / pivot, est_low, l_caps[k], lower, row_mult)
+            diag[k] = pivot
+            store(0, k, k0, k1, idx, val / pivot, vk[0])
+            store(1, k, k0, k1, cidx, cval / pivot, vk[1])
 
     # -- the level in elimination-then-deferred order, and its Schur complement --
     elim = np.flatnonzero(eliminated)
@@ -639,12 +647,9 @@ def crout_ilu_level(
 
     # the elimination's working set is dead; each flat buffer goes once its
     # factor is built
-    acsc = row_sums = col_sums = row_earlier = col_earlier = None
-    row_mult = col_mult = acc = touched = None
-    u_mat = unit_form(upper, sp.csr_matrix)
-    upper = None
-    l_mat = unit_form(lower, sp.csc_matrix)
-    lower = None
+    mats = sums = earlier = rows = mult = acc = touched = None
+    u_mat = unit_form(flat.pop(0), sp.csr_matrix)
+    l_mat = unit_form(flat.pop(0), sp.csc_matrix)
     d = diag[elim]
     # L's block as CSR: the product on the CSC block sums in another order.
     # Two passes, since scaling L's data in place changes bits: the first
@@ -654,6 +659,10 @@ def crout_ilu_level(
     ident = np.arange(n_b + 1)
     l_nb = _smmp(l_nb.indptr, l_nb.indices, l_nb.data, ident, ident[:-1], -d, n_b)
     u_bn = u_mat[:n_b, n_b:]
+    bound = _smmp_bound(l_nb.indptr, l_nb.indices, u_bn.indptr, n - n_b)
+    if bound > _MAX_SCHUR_GROWTH * acsr.nnz:
+        raise FactorizationError(f"Schur complement of up to {bound} entries exceeds "
+                                 f"{_MAX_SCHUR_GROWTH} times its level's {acsr.nnz}")
     schur = _smmp(*l_nb, u_bn.indptr, u_bn.indices, u_bn.data, n - n_b)
     l_nb = u_bn = None
     # A_NN's entries go after the product's in each row and are summed
@@ -680,7 +689,9 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
     singular dense tail is perturbed (pivots pushed to a signed floor) and
     flagged rather than failed.  A non-finite stored entry, and a tail
     larger than both dense_switch and 4000, are a FactorizationError,
-    raised before equilibration and before the dense allocation.  A level
+    raised before equilibration and before the dense allocation, and so is
+    a Schur complement bounded at more than 256 entries per stored entry
+    of its level (crout_ilu_level), before it is allocated.  A level
     that accepts no pivot is kept, with n_b 0 and unit L and U, and ends
     the recursion: its Schur complement, the level's scaled and reordered
     matrix, is the tail.

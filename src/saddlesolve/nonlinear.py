@@ -198,9 +198,11 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
     cfg = cfg or SolverConfig()
     x = np.asarray(prob.x0, dtype=np.float64).copy()
     fx = np.asarray(prob.residual(x), dtype=np.float64)
-    if not np.all(np.isfinite(fx)):
+    # an entry that is not finite, or a norm that overflows (unwarned)
+    with np.errstate(over="ignore"):
+        norm_f0 = float(np.linalg.norm(fx))
+    if not np.isfinite(norm_f0):
         raise ValueError("residual at the initial guess is not finite")
-    norm_f0 = float(np.linalg.norm(fx))
     if norm_f0 == 0.0:
         raise ValueError("residual at the initial guess is zero; nothing to solve")
 

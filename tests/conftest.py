@@ -108,6 +108,17 @@ def cyclic_permutation(n):
                                 shape=(n, n)))
 
 
+def arrow(n, leaf=0.0):
+    """Index 0 coupled to every other index with value 1, a unit diagonal
+    at 0 and ``leaf`` stored on every other diagonal entry: 3n - 2 entries,
+    singular at leaf 0.  Eliminating the hub first leaves a dense Schur
+    complement of (n - 1)^2 entries."""
+    rows = np.r_[np.zeros(n, int), np.arange(1, n), np.arange(1, n)]
+    cols = np.r_[np.arange(n), np.zeros(n - 1, int), np.arange(1, n)]
+    vals = np.r_[np.ones(2 * n - 1), np.full(n - 1, leaf)]
+    return as_csr(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+
+
 def check_permutation(order, n):
     """Assert that the order array is a bijection on [0, n)."""
     assert np.array_equal(np.sort(order), np.arange(n)), "order is not a bijection on [0, n)"

@@ -7,7 +7,7 @@ from saddlesolve.cli import main
 from saddlesolve.mmio import mm_read, mm_write
 from saddlesolve.sparse import as_csr
 
-from conftest import cyclic_permutation, random_saddle
+from conftest import arrow, cyclic_permutation, random_saddle
 
 
 def test_cavity_small_run(tmp_path):
@@ -454,6 +454,7 @@ def _bad_input_files(tmp_path):
     nan[0, 1] = np.nan
     mm_write(as_csr(sp.csr_matrix(nan)), tmp_path / "nan.mtx")
     mm_write(np.array([1.0, np.nan, 1.0, 1.0]), tmp_path / "nan4.mtx")
+    mm_write(np.full(4, 1e160), tmp_path / "huge4.mtx")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -475,6 +476,8 @@ def _bad_input_files(tmp_path):
     (["linsolve", "--matrix", "a.mtx", "--rhs", "nan4.mtx"], "value 2 is not finite (nan)"),
     (["linsolve", "--matrix", "a.mtx", "--null-vector", "nan4.mtx"], "value 2 is not finite (nan)"),
     (["factor-stats", "--matrix", "symwide.mtx"], "symmetric storage needs a square matrix"),
+    (["linsolve", "--matrix", "a.mtx", "--null-vector", "huge4.mtx"],
+     "null vector must be finite, with a norm that does not overflow"),
 ])
 def test_bad_input_files_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, message):
     _bad_input_files(tmp_path)
@@ -507,6 +510,42 @@ def test_oversized_dense_tail_exits_2_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert "dense tail of 4001 unknowns after 1 levels" in err
+
+
+def test_a_rhs_whose_norm_overflows_exits_2_with_one_line_before_factorizing(
+        tmp_path, capsys, monkeypatch):
+    # it used to write converged=1 iterations=0 relres=nan and a zero
+    # solution, and exit 0
+    from saddlesolve import cavity as cav, cli
+
+    def unreachable(*args):
+        raise AssertionError("factorize was reached")
+
+    monkeypatch.setattr(cli, "factorize", unreachable)
+    a = cav.stokes_operator(cav.build_problem(4, re=100.0))
+    mm_write(a, tmp_path / "stokes.mtx")
+    mm_write(np.full(a.shape[0], 1e160), tmp_path / "rhs.mtx")
+    rc = main(["linsolve", "--matrix", str(tmp_path / "stokes.mtx"),
+               "--rhs", str(tmp_path / "rhs.mtx"), "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: rhs must be finite, with a norm that does not overflow\n"
+    assert not (tmp_path / "summary.txt").exists()
+
+
+def test_a_schur_complement_over_budget_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # the n 1000 arrow's Schur complement is dense: 999^2 entries from 2998;
+    # the budget is set so that the message is known
+    from saddlesolve import mlilu
+
+    monkeypatch.setattr(mlilu, "_MAX_SCHUR_GROWTH", 64)
+    mm_write(arrow(1000), tmp_path / "arrow.mtx")
+    rc = main(["factor-stats", "--matrix", str(tmp_path / "arrow.mtx"),
+               "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == ("error: Schur complement of up to 998001 entries exceeds 64 times "
+                   "its level's 2998\n")
 
 
 def test_structurally_empty_row_below_dense_switch_is_perturbed(tmp_path, capsys):

@@ -87,6 +87,8 @@ class TestApplyPrecond:
         ({"null_basis": np.zeros(10)}, "null basis must be nonzero"),
         ({"null_basis": np.r_[np.ones(9), np.nan]}, "null basis must be finite"),
         ({"null_basis": np.r_[np.ones(9), np.inf]}, "null basis must be finite"),
+        # finite, but the sum of squares overflows: it used to divide to zero
+        ({"null_basis": np.full(10, 1e160)}, "null basis must be finite, with a norm that"),
     ])
     def test_bad_arguments_are_refused_at_construction(self, kwargs, match):
         a, _ = random_sparse(10, 0.4, seed=35, diag_shift=3.0)
@@ -205,6 +207,30 @@ class TestFgmres:
         a, _ = random_sparse(5, 0.5, seed=43, diag_shift=2.0)
         with pytest.raises(ValueError, match="finite"):
             fgmres(a, None, np.array([1.0, np.nan, 0, 0, 0]), GmresParams())
+
+    def test_a_rhs_whose_norm_overflows_is_refused(self):
+        # every entry is finite, but the sum of squares is not: the solve
+        # used to end at once with relres nan, flagged converged
+        a, _ = random_sparse(5, 0.5, seed=43, diag_shift=2.0)
+        with pytest.raises(ValueError, match="right-hand side must be finite, with a norm"):
+            fgmres(a, None, np.full(5, 1e160), GmresParams())
+
+    def test_power_of_two_scaling_of_b_scales_x_bit_for_bit(self):
+        # scaling by 2^k is exact away from overflow and underflow, and so
+        # is every step: the breakdown test compares h[j+1, j] with the norm
+        # of A z_j, which does not depend on b; it used to compare it with
+        # 1e3 eps |b|, so that from k = 35 on the first step broke down
+        a, rng = random_sparse(700, 0.01, seed=47, diag_shift=2.0)
+        precond = PrecondOperator(factorize(a))
+        b = rng.standard_normal(700)
+        params = GmresParams()
+        x, rep = fgmres(a, precond, b, params)
+        assert rep.converged and not rep.breakdown and rep.iterations > 3
+        for k in range(-100, 101):
+            xk, repk = fgmres(a, precond, 2.0**k * b, params)
+            assert np.array_equal(xk, 2.0**k * x), k
+            assert (repk.iterations, repk.breakdown, repk.residual_history) == (
+                rep.iterations, rep.breakdown, rep.residual_history), k
 
 
 class TestEtaNewton:

@@ -26,6 +26,7 @@ from saddlesolve.mlilu import (
 from saddlesolve.sparse import as_csr
 
 from conftest import (
+    arrow,
     cyclic_permutation,
     random_saddle,
     random_sparse,
@@ -220,6 +221,28 @@ class TestCroutLevel:
         assert level.n_b == 0
         assert np.allclose(schur.toarray(), dense)
 
+    def test_no_flat_buffer_is_alive_in_the_schur_passes(self, monkeypatch):
+        # the elimination's buffers go before S is formed: a name left bound
+        # to one, such as a loop variable, keeps it alive through both passes
+        def live():
+            return sum(isinstance(o, mlilu._Flat) for o in gc.get_objects())
+
+        counts = []
+        inner = mlilu._smmp
+
+        def counting(*args):
+            counts.append(live())
+            return inner(*args)
+
+        monkeypatch.setattr(mlilu, "_smmp", counting)
+        gc.collect()
+        before = live()
+        a, _ = random_sparse(300, 0.03, seed=29, diag_shift=0.5)
+        level, _ = crout_ilu_level(a, FactorParams(alpha=5.0, droptol=0.01))
+        assert 0 < level.n_b < 300
+        # two block products per block of 128 pivots, then the two passes
+        assert counts == [before + 2] * 6 + [before] * 2
+
 
 class TestFactorize:
     def test_exact_limit_spd_tridiagonal(self):
@@ -301,6 +324,28 @@ class TestFactorize:
             factorize(cyclic_permutation(4001))
         m = factorize(cyclic_permutation(600))
         assert [lev.n_b for lev in m.levels] == [0] and m.tail_n == 600
+
+    @pytest.mark.parametrize("leaf", [0.0, 1e-3])
+    def test_a_schur_complement_over_budget_is_refused_before_allocation(self, monkeypatch,
+                                                                        leaf):
+        # static deferral puts the leaves behind the hub, whose elimination
+        # leaves S dense: 999^2 entries from 2998, singular at leaf 0 and not
+        # at 1e-3.  A budget of 64 per stored entry, set here so that the
+        # message is known, refuses it after the first Schur pass,
+        # L_NB diag(-D), and before the second allocates S.
+        calls = []
+        inner = mlilu._smmp
+
+        def smmp(*args):
+            calls.append((args[0].size - 1, args[-1]))
+            return inner(*args)
+
+        monkeypatch.setattr(mlilu, "_smmp", smmp)
+        monkeypatch.setattr(mlilu, "_MAX_SCHUR_GROWTH", 64)
+        with pytest.raises(FactorizationError, match=r"^Schur complement of up to 998001 "
+                                                     r"entries exceeds 64 times its level's 2998$"):
+            factorize(arrow(1000, leaf), FactorParams(dense_switch=100))
+        assert calls[-1] == (999, 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_is_refused_before_equilibration(self, bad, monkeypatch):

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,35 @@ class TestHybridNewton:
     def test_non_finite_initial_residual_rejected(self, x0):
         with pytest.raises(ValueError, match="residual at the initial guess is not finite"):
             hybrid_newton(scalar_problem(x0=x0), SolverConfig())
+
+    def test_a_residual_whose_norm_overflows_is_refused(self):
+        # every entry is finite, but the sum of squares is not: inf <= sigma
+        # * inf used to report convergence after 0 steps
+        prob = cavity.build_problem(3, re=50.0)
+        nlp = cavity.nonlinear_problem(prob, cavity.stokes_initial_guess(prob))
+        huge = replace(nlp, residual=lambda x: 1e300 * cavity.residual(prob, x))
+        with pytest.raises(ValueError, match="residual at the initial guess is not finite"):
+            hybrid_newton(huge)
+
+    def test_a_problem_scaled_by_a_power_of_two_is_solved_the_same_way(
+            self, cavity_level4, cavity_level4_stokes):
+        # residual, operator and sparsifier times 2^k, k even: equilibration
+        # takes the scale out of the factor exactly, and FGMRES's tests are
+        # relative, so every count and bit stays.  At k = 60 the driver used
+        # to stop after 6 GMRES with "no residual decrease after 20 halvings"
+        nlp = cavity.nonlinear_problem(cavity_level4, cavity_level4_stokes)
+
+        def scaled(c):
+            return replace(nlp, residual=lambda x: c * nlp.residual(x),
+                           operator=lambda x, nt: c * nlp.operator(x, nt),
+                           sparsifier=lambda x, nt: c * nlp.sparsifier(x, nt))
+
+        runs = {k: hybrid_newton(scaled(2.0**k)) for k in (-40, 0, 40, 60)}
+        for k, (x, rep) in runs.items():
+            refactorizations = sum(s.refactorized for s in rep.steps)
+            assert rep.converged, (k, rep.message)
+            assert (len(rep.steps), rep.total_gmres, refactorizations) == (5, 37, 2), k
+            assert np.array_equal(x, runs[0][0]), k
 
     @pytest.mark.parametrize("fixture", ["scalar", "planar"])
     def test_quadratic_local_convergence_fit(self, fixture):

@@ -18,9 +18,11 @@ seconds of each call (``time.process_time``) and the peak resident
 memory in MiB of its subprocess (``ru_maxrss``, which includes the
 interpreter, the imports and the loaded input), each with its median per
 tree, in how many of the N pairs the change took less CPU than the
-parent, and ``same`` or ``DIFFERS`` for the dtypes and bytes of the
-returned factor and Schur complement; then, per workload, the sum of each
-tree's per-level CPU medians.  Exits 1 on any difference.
+parent, each tree's ``tracemalloc`` peak in MiB over the call, measured
+in one more, untimed subprocess per tree, and ``same`` or ``DIFFERS`` for
+the dtypes and bytes of the returned factor and Schur complement; then,
+per workload, the sum of each tree's per-level CPU medians.  Exits 1 on
+any difference.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ with open(f"{out}/calls.json", "w") as f:
     json.dump(calls, f)
 """
 
-TIME = """
-import hashlib, json, resource, sys, time
+LOAD = """
+import hashlib, json, resource, sys, time, tracemalloc
 import numpy as np
 import scipy.sparse as sp
 from saddlesolve import mlilu
@@ -81,6 +83,9 @@ call = json.load(open(f"{out}/calls.json"))[i]
 z = np.load(f"{out}/level{i}.npz")
 a = sp.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=tuple(z["shape"]))
 params = mlilu.FactorParams(**call["params"])
+"""
+
+TIME = LOAD + """
 block = mlilu._block_size(a)
 start = time.process_time()
 level, schur = mlilu.crout_ilu_level(a, params, call["n_candidates"])
@@ -91,6 +96,12 @@ for arr in (*arrays, level.order, level.D, np.array([level.n_b, level.n_dynamic_
     h.update(str(arr.dtype).encode())
     h.update(np.ascontiguousarray(arr).tobytes())
 print(block, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, h.hexdigest())
+"""
+
+PEAK = LOAD + """
+tracemalloc.start()
+mlilu.crout_ilu_level(a, params, call["n_candidates"])
+print(tracemalloc.get_traced_memory()[1] / 2**20)
 """
 
 
@@ -140,6 +151,8 @@ def main(argv: list[str]) -> int:
                     seconds[name].append(float(s))
                     rss[name].append(float(mib))
                     digests[name].add(digest)
+            peaks = "  ".join(f"{name} {float(_python(src, ['-c', PEAK, out, str(i)])):.2f}"
+                              for name, src in trees.items())
             same = len(digests["parent"] | digests["change"]) == 1
             faster = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
             differs += not same
@@ -150,6 +163,7 @@ def main(argv: list[str]) -> int:
                   f"CPU s {_per_tree(seconds, '.2f')}, "
                   f"change faster in {faster} of {args.repeats}, "
                   f"peak RSS MiB {_per_tree(rss, '.1f')}, "
+                  f"tracemalloc peak MiB {peaks}, "
                   f"{'same' if same else 'DIFFERS'}", flush=True)
     for workload in medians["parent"]:
         print(f"{workload} summed medians, CPU s: "
