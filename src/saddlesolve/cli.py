@@ -178,7 +178,7 @@ def run_factor_stats(args) -> int:
               + [(len(factor.levels) + 1, tail, tail, 0, tail * tail)])
     _finish(out, (
         f"command=factor-stats matrix={args.matrix} n={a.shape[0]} nnz={a.nnz} "
-        f"levels={len(factor.levels)} tail_n={tail} "
+        f"levels={len(factor.levels)} tail_n={tail} tail_rank={factor.tail_rank} "
         f"total_nnz={factor.total_nnz} perturbed={int(factor.perturbed)}"
     ))
     return 0

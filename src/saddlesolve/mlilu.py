@@ -2,14 +2,22 @@
 
 Each level equilibrates, reorders, statically defers small diagonals, runs
 the Crout elimination of crout_ilu_level (which describes the kernel) and
-recurses on its Schur complement; a dense LU with partial pivoting ends
-the recursion.  factorize holds one level's working set at a time, in
-every case.
+recurses on its Schur complement.  A dense factorization ends the
+recursion, once the complement is small (dense_switch) or, by default,
+dense enough that a dense factorization beats a Crout level on it
+(_dense_beats_crout).  That tail is rank-revealing (_dense_tail): an LU
+with partial pivoting if LAPACK's condition estimate says it is well
+conditioned, else an equilibrated QR with column pivoting truncated at a
+relative threshold, which sees the near-null direction that ILU dropping
+leaves in a saddle point system's Schur complement (the HIFIR design of
+Chen & Jiao, arXiv:2106.09877).  factorize holds one level's working set
+at a time, in every case.
 
 ml_solve calls SuperLU's compiled substitution (gstrs) on each level's
-stored unit-triangular factors and LAPACK's dgetrs on the dense tail
-directly, with the arguments scipy's spsolve_triangular and lu_solve pass
-once their per-call set-up is done: the same bits without that set-up.  A
+stored unit-triangular factors directly, with the arguments scipy's
+spsolve_triangular passes once its per-call set-up is done: the same bits
+without that set-up.  The dense tail is LAPACK's dgetrs on the LU, or
+dormqr, which applies Q^T from its Householder form, and dtrtrs on R.  A
 solve writes nothing in the factor, so concurrent solves are safe; the
 dense-tail solve holds a module lock, since concurrent dgetrs calls on one
 LU factor (scipy 1.17 with OpenBLAS) can return wrong solutions, off by
@@ -25,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgecon, dgeqp3, dgetrf, dgetrs, dlange, dormqr, dtrtrs
 # the compiled substitution spsolve_triangular ends in, called without that
 # wrapper's per-call set-up; test_mlilu pins its bits to the public wrapper
 from scipy.sparse.linalg._dsolve._superlu import gstrs
@@ -51,7 +59,6 @@ __all__ = [
     "ml_solve",
 ]
 
-_EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny  # every pivot at or below it is deferred
 _CAP_FLOOR = 5  # retained entries per row/column regardless of the fill cap
 _MAX_LEVELS = 30
@@ -60,6 +67,16 @@ _MAX_DENSE_TAIL = 4000  # largest dense tail allocated when dense_switch is belo
 # of the level: the cavity operators' first levels measure 19-35 (L6-L8,
 # alpha 5 to 50), an arrow matrix's n / 3, which passes 256 from n 770
 _MAX_SCHUR_GROWTH = 256
+# with the default dense_switch, a level whose n^3 is at most this many
+# times its stored entries goes to the dense tail (_dense_beats_crout)
+_DENSE_CUBE_PER_ENTRY = 2500
+# a tail keeps its LU when dgecon's 1-norm estimate of its reciprocal
+# condition is at least _TAIL_RCOND; otherwise its equilibrated QR with
+# column pivoting is truncated at the first |R_ii| <= _TAIL_RANK_TOL |R_11|
+# if a level's dropping made it, else at n eps |R_11| (_dense_tail)
+_TAIL_RCOND = 3e-6
+_TAIL_RANK_TOL = 1e-3
+_EPS = np.finfo(np.float64).eps
 _TAIL_LOCK = threading.Lock()
 # pivot steps per block of crout_ilu_level, and the stored entries per row
 # from which a level takes the dense one (_block_size)
@@ -86,8 +103,13 @@ class FactorParams:
     relative static-deferring threshold on scaled diagonals; a pivot whose
     post-equilibration magnitude is at or below pivot_floor or the smallest
     normal float64 (whose reciprocal could overflow) is deferred.
-    dense_switch=None resolves to min(max(500, sqrt(n)), 2000).
-    After 30 levels, whatever is left goes to the dense tail.
+    dense_switch=None resolves to min(max(500, sqrt(n)), 2000), and then a
+    level whose n^3 is at most 2500 times its stored entries goes to the
+    dense tail too, however large (see factorize).  An explicit
+    dense_switch, even that same value, turns the density rule off: the
+    tail is then exactly what is left at n <= dense_switch, which the tests
+    and forced-switch runs rely on to place it.  After 30 levels, whatever
+    is left goes to the dense tail.
     """
 
     alpha: float = 2.0
@@ -141,14 +163,66 @@ class LevelFactor:
         return int(self.L.nnz + self.U.nnz - 2 * self.n + self.D.size)
 
 
+class _LUTail(NamedTuple):
+    """dgetrf's LU of a well-conditioned dense tail: lu_solve's pair."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+
+    def solve(self, v: np.ndarray):
+        return dgetrs(self.lu, self.piv, v)
+
+
+class _QRTail(NamedTuple):
+    """A QR with column pivoting of the equilibrated dense tail T,
+    truncated at rank k = tau.size: (dr T dc)[:, cols[:k]] = Q_k R11, Q_k
+    the first k columns of the product of k Householder reflectors,
+    stored below the diagonal of qr's first k columns with their scalars
+    tau, as dgeqp3 leaves them.  Above the diagonal qr holds R11 bordered by the
+    identity, so that a triangular solve gives 0 on the columns left
+    out."""
+
+    qr: np.ndarray
+    tau: np.ndarray
+    cols: np.ndarray
+    dr: np.ndarray
+    dc: np.ndarray
+
+    def solve(self, v: np.ndarray):
+        """The basic solution: Q^T (dr v) by dormqr, its entries past the
+        kept rank zeroed, then the bordered R, and dc."""
+        k = self.tau.size
+        y = np.zeros((v.size, 1))
+        info = 0
+        if k:
+            # lwork 1 applies the reflectors one by one: a blocked pass
+            # would rebuild its block factors on every solve
+            y, _, info = dormqr("L", "T", self.qr[:, :k], self.tau, (self.dr * v)[:, None], 1)
+            y[k:] = 0.0
+        if not info:
+            y, info = dtrtrs(self.qr, y)
+        x = np.empty(v.size)
+        x[self.cols] = y[:, 0]
+        return x * self.dc, info
+
+
 @dataclass
 class MultilevelFactor:
+    """The levels, then the dense tail of tail_n unknowns: an _LUTail, a
+    _QRTail (perturbed if its rank is below tail_n) or None if tail_n is
+    0."""
+
     levels: list[LevelFactor]
-    tail_lu: tuple | None
+    tail: _LUTail | _QRTail | None
     tail_n: int
     perturbed: bool
     total_nnz: int
     n: int
+
+    @property
+    def tail_rank(self) -> int:
+        """The columns the dense tail keeps: tail_n unless its rank was cut."""
+        return self.tail.tau.size if isinstance(self.tail, _QRTail) else self.tail_n
 
 
 def _scale(a: sp.csr_matrix, dr: np.ndarray, dc: np.ndarray) -> sp.csr_matrix:
@@ -170,15 +244,26 @@ def equilibrate(a: sp.csr_matrix):
     col_counts = np.bincount(a.indices, minlength=n)
     if np.any(col_counts == 0):
         raise FactorizationError(f"structurally empty column {int(np.argmax(col_counts == 0))}")
+    return _ruiz(a)
 
+
+def _ruiz(a: sp.csr_matrix):
+    """equilibrate's sweeps without its checks: a row or column with no
+    nonzero value, stored or not, keeps the scale 1."""
+    n = a.shape[0]
+    row_counts = np.diff(a.indptr)
+    # reduceat over the nonempty rows' starts: each segment is one row
+    nonempty = row_counts > 0
+    starts = a.indptr[:-1][nonempty]
     # |a_ij| dr_i dc_j, in _scale's order, is |_scale(a, dr, dc)| bit for
-    # bit, since dr and dc are positive; every row is nonempty
+    # bit, since dr and dc are positive
     magnitude = np.abs(a.data)
     dr = np.ones(n)
     dc = np.ones(n)
     for _ in range(10):
         scaled = magnitude * np.repeat(dr, row_counts) * dc[a.indices]
-        rn = np.maximum.reduceat(scaled, a.indptr[:-1])
+        rn = np.zeros(n)
+        rn[nonempty] = np.maximum.reduceat(scaled, starts)
         cn = np.zeros(n)
         np.maximum.at(cn, a.indices, scaled)
         live_r = rn > 0
@@ -682,25 +767,115 @@ def crout_ilu_level(
     return level, schur
 
 
+def _dense_tail(s: sp.csr_matrix, dropped: bool):
+    """The dense factorization that ends the recursion, of the Schur
+    complement ``s``, and whether its rank was truncated; ``dropped`` says
+    whether a level's dropping made ``s``, rather than exact elimination.
+
+    dgetrf's LU is kept when it has no zero pivot and dgecon's 1-norm
+    estimate of the reciprocal condition is at least _TAIL_RCOND.  Every
+    tail the benchmark's workloads reach with a Crout level before it reads
+    5.6e-5 to 1.1e-2; a first Schur complement reads 5e-9 to 2e-7, since
+    ILU dropping leaves it a near-null direction that partial pivoting does
+    not see.  Such a tail is equilibrated (_ruiz: a row or column with no
+    nonzero keeps the scale 1) and factorized by QR with column pivoting,
+    dgeqp3 in the LU's buffer.
+
+    Where a level dropped entries, the rank is cut at the first |R_ii| <=
+    _TAIL_RANK_TOL |R_11|: each dropped entry is up to droptol (0.001 to
+    0.02 in the cavity runs) relative to its inverse-norm estimate, so a
+    direction that small may be the dropping's rather than the input's.  On
+    the benchmark's first Schur complements that cut falls in a gap: the
+    smallest |R_ii| / |R_11| is 2e-7 to 5e-6, the next 0.08 to 0.3.  The
+    solve then gives 0 along the cut direction: that suits a near-null
+    direction the outer Krylov solver need not resolve, as the cavity's
+    constant pressure mode, but a nonsingular system whose solution needs it
+    can stall.  Where ``s`` is exact (no level eliminated, or droptol is 0),
+    an ill-conditioned tail is the input's own and keeps every column above
+    n eps |R_11|, the numerical rank, so that a nonsingular system is still
+    solved exactly: only a numerically singular tail is cut.
+
+    Q stays in dgeqp3's Householder form, so the tail holds one n x n
+    array however it is factorized.  An explicit Q^T of the kept rank
+    would make a solve one gemv in place of dormqr (0.10 against 0.23 ms
+    at n 537), but it is a second n x n array: on the L5 cavity run it put
+    the peak resident memory 4.6 MiB above that of Crout levels on the
+    same Schur complements, against 1.6 MiB.  For the same reason the
+    scalings come first, before the dense array is allocated."""
+    n = s.shape[0]
+    dr, dc = _ruiz(s)
+    tail = s.toarray(order="F")
+    anorm = dlange("1", tail)
+    lu, piv, info = dgetrf(tail, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    if info == 0 and dgecon(lu, anorm)[0] >= _TAIL_RCOND:
+        return _LUTail(lu, piv), False
+    tail = s.toarray(out=lu)
+    lu = piv = None
+    tail *= dr[:, None]
+    tail *= dc
+    lwork = int(dgeqp3(tail, lwork=-1, overwrite_a=1)[3][0])
+    qr, jpvt, tau, _, info = dgeqp3(tail, lwork=lwork, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of geqp3")
+    d = np.abs(np.diag(qr))
+    tol = _TAIL_RANK_TOL if dropped else n * _EPS
+    rank = int(np.argmax(np.r_[d <= tol * d[0], True]))
+    # R over the kept rank, bordered by the identity: the triangular solve
+    # then gives 0 on the columns left out
+    qr[:rank, rank:] = 0.0
+    qr[rank:, rank:] = np.eye(n - rank)
+    return _QRTail(qr, tau[:rank], jpvt - 1, dr, dc), rank < n
+
+
+def _dense_beats_crout(s: sp.csr_matrix) -> bool:
+    """Whether ``s`` goes to the dense tail rather than to a Crout level:
+    n^3 <= _DENSE_CUBE_PER_ENTRY * nnz.
+
+    Measured with one BLAS thread on the five Schur complements of the
+    benchmark's workloads (n 530 to 2394, 70k to 607k stored entries), a
+    Crout level and the dense tail of its Schur complement cost 1.2-2.0 us
+    per stored entry, whatever alpha, and _dense_tail of the whole
+    complement 2.1-2.4e-10 s per n^3 (the QR route, which a first Schur
+    complement takes).  So the dense tail factorizes faster up to n^3 / nnz
+    of 5600 to 9000 by level, 5700 in the median.  It is taken only up to
+    about half that, so that the half of the Crout route's cost it saves
+    pays for its dearer solves: on the benchmark's Oseen operator, solved
+    480 times per factorization, a dense tail of n 677 would save 70 ms of
+    factorization and cost 0.38 ms more per solve (0.72 against 0.34 ms for
+    a Crout level and its tail of 227).  And it is taken only below 2857,
+    the first Schur complement of the L5 Re 200 Oseen operator at the
+    Stokes guess under the default alpha and droptol: as a dense tail of n
+    525 it would take that factor from 2.8 to 8.7 times nnz(A), where L4
+    and L6 hold 3.7 and 3.1.  Hence 2500.  n^3 / nnz is at least n, so no
+    level above 2500 unknowns qualifies."""
+    return s.shape[0] ** 3 <= _DENSE_CUBE_PER_ENTRY * s.nnz
+
+
 def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> MultilevelFactor:
     """Full multilevel factorization: per level equilibrate, reorder,
     statically defer, Crout-eliminate, then recurse on the Schur complement
-    until it is small enough for a dense LU with partial pivoting.  A
-    singular dense tail is perturbed (pivots pushed to a signed floor) and
-    flagged rather than failed.  A non-finite stored entry, and a tail
-    larger than both dense_switch and 4000, are a FactorizationError,
-    raised before equilibration and before the dense allocation, and so is
-    a Schur complement bounded at more than 256 entries per stored entry
-    of its level (crout_ilu_level), before it is allocated.  A level
-    that accepts no pivot is kept, with n_b 0 and unit L and U, and ends
-    the recursion: its Schur complement, the level's scaled and reordered
-    matrix, is the tail.
+    until it is at most dense_switch unknowns or, with the default
+    dense_switch, until a dense factorization beats a Crout level on it
+    (_dense_beats_crout).  The dense tail is an LU with partial pivoting if
+    it is well conditioned, else a rank-truncated QR with column pivoting,
+    and then the factor is flagged ``perturbed`` if the rank was cut
+    (_dense_tail): after a level that eliminated with droptol > 0, at a
+    relative threshold; otherwise only if numerically singular.  A
+    non-finite stored entry, and a tail larger than both dense_switch and
+    4000, are a FactorizationError, raised before equilibration and before
+    the dense allocation, and so is a Schur complement bounded at more than
+    256 entries per stored entry of its level (crout_ilu_level), before it
+    is allocated.  A level that accepts no pivot is kept, with n_b 0 and
+    unit L and U, and ends the recursion: its Schur complement, the level's
+    scaled and reordered matrix, is the tail.
 
     Besides the input and the levels built, a level holds its scaled and
     reordered matrix, that matrix's CSC copy, the two flat buffers and one
     block's products; that is its peak.  The previous level's Schur
     complement goes once it is scaled, and each of the rest once it is
-    used."""
+    used.  The dense tail holds the Schur complement and one n^2 array."""
     params = params or FactorParams()
     a = as_csr(a)
     if a.shape[0] != a.shape[1]:
@@ -718,7 +893,8 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
     levels: list[LevelFactor] = []
     current = a
     for _ in range(_MAX_LEVELS):
-        if current.shape[0] <= dense_switch:
+        if current.shape[0] <= dense_switch or (params.dense_switch is None
+                                                and _dense_beats_crout(current)):
             break
         dr, dc = equilibrate(current)
         scaled = _scale(current, dr, dc)
@@ -742,30 +918,12 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
     if tail_n > tail_limit:
         raise FactorizationError(f"dense tail of {tail_n} unknowns after {len(levels)} "
                                  f"levels exceeds the limit of {tail_limit}")
-    tail = current.toarray()
-    perturbed = False
-    if tail_n:
-        scale = np.abs(tail).max()
-        # info > 0 flags an exactly singular tail (e.g. a pure-Neumann null
-        # space), which the pivot perturbation below handles
-        lu, piv, info = dgetrf(tail)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of getrf")
-        floor = 1e3 * _EPS * (scale if scale > 0 else 1.0)
-        d = np.abs(np.diag(lu))
-        small = np.flatnonzero(d < floor)
-        if small.size:
-            perturbed = True
-            vals = lu[small, small]
-            lu[small, small] = np.where(vals < 0, -floor, floor)
-        tail_lu = (lu, piv)
-    else:
-        tail_lu = None
-
+    dropped = params.droptol > 0 and any(lev.n_b for lev in levels)
+    tail, perturbed = _dense_tail(current, dropped) if tail_n else (None, False)
     total = sum(lev.nnz for lev in levels) + tail_n * tail_n
     return MultilevelFactor(
         levels=levels,
-        tail_lu=tail_lu,
+        tail=tail,
         tail_n=tail_n,
         perturbed=perturbed,
         total_nnz=int(total),
@@ -794,12 +952,12 @@ def _substitute(trans: str, t, b: np.ndarray) -> np.ndarray:
 
 def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
     if li == len(m.levels):
-        if m.tail_n == 0:
+        if m.tail is None:
             return v.copy()
         with _TAIL_LOCK:
-            x, info = dgetrs(*m.tail_lu, v)
+            x, info = m.tail.solve(v)
         if info:
-            raise np.linalg.LinAlgError(f"illegal value in argument {-info} of getrs")
+            raise np.linalg.LinAlgError(f"illegal value in argument {-info} of the tail solve")
         return x
     lev = m.levels[li]
     y = (lev.dr * v)[lev.order]
@@ -815,7 +973,11 @@ def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
 
 def ml_solve(m: MultilevelFactor, v: np.ndarray) -> np.ndarray:
     """Apply the factored preconditioner: one multilevel forward/backward
-    substitution pass on each level's stored unit-triangular factors.
+    substitution pass on each level's stored unit-triangular factors, and
+    between them the dense tail's solve.  A rank-truncated tail gives the
+    basic solution: the kept columns' unknowns from Q^T (dr v) and R,
+    scaled by dc, and 0 for the columns left out, so the tail's matrix
+    maps it to v less v's (scaled) component outside the kept range.
     Leaves the factor unchanged; concurrent calls on one factor are safe."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (m.n,):

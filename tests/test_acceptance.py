@@ -19,11 +19,12 @@ def _report(name, elapsed, budget, detail=""):
     print(f"PASS {name}: {elapsed:.1f}s (budget {budget:.0f}s) {detail}")
 
 
-def run_cavity(level, re, sigma, regime, refine_steps=2):
+def run_cavity(level, re, sigma, regime, refine_steps=2, dense_switch=None):
     t0 = time.perf_counter()
     prob = cav.build_problem(level, re)
     nlp = cav.nonlinear_problem(prob, cav.stokes_initial_guess(prob))
-    cfg = SolverConfig(sigma=sigma, regime=regime, refine_steps=refine_steps)
+    cfg = SolverConfig(sigma=sigma, regime=regime, refine_steps=refine_steps,
+                       factor_params=FactorParams(dense_switch=dense_switch))
     x, report = hybrid_newton(nlp, cfg)
     elapsed = time.perf_counter() - t0  # assembly + initial guess + solve
     return prob, x, report, elapsed
@@ -121,6 +122,18 @@ def test_criterion_3_null_space_identities():
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     _report("criterion 3 (null-space identities, levels 4-6)", elapsed, 30)
+
+
+def test_l5_re200_with_its_schur_complements_as_the_tail_converges(run_l5_re200):
+    # at dense_switch 600 both first Schur complements (n 530 and 537) are
+    # the dense tail, each with one near-null direction that an LU with
+    # partial pivoting does not see: that took 6 steps, 75 GMRES and 3
+    # refactorizations, where the default took 7 GMRES
+    _, _, default, _ = run_l5_re200
+    _, _, report, _ = run_cavity(5, 200.0, 1e-5, "high_re", dense_switch=600)
+    assert report.converged
+    assert report.total_gmres <= 2 * default.total_gmres, (report.total_gmres,
+                                                           default.total_gmres)
 
 
 def test_criterion_4_cavity_moderate_re(run_l5_re200, run_l6_re200):

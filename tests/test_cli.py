@@ -342,18 +342,23 @@ def test_linsolve_dimension_mismatch(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
-def _sparse_saddle(nb, ne, seed):
-    """[[B, E^T], [E, 0]] with sparse B and E: the zero block is deferred
-    statically, so the factorization has at least two levels above
-    dense_switch without a slow dense fill."""
+def _sparse_saddles(nb, ne, copies, seed):
+    """``copies`` blocks [[B, E^T], [E, 0]] on the diagonal, with sparse B
+    and E: the zero blocks are deferred statically, so the factorization
+    has at least two levels above dense_switch.  Each block's Schur
+    complement is dense, but their sum is not, so a Crout level beats
+    the dense tail on it."""
     rng = np.random.default_rng(seed)
-    b = sp.random(nb, nb, density=3 / nb, random_state=rng) + 4 * sp.eye(nb)
-    e = sp.random(ne, nb, density=3 / nb, random_state=rng) + sp.eye(ne, nb)
-    return as_csr(sp.bmat([[b, e.T], [e, None]]))
+    blocks = []
+    for _ in range(copies):
+        b = sp.random(nb, nb, density=3 / nb, random_state=rng) + 4 * sp.eye(nb)
+        e = sp.random(ne, nb, density=3 / nb, random_state=rng) + sp.eye(ne, nb)
+        blocks.append(sp.bmat([[b, e.T], [e, None]]))
+    return as_csr(sp.block_diag(blocks, format="csr"))
 
 
 def test_factor_stats(tmp_path, capsys):
-    a = _sparse_saddle(700, 600, seed=88)
+    a = _sparse_saddles(70, 60, 10, seed=88)
     mm_write(a, tmp_path / "a.mtx")
     rc = main([
         "factor-stats", "--matrix", str(tmp_path / "a.mtx"),
@@ -371,7 +376,7 @@ def test_factor_stats(tmp_path, capsys):
     for (_, n, n_b, deferred, _), lower in zip(rows, rows[1:]):
         assert lower[1] == n - n_b == deferred
     _, tail_n, tail_nb, tail_deferred, tail_nnz = rows[-1]
-    assert f"tail_n={tail_n} " in printed
+    assert f"tail_n={tail_n} tail_rank={tail_n} " in printed
     assert tail_nb == tail_n and tail_deferred == 0 and tail_nnz == tail_n**2
     assert f"total_nnz={sum(r[4] for r in rows)} " in printed
 
@@ -549,9 +554,25 @@ def test_a_schur_complement_over_budget_exits_2_with_one_line(tmp_path, capsys, 
 
 
 def test_structurally_empty_row_below_dense_switch_is_perturbed(tmp_path, capsys):
-    # the whole matrix goes to the dense tail, whose zero pivot is perturbed
+    # the whole matrix goes to the dense tail, whose zero row is cut
     mm_write(_last_row_empty(6), tmp_path / "a.mtx")
     rc = main(["factor-stats", "--matrix", str(tmp_path / "a.mtx"),
                "--output-dir", str(tmp_path)])
     assert rc == 0
-    assert "perturbed=1" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "tail_n=6 tail_rank=5 " in printed and "perturbed=1" in printed
+
+
+def test_factor_stats_reports_the_rank_the_stokes_tail_keeps(tmp_path, capsys):
+    # the level-4 Stokes system's Schur complement carries the constant
+    # pressure mode: its tail of 120 keeps 119 columns, while the CSV row
+    # still counts the 120 unknowns and 120^2 stored entries
+    from saddlesolve import cavity as cav
+
+    mm_write(cav.stokes_operator(cav.build_problem(4, re=100.0)), tmp_path / "stokes.mtx")
+    rc = main(["factor-stats", "--matrix", str(tmp_path / "stokes.mtx"),
+               "--output-dir", str(tmp_path)])
+    assert rc == 0
+    assert "tail_n=120 tail_rank=119 " in capsys.readouterr().out
+    last = (tmp_path / "factor_stats.csv").read_text().splitlines()[-1]
+    assert last == "2,120,120,0,14400"

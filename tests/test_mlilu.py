@@ -387,9 +387,9 @@ class TestFactorize:
         tails = []
         lapack_getrf = mlilu.dgetrf
 
-        def getrf(tail):
+        def getrf(tail, **options):
             tails.append(tail.copy())
-            return lapack_getrf(tail)
+            return lapack_getrf(tail, **options)
 
         monkeypatch.setattr(mlilu, "dgetrf", getrf)
         m = factorize(a, FactorParams(pivot_floor=10.0, dense_switch=10))
@@ -422,7 +422,7 @@ class TestFactorize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        arrays = [a.data, a.indices, a.indptr, *(m.tail_lu or ())]
+        arrays = [a.data, a.indices, a.indptr, *(m.tail or ())]
         for lev in m.levels:
             arrays += [lev.L.data, lev.L.indices, lev.L.indptr, lev.U.data, lev.U.indices,
                        lev.U.indptr, lev.D, lev.order, lev.dr, lev.dc]
@@ -435,6 +435,103 @@ class TestFactorize:
         for lev in m.levels:
             if lev.n_b:
                 assert np.abs(lev.D).min() >= params.pivot_floor
+
+    @staticmethod
+    def _planted(rng, n):
+        """Singular values 1 to 10 and one of 1e-7, and the right singular
+        vector of the last."""
+        u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        dense = (u * np.r_[rng.uniform(1.0, 10.0, n - 1), 1e-7]) @ v.T
+        return as_csr(sp.csr_matrix(dense)), v[:, -1]
+
+    def test_a_planted_near_null_direction_is_cut_from_a_dropped_tail(self):
+        # an LU with partial pivoting solves with it, and a vector outside
+        # the range comes back 1.7e6 times longer, along the near-null
+        # direction; the tail of a level that dropped entries cuts it
+        rng = np.random.default_rng(31)
+        n = 40
+        a, null = self._planted(rng, n)
+        tail, perturbed = mlilu._dense_tail(a, dropped=True)
+        assert perturbed and tail.tau.size == n - 1
+        # accurate on the complement of the cut direction
+        x = rng.standard_normal(n)
+        x -= (null @ x) * null
+        y, info = tail.solve(a @ x)
+        assert info == 0
+        off = y - x
+        off -= (null @ off) * null
+        assert np.linalg.norm(off) <= 1e-6 * np.linalg.norm(x)
+        # and bounded off the range: 0.37 times as long
+        r = rng.standard_normal(n)
+        assert np.linalg.norm(tail.solve(r)[0]) <= 10 * np.linalg.norm(r)
+
+    def test_an_exact_ill_conditioned_tail_keeps_its_rank(self):
+        # with no level before it the tail is the input itself, which is
+        # nonsingular: its QR keeps every column and solves it exactly
+        rng = np.random.default_rng(31)
+        n = 40
+        a, _ = self._planted(rng, n)
+        m = factorize(a)
+        assert not m.levels and isinstance(m.tail, mlilu._QRTail)
+        assert not m.perturbed and m.tail_rank == n
+        x = rng.standard_normal(n)
+        assert np.linalg.norm(ml_solve(m, a @ x) - x) <= 1e-6 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("seed, n, dense_switch", [(3, 12, 8), (159, 12, 4), (134, 16, 8)])
+    @pytest.mark.parametrize("exact_levels", [True, False])
+    def test_an_ill_conditioned_nonsingular_system_is_solved_to_1e_10(self, seed, n,
+                                                                      dense_switch, exact_levels):
+        # condition numbers 3e7, 2.9e7 and 1.8e7, and an equilibrated tail
+        # with |R_ii| / |R_11| down to 1.7e-5, 1.2e-7 and 3.6e-6: a cut at
+        # 1e-3 left FGMRES at a relative residual of 1e-7 to 3e-6.  Exact
+        # levels (droptol 0) leave the tail the exact Schur complement;
+        # the default parameters leave no level, so the tail is the input
+        a = _deferring_matrix(n, seed, n // 2)
+        if exact_levels:
+            params = FactorParams(alpha=float(n), droptol=0.0, pivot_floor=1e-2,
+                                  dense_switch=dense_switch)
+        else:
+            params = FactorParams()
+        m = factorize(a, params)
+        assert bool(m.levels) == exact_levels and isinstance(m.tail, mlilu._QRTail)
+        assert not m.perturbed and m.tail_rank == m.tail_n
+        b = a @ np.random.default_rng(0).standard_normal(n)
+        _, rep = fgmres(a, PrecondOperator(m), b,
+                        GmresParams(restart=30, max_iters=100, rtol=1e-10))
+        assert rep.converged and rep.iterations == 1
+
+    def test_the_default_switch_sends_a_dense_level_to_the_tail(self):
+        rng = np.random.default_rng(32)
+        dense = rng.standard_normal((600, 600))
+        m = factorize(as_csr(sp.csr_matrix(dense)))
+        assert not m.levels and m.tail_n == 600 and isinstance(m.tail, mlilu._LUTail)
+        x = rng.standard_normal(600)
+        assert np.allclose(ml_solve(m, dense @ x), x, rtol=0, atol=1e-8)
+
+    def test_the_default_switch_keeps_the_benchmark_levels_sparse(self, monkeypatch):
+        # n^3 / nnz: 2.8e5 and 4.5e6 on the L5 and L6 operators, 3563 on the
+        # Schur complement of the L5 Re 1000 Oseen operator that the
+        # benchmark solves 60 times, above the 2500 that goes dense
+        ratios = []
+        inner = mlilu._dense_beats_crout
+
+        def dense_beats_crout(s):
+            ratios.append(s.shape[0] ** 3 / s.nnz)
+            return inner(s)
+
+        monkeypatch.setattr(mlilu, "_dense_beats_crout", dense_beats_crout)
+        for level in (5, 6):
+            prob = cavity.build_problem(level, 1000.0)
+            state = 0.1 * np.random.default_rng(0).standard_normal(prob.n_unknowns)
+            a = cavity.oseen_operator(prob, state)
+            if level == 6:
+                assert not mlilu._dense_beats_crout(a)
+                continue
+            m = factorize(a, FactorParams(alpha=5.0, droptol=0.01))
+            assert [lev.n for lev in m.levels] == [2211, 677] and m.tail_n == 227
+            assert isinstance(m.tail, mlilu._LUTail) and not m.perturbed
+        assert [f"{r:.2g}" for r in ratios] == ["2.8e+05", "3.6e+03", "4.5e+06"]
 
 
 class TestMlSolve:
@@ -495,7 +592,7 @@ def _substitute_on_stored_factors(m, v):
 
     def walk(li, v):
         if li == len(m.levels):
-            return scipy.linalg.lu_solve(m.tail_lu, v, check_finite=False)
+            return scipy.linalg.lu_solve(m.tail, v, check_finite=False)
         lev = m.levels[li]
         y = (lev.dr * v)[lev.order]
         y = spsolve_triangular(lev.L, y, lower=True, unit_diagonal=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from saddlesolve import ordering
 from saddlesolve.ordering import reorder
@@ -120,20 +120,30 @@ def test_order_equals_the_complete_lu_order(a):
     assert np.array_equal(reorder(a), complete_lu_order(a))
 
 
+def full_pattern_order(a):
+    """The order of the spilu call reorder made before it passed only the
+    upper triangle: the stand-in with -1 on the pattern of A + A^T and 1 +
+    the column count on its diagonal, symmetric, so that its CSR arrays are
+    its CSC arrays."""
+    pat = sp.csr_matrix((np.ones(a.nnz, np.int8), a.indices, a.indptr), shape=a.shape)
+    pat = pat + pat.T + 4 * sp.eye(a.shape[0], dtype=np.int8, format="csr")
+    data = np.full(pat.nnz, -1.0)
+    data[pat.data >= 4] = 1.0 + np.diff(pat.indptr)
+    m = sp.csc_matrix((data, pat.indices, pat.indptr), shape=a.shape)
+    lu = spilu(m, drop_tol=0.99, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+               diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    return np.argsort(lu.perm_c)
+
+
 @pytest.mark.parametrize("a", [
     laplacian_2d(6),
     random_saddle(30, 12, seed=5),
     random_sparse(60, 0.08, seed=6)[0],
     random_sparse(40, 0.3, seed=7, diag_shift=1.0)[0],
 ], ids=["grid-laplacian", "saddle", "unsym-60", "unsym-40-dense"])
-def test_spilu_gets_the_stand_in_built_from_float_copies(a, monkeypatch):
-    # the stand-in as it was built on float64 copies of the pattern, which
-    # leaves out the diagonal where A + A^T has none: 2 + the column count
-    # there, 1 + the count where it has one
-    pat = sp.csr_matrix((np.ones_like(a.data), a.indices, a.indptr), shape=a.shape)
-    want = as_csr(pat + pat.T).tocsc()
-    want.data[:] = -1.0
-    want = (want + sp.diags(2.0 + np.diff(want.indptr))).tocsc()
+def test_spilu_gets_the_upper_triangle_of_the_pattern(a, monkeypatch):
+    # upper triangular, as CSC, with 1 off the diagonal and 2 on it: the
+    # pattern of A + A^T + I is that of M + M^T
     seen = []
     real = ordering.spilu
 
@@ -142,8 +152,30 @@ def test_spilu_gets_the_stand_in_built_from_float_copies(a, monkeypatch):
         return real(m, **options)
 
     monkeypatch.setattr(ordering, "spilu", spilu)
-    reorder(a)
+    order = reorder(a)
     (got,) = seen
-    assert got.format == "csc" and got.shape == want.shape
-    for x, y in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    n = a.shape[0]
+    assert got.format == "csc" and got.has_canonical_format
+    assert sp.tril(got, -1).nnz == 0 and np.all(got.diagonal() == 2.0)
+    assert np.all(sp.triu(got, 1).data == 1.0)
+    pat = abs(a.sign())
+    want = (pat + pat.T + sp.eye(n)).astype(bool)
+    assert ((got + got.T).astype(bool) != want).nnz == 0
+    assert np.array_equal(order, full_pattern_order(a))
+
+
+def test_order_equals_the_full_pattern_order():
+    # random patterns of every density, and symmetric permutations of a
+    # cavity operator, which take the ties of minimum degree another way
+    from saddlesolve import cavity
+    rng = np.random.default_rng(40)
+    cases = [random_sparse(int(n), float(d), seed=s)[0]
+             for s, (n, d) in enumerate(zip(rng.integers(2, 300, 60),
+                                            rng.choice([0.005, 0.02, 0.1, 0.5], 60)))]
+    prob = cavity.build_problem(3, 100.0)
+    op = cavity.oseen_operator(prob, 0.1 * rng.standard_normal(prob.n_unknowns))
+    for _ in range(10):
+        p = rng.permutation(op.shape[0])
+        cases.append(as_csr(op[p][:, p]))
+    for a in cases:
+        assert np.array_equal(reorder(a), full_pattern_order(a)), a.shape

@@ -5,7 +5,6 @@ import scipy.sparse as sp
 from saddlesolve import cavity
 from saddlesolve.mlilu import FactorParams, _scale, crout_ilu_level, factorize
 from saddlesolve.mmio import mm_read
-from saddlesolve.ordering import _symmetric_pattern
 from saddlesolve.sparse import as_csr
 
 from conftest import random_saddle, random_sparse
@@ -87,13 +86,11 @@ def _crout_level_output(which):
 
 
 @pytest.mark.parametrize("producer", ["oseen_operator", "newton_operator", "stokes_operator",
-                                      "mm_read", "symmetric_pattern",
+                                      "mm_read",
                                       "crout_L", "crout_U", "crout_schur"])
 def test_producers_return_canonical_csr(producer, tmp_path):
     if producer == "mm_read":
         m = _mm_read_shuffled_symmetric(tmp_path)
-    elif producer == "symmetric_pattern":
-        m = _symmetric_pattern(random_sparse(15, 0.2, seed=7)[0])
     elif producer.startswith("crout_"):
         m = _crout_level_output(producer)
         # ml_solve_bytes counts these arrays: a widened index would move it

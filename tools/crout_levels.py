@@ -9,20 +9,20 @@ The first tree runs the three benchmark workloads of
 saves every call's input and the workload it came from; it fails if a
 workload's check fails.
 
-Then each captured level is factorized N times (default 3) by each tree,
-in pairs: each repeat runs both trees, and the tree that goes first
-alternates between repeats.  Every call runs in a fresh subprocess with
-one BLAS thread.  For each level it prints its workload, n, the stored
-entries per row, each tree's block size for it (parent/change), the CPU
-seconds of each call (``time.process_time``) and the peak resident
-memory in MiB of its subprocess (``ru_maxrss``, which includes the
-interpreter, the imports and the loaded input), each with its median per
-tree, in how many of the N pairs the change took less CPU than the
-parent, each tree's ``tracemalloc`` peak in MiB over the call, measured
-in one more, untimed subprocess per tree, and ``same`` or ``DIFFERS`` for
-the dtypes and bytes of the returned factor and Schur complement; then,
-per workload, the sum of each tree's per-level CPU medians.  Exits 1 on
-any difference.
+Then one subprocess with one BLAS thread loads both trees, each under its
+own package name, and factorizes each captured level N times (default 3)
+by each tree, in rounds: each round runs both trees, and the tree that goes
+first alternates between rounds.  Timing the two trees side by side in one
+process keeps the spread between rounds small; in fresh processes one
+tree's level CPU spread about 2x between repeats.  For each level it
+prints its workload, n, the stored entries per row, each tree's block size
+for it (parent/change), the CPU seconds of each call
+(``time.process_time``) with their median per tree, in how many of the N
+rounds the change took less CPU than the parent, each tree's
+``tracemalloc`` peak in MiB over the call, measured in one more, fresh
+subprocess per tree, and ``same`` or ``DIFFERS`` for the dtypes and bytes
+of the returned factor and Schur complement; then, per workload, the sum
+of each tree's per-level CPU medians.  Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -73,41 +73,73 @@ with open(f"{out}/calls.json", "w") as f:
 """
 
 LOAD = """
-import hashlib, json, resource, sys, time, tracemalloc
+import json, sys
 import numpy as np
 import scipy.sparse as sp
-from saddlesolve import mlilu
 
-out, i = sys.argv[1], int(sys.argv[2])
-call = json.load(open(f"{out}/calls.json"))[i]
-z = np.load(f"{out}/level{i}.npz")
-a = sp.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=tuple(z["shape"]))
-params = mlilu.FactorParams(**call["params"])
+def level_input(out, i):
+    call = json.load(open(f"{out}/calls.json"))[i]
+    z = np.load(f"{out}/level{i}.npz")
+    a = sp.csr_matrix((z["data"], z["indices"], z["indptr"]), shape=tuple(z["shape"]))
+    return a, call
 """
 
-TIME = LOAD + """
-block = mlilu._block_size(a)
-start = time.process_time()
-level, schur = mlilu.crout_ilu_level(a, params, call["n_candidates"])
-seconds = time.process_time() - start
-h = hashlib.sha256()
-arrays = [arr for m in (level.L, level.U, schur) for arr in (m.data, m.indices, m.indptr)]
-for arr in (*arrays, level.order, level.D, np.array([level.n_b, level.n_dynamic_deferred])):
-    h.update(str(arr.dtype).encode())
-    h.update(np.ascontiguousarray(arr).tobytes())
-print(block, seconds, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, h.hexdigest())
+ROUNDS = LOAD + """
+import hashlib, importlib, importlib.util, time
+from pathlib import Path
+
+def load(name, src):
+    # the package under its own name: its relative imports resolve in it
+    pkg = Path(src) / "saddlesolve"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py",
+                                                  submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.mlilu")
+
+out, i, repeats = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+trees = {"parent": load("parent_saddlesolve", sys.argv[4]),
+         "change": load("change_saddlesolve", sys.argv[5])}
+a, call = level_input(out, i)
+seconds = {name: [] for name in trees}
+digests = {name: set() for name in trees}
+for repeat in range(repeats):
+    # the parent runs first in even rounds, the change in odd ones
+    for name in list(trees) if repeat % 2 == 0 else list(trees)[::-1]:
+        mlilu = trees[name]
+        params = mlilu.FactorParams(**call["params"])
+        start = time.process_time()
+        level, schur = mlilu.crout_ilu_level(a, params, call["n_candidates"])
+        seconds[name].append(time.process_time() - start)
+        h = hashlib.sha256()
+        arrays = [arr for m in (level.L, level.U, schur) for arr in (m.data, m.indices, m.indptr)]
+        for arr in (*arrays, level.order, level.D,
+                    np.array([level.n_b, level.n_dynamic_deferred])):
+            h.update(str(arr.dtype).encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        digests[name].add(h.hexdigest())
+print(json.dumps({"blocks": {name: m._block_size(a) for name, m in trees.items()},
+                  "seconds": seconds,
+                  "digests": {name: sorted(d) for name, d in digests.items()}}))
 """
 
 PEAK = LOAD + """
+import tracemalloc
+from saddlesolve import mlilu
+a, call = level_input(sys.argv[1], int(sys.argv[2]))
+params = mlilu.FactorParams(**call["params"])
 tracemalloc.start()
 mlilu.crout_ilu_level(a, params, call["n_candidates"])
 print(tracemalloc.get_traced_memory()[1] / 2**20)
 """
 
 
-def _python(src: Path, args: list[str]) -> str:
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+def _python(src: Path | None, args: list[str]) -> str:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    if src is not None:
+        env["PYTHONPATH"] = str(src)
     return subprocess.run([sys.executable, *args], env=env, check=True,
                           stdout=subprocess.PIPE, text=True).stdout
 
@@ -125,7 +157,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    names = list(trees)
     for src in trees.values():
         if not (src / "saddlesolve" / "__init__.py").is_file():
             print(f"error: no saddlesolve package under {src}", file=sys.stderr)
@@ -139,21 +170,12 @@ def main(argv: list[str]) -> int:
         for i, workload in enumerate(workloads):
             z = np.load(f"{out}/level{i}.npz")
             n = int(z["shape"][0])
-            seconds = {name: [] for name in trees}
-            rss = {name: [] for name in trees}
-            digests = {name: set() for name in trees}
-            blocks = {}
-            for repeat in range(args.repeats):
-                # the parent runs first in even repeats, the change in odd ones
-                for name in names if repeat % 2 == 0 else names[::-1]:
-                    blocks[name], s, mib, digest = _python(trees[name],
-                                                           ["-c", TIME, out, str(i)]).split()
-                    seconds[name].append(float(s))
-                    rss[name].append(float(mib))
-                    digests[name].add(digest)
+            rounds = json.loads(_python(None, ["-c", ROUNDS, out, str(i), str(args.repeats),
+                                               *map(str, trees.values())]))
+            seconds, blocks = rounds["seconds"], rounds["blocks"]
             peaks = "  ".join(f"{name} {float(_python(src, ['-c', PEAK, out, str(i)])):.2f}"
                               for name, src in trees.items())
-            same = len(digests["parent"] | digests["change"]) == 1
+            same = len({d for ds in rounds["digests"].values() for d in ds}) == 1
             faster = sum(c < p for p, c in zip(seconds["parent"], seconds["change"]))
             differs += not same
             for name in trees:
@@ -161,8 +183,7 @@ def main(argv: list[str]) -> int:
             print(f"level {i} ({workload}): n {n}, {z['data'].size / n:.0f} nnz/row, "
                   f"block {blocks['parent']}/{blocks['change']}, "
                   f"CPU s {_per_tree(seconds, '.2f')}, "
-                  f"change faster in {faster} of {args.repeats}, "
-                  f"peak RSS MiB {_per_tree(rss, '.1f')}, "
+                  f"change faster in {faster} of {args.repeats} rounds, "
                   f"tracemalloc peak MiB {peaks}, "
                   f"{'same' if same else 'DIFFERS'}", flush=True)
     for workload in medians["parent"]:
