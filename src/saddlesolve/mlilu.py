@@ -5,23 +5,23 @@ the Crout elimination of crout_ilu_level (which describes the kernel) and
 recurses on its Schur complement.  A dense factorization ends the
 recursion, once the complement is small (dense_switch) or, by default,
 dense enough that a dense factorization beats a Crout level on it
-(_dense_beats_crout).  That tail is rank-revealing (_dense_tail): an LU
-with partial pivoting if LAPACK's condition estimate says it is well
-conditioned, else an equilibrated QR with column pivoting truncated at a
-relative threshold, which sees the near-null direction that ILU dropping
-leaves in a saddle point system's Schur complement (the HIFIR design of
-Chen & Jiao, arXiv:2106.09877).  factorize holds one level's working set
-at a time, in every case.
+(_dense_beats_crout).  That tail is a rank-revealing LU (_dense_tail):
+LAPACK's LU with partial pivoting, and if its condition estimate says it
+is ill-conditioned, the near-null directions that inverse iteration
+through that LU finds under a relative threshold are cut from it (T. F.
+Chan, Math. Comp. 42, 1984).  That sees the near-null direction that ILU
+dropping leaves in a saddle point system's Schur complement (the HIFIR
+design of Chen & Jiao, arXiv:2106.09877).  factorize holds one level's
+working set at a time, in every case.
 
 ml_solve calls SuperLU's compiled substitution (gstrs) on each level's
 stored unit-triangular factors directly, with the arguments scipy's
 spsolve_triangular passes once its per-call set-up is done: the same bits
-without that set-up.  The dense tail is LAPACK's dgetrs on the LU, or
-dormqr, which applies Q^T from its Householder form, and dtrtrs on R.  A
-solve writes nothing in the factor, so concurrent solves are safe; the
-dense-tail solve holds a module lock, since concurrent dgetrs calls on one
-LU factor (scipy 1.17 with OpenBLAS) can return wrong solutions, off by
-O(1) relative to serial ones.
+without that set-up.  The dense tail is LAPACK's dgetrs on the LU, between
+projections off the cut directions.  A solve writes nothing in the factor,
+so concurrent solves are safe; the dense-tail solve holds a module lock,
+since concurrent dgetrs calls on one LU factor (scipy 1.17 with OpenBLAS)
+can return wrong solutions, off by O(1) relative to serial ones.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgecon, dgeqp3, dgetrf, dgetrs, dlange, dormqr, dtrtrs
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
 # the compiled substitution spsolve_triangular ends in, called without that
 # wrapper's per-call set-up; test_mlilu pins its bits to the public wrapper
 from scipy.sparse.linalg._dsolve._superlu import gstrs
@@ -70,12 +70,28 @@ _MAX_SCHUR_GROWTH = 256
 # with the default dense_switch, a level whose n^3 is at most this many
 # times its stored entries goes to the dense tail (_dense_beats_crout)
 _DENSE_CUBE_PER_ENTRY = 2500
-# a tail keeps its LU when dgecon's 1-norm estimate of its reciprocal
-# condition is at least _TAIL_RCOND; otherwise its equilibrated QR with
-# column pivoting is truncated at the first |R_ii| <= _TAIL_RANK_TOL |R_11|
-# if a level's dropping made it, else at n eps |R_11| (_dense_tail)
+# a tail is a plain LU when dgecon's 1-norm estimate of its reciprocal
+# condition is at least _TAIL_RCOND; otherwise the singular directions of
+# its equilibrated form under _TAIL_RANK_TOL times its largest column norm
+# are cut if a level's dropping made it, else those under n eps times it
+# (_dense_tail)
 _TAIL_RCOND = 3e-6
 _TAIL_RANK_TOL = 1e-3
+# sweeps of inverse iteration (_near_null): on the L5 cavity's two cut
+# tails one sweep left the direction found 6e-6 and 6e-7 off in angle and
+# the solve 7e-7 and 1e-8 from the exactly truncated pseudo-inverse; two
+# reach rounding, 6e-15
+_TAIL_SWEEPS = 2
+# directions in the first block (_near_null): those tails have one under
+# the cut, and a block of two finds it and the next, above the cut, in one
+# round; they were built 1.5 ms faster than with blocks of one or four
+_TAIL_BLOCK = 2
+# stored entries per run of rows (_row_runs): a pass over the dense tail's
+# Schur complement holds temporaries near 0.5 MB next to its LU (in one
+# run, T's column norms alone put the L5 cavity run's peak RSS 1 MiB
+# higher), and _ruiz on the tails of n 530 and 537 took less time than in
+# one run (3.2 and 2.1 ms against 4.6 and 2.8)
+_RUN_ENTRIES = 16384
 _EPS = np.finfo(np.float64).eps
 _TAIL_LOCK = threading.Lock()
 # pivot steps per block of crout_ilu_level, and the stored entries per row
@@ -163,57 +179,44 @@ class LevelFactor:
         return int(self.L.nnz + self.U.nnz - 2 * self.n + self.D.size)
 
 
-class _LUTail(NamedTuple):
-    """dgetrf's LU of a well-conditioned dense tail: lu_solve's pair."""
+class _DenseTail(NamedTuple):
+    """dgetrf's LU of the dense tail S and the near-null directions cut
+    from it (_dense_tail): u and v, n x k, hold orthonormal bases of the
+    left and right singular subspaces of T = diag(dr) S diag(dc) under the
+    cut; dr and dc are None for a plain LU.  lu is None when S is zero,
+    whose rank is 0."""
 
-    lu: np.ndarray
-    piv: np.ndarray
+    lu: np.ndarray | None
+    piv: np.ndarray | None
+    u: np.ndarray
+    v: np.ndarray
+    dr: np.ndarray | None
+    dc: np.ndarray | None
 
-    def solve(self, v: np.ndarray):
-        return dgetrs(self.lu, self.piv, v)
+    @property
+    def rank(self) -> int:
+        return 0 if self.lu is None else self.u.shape[0] - self.u.shape[1]
 
-
-class _QRTail(NamedTuple):
-    """A QR with column pivoting of the equilibrated dense tail T,
-    truncated at rank k = tau.size: (dr T dc)[:, cols[:k]] = Q_k R11, Q_k
-    the first k columns of the product of k Householder reflectors,
-    stored below the diagonal of qr's first k columns with their scalars
-    tau, as dgeqp3 leaves them.  Above the diagonal qr holds R11 bordered by the
-    identity, so that a triangular solve gives 0 on the columns left
-    out."""
-
-    qr: np.ndarray
-    tau: np.ndarray
-    cols: np.ndarray
-    dr: np.ndarray
-    dc: np.ndarray
-
-    def solve(self, v: np.ndarray):
-        """The basic solution: Q^T (dr v) by dormqr, its entries past the
-        kept rank zeroed, then the bordered R, and dc."""
-        k = self.tau.size
-        y = np.zeros((v.size, 1))
-        info = 0
-        if k:
-            # lwork 1 applies the reflectors one by one: a blocked pass
-            # would rebuild its block factors on every solve
-            y, _, info = dormqr("L", "T", self.qr[:, :k], self.tau, (self.dr * v)[:, None], 1)
-            y[k:] = 0.0
-        if not info:
-            y, info = dtrtrs(self.qr, y)
-        x = np.empty(v.size)
-        x[self.cols] = y[:, 0]
-        return x * self.dc, info
+    def solve(self, b: np.ndarray):
+        """x = diag(dc) (I - v v^T) T^-1 (I - u u^T) diag(dr) b, T^-1 through
+        the LU: a plain LU solve when nothing is cut."""
+        if self.lu is None:
+            return np.zeros(b.size), 0
+        if self.u.shape[1]:
+            b = b - (self.u @ (self.u.T @ (self.dr * b))) / self.dr
+        x, info = dgetrs(self.lu, self.piv, b)
+        if self.v.shape[1]:
+            x -= self.dc * (self.v @ (self.v.T @ (x / self.dc)))
+        return x, info
 
 
 @dataclass
 class MultilevelFactor:
-    """The levels, then the dense tail of tail_n unknowns: an _LUTail, a
-    _QRTail (perturbed if its rank is below tail_n) or None if tail_n is
-    0."""
+    """The levels, then the dense tail of tail_n unknowns, None if tail_n
+    is 0, perturbed if its rank was cut."""
 
     levels: list[LevelFactor]
-    tail: _LUTail | _QRTail | None
+    tail: _DenseTail | None
     tail_n: int
     perturbed: bool
     total_nnz: int
@@ -221,8 +224,8 @@ class MultilevelFactor:
 
     @property
     def tail_rank(self) -> int:
-        """The columns the dense tail keeps: tail_n unless its rank was cut."""
-        return self.tail.tau.size if isinstance(self.tail, _QRTail) else self.tail_n
+        """The dense tail's rank: tail_n unless directions were cut."""
+        return self.tail_n if self.tail is None else self.tail.rank
 
 
 def _scale(a: sp.csr_matrix, dr: np.ndarray, dc: np.ndarray) -> sp.csr_matrix:
@@ -247,25 +250,44 @@ def equilibrate(a: sp.csr_matrix):
     return _ruiz(a)
 
 
+def _row_runs(a: sp.csr_matrix) -> list:
+    """``a``'s rows in runs of about _RUN_ENTRIES stored entries, so that a
+    pass over them holds temporaries of that size only: per run, its rows
+    r0..r1-1, the slice of its entries, its row sizes, which rows are
+    nonempty and their starts within the run."""
+    ptr = a.indptr
+    # the rows holding every _RUN_ENTRIES-th entry start the runs
+    bounds = np.unique(np.r_[0, np.searchsorted(ptr, np.arange(0, ptr[-1], _RUN_ENTRIES),
+                                                side="right") - 1, a.shape[0]])
+    runs = []
+    for r0, r1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        counts = np.diff(ptr[r0:r1 + 1])
+        nonempty = counts > 0
+        runs.append((r0, r1, slice(ptr[r0], ptr[r1]), counts, nonempty,
+                     ptr[r0:r1][nonempty] - ptr[r0]))
+    return runs
+
+
 def _ruiz(a: sp.csr_matrix):
-    """equilibrate's sweeps without its checks: a row or column with no
-    nonzero value, stored or not, keeps the scale 1."""
+    """equilibrate's sweeps without its checks, over runs of rows
+    (_row_runs): a row or column with no nonzero value, stored or not,
+    keeps the scale 1."""
     n = a.shape[0]
-    row_counts = np.diff(a.indptr)
-    # reduceat over the nonempty rows' starts: each segment is one row
-    nonempty = row_counts > 0
-    starts = a.indptr[:-1][nonempty]
-    # |a_ij| dr_i dc_j, in _scale's order, is |_scale(a, dr, dc)| bit for
-    # bit, since dr and dc are positive
-    magnitude = np.abs(a.data)
+    runs = _row_runs(a)
     dr = np.ones(n)
     dc = np.ones(n)
     for _ in range(10):
-        scaled = magnitude * np.repeat(dr, row_counts) * dc[a.indices]
         rn = np.zeros(n)
-        rn[nonempty] = np.maximum.reduceat(scaled, starts)
         cn = np.zeros(n)
-        np.maximum.at(cn, a.indices, scaled)
+        for r0, r1, at, counts, nonempty, starts in runs:
+            if not starts.size:
+                continue
+            # |a_ij| dr_i dc_j, in _scale's order, is |_scale(a, dr, dc)| bit
+            # for bit, since dr and dc are positive; reduceat over the
+            # nonempty rows' starts: each segment is one row
+            scaled = np.abs(a.data[at]) * np.repeat(dr[r0:r1], counts) * dc[a.indices[at]]
+            rn[r0:r1][nonempty] = np.maximum.reduceat(scaled, starts)
+            np.maximum.at(cn, a.indices[at], scaled)
         live_r = rn > 0
         live_c = cn > 0
         if (
@@ -445,9 +467,13 @@ def crout_ilu_level(
     minus l_kj d_j times the stored U row (u_jk d_j times the stored L
     column) of every earlier pivot j whose L column (U row) reaches k.  The
     estimators 1 + |sum_j mult_j v_j| read only the multipliers of those
-    pivots, so step k computes both first and defers k without a gather if
+    pivots, so step k reads both first and defers k without a gather if
     either exceeds cond_thresh; otherwise it gathers row k, and column k
-    only if the pivot on row k passes the floor.  The steps run in blocks
+    only if the pivot on row k passes the floor.  Each sum runs one term at
+    a time in pivot order, as a sequential loop over the pivots would add
+    them: per block, one bincount over the earlier pivots' multipliers at
+    the block's indices, then each pivot of the block adds its terms to the
+    rows it reaches as it is stored.  The steps run in blocks
     k0..k1-1 of _block_size(a) pivots: _BLOCK, or _DENSE_BLOCK on a level
     with at least _DENSE_ROW stored entries per row, where a gather late in
     a large block would add the updates of many of the block's pivots one
@@ -473,9 +499,9 @@ def crout_ilu_level(
     the run (_independent_prefix).  No pivot of the run then reaches
     another, so each of its gathers is its row of the product unchanged,
     and the L pivots are eliminated in one step, in index order: one
-    in-place row sort and eliminated-mask filter per side, one estimator
-    dot per row (the helper of the one-by-one steps, so the same bits), a
-    vectorized deferral test, the running maxima by np.maximum.accumulate, a
+    in-place row sort and eliminated-mask filter per side, the estimators
+    read off the block's sums, complete since no pivot of the run reaches
+    another, a vectorized deferral test, the running maxima by np.maximum.accumulate, a
     segmented drop and cap, one append per side, and their multipliers at
     the rest of the block recorded as in store.  The rest of the block
     runs one pivot at a time.
@@ -483,8 +509,9 @@ def crout_ilu_level(
     Every per-pivot array is keyed by k, and the state of each factor by
     its side s: 0 is U, gathered from A's CSR rows, 1 is L, from its CSC
     columns.  Side s holds its flat buffer, caps, estimator states and
-    running maximum, the multipliers its stores note in the block and, per
-    block, its product and its multipliers of the earlier pivots.  Its
+    running maximum, the multipliers its stores note in the block and the
+    estimator sums of the block's rows and, per block, its product and its
+    multipliers of the earlier pivots.  Its
     estimator and its store read side s only; the sides cross in two
     places, where side s's product (block_sums) and gather add the updates
     of its stored vectors weighted by the multipliers of side 1 - s.
@@ -540,6 +567,9 @@ def crout_ilu_level(
     # by side, the multipliers of the block's own pivots, by (row in the
     # block, pivot's place in the block): the other side's gathers add them
     mult = np.zeros((2, block, block))
+    # by side and row in the block, sum_j mult_j v_j over the pivots that
+    # reach the row so far, in pivot order
+    est_sum = np.zeros((2, block))
     acc = np.zeros(n)  # dense accumulator, all zero between gathers
     touched = np.zeros(n, dtype=bool)  # all False between gathers
 
@@ -570,16 +600,13 @@ def crout_ilu_level(
         j = row[:r].nonzero()[0]
         return j + k0, row[j]
 
-    def estimator(s, r, own, own_vals):
-        """Side s's 1 + |sum_j mult_j v_j| over its multipliers at block
-        row r: the earlier pivots' in index order, then ``own_vals`` of the
-        block's pivots ``own``."""
+    def earlier_sums(s, k0, k1):
+        """est_sum's side-s rows k0..k1-1 over the pivots before k0, summed
+        one term at a time in pivot order (bincount adds its weights in
+        input order)."""
         ptr, cands, vals = earlier[s]
-        mults, js = vals[ptr[r]:ptr[r + 1]], cands[ptr[r]:ptr[r + 1]]
-        if own.size:
-            mults = np.concatenate([mults, own_vals])
-            js = np.concatenate([js, own])
-        return 1.0 + abs(mults @ v[s][js])
+        rows = np.repeat(np.arange(k1 - k0), np.diff(ptr))
+        est_sum[s, :k1 - k0] = np.bincount(rows, vals * v[s][cands], minlength=k1 - k0)
 
     def gather(s, r, own, own_vals):
         """Side s's vector k0 + r of the active matrix, sorted and
@@ -624,7 +651,9 @@ def crout_ilu_level(
             idx, val = idx[sel], val[sel]
         flat[s].append(k, idx, val)
         lo, hi = idx.searchsorted((k + 1, k1))
-        mult[s, idx[lo:hi] - k0, k - k0] = val[lo:hi]
+        at = idx[lo:hi] - k0
+        mult[s, at, k - k0] = val[lo:hi]
+        est_sum[s, at] += val[lo:hi] * vk
 
     def prefix_rows(s, npre):
         """Rows 0..npre-1 of side s's block product, which no pivot of the
@@ -664,7 +693,10 @@ def crout_ilu_level(
             sizes = np.minimum(sizes, caps_pre)
         flat[s].append(k0, idx, val, sizes)
         own = (idx >= k0) & (idx < k1)
-        mult[s, idx[own] - k0, r[own]] = val[own]
+        at, r, val = idx[own] - k0, r[own], val[own]
+        mult[s, at, r] = val
+        # in pivot order within each row: the entries are sorted by pivot
+        np.add.at(est_sum[s], at, val * vk[r])
 
     for k0 in range(0, ncand, block):
         k1 = min(k0 + block, ncand)
@@ -673,12 +705,14 @@ def crout_ilu_level(
         earlier = [f.at_indices(k0, k1) for f in flat]
         sums = [block_sums(s, k0, k1) for s in (0, 1)]
         mult.fill(0.0)
+        for s in (0, 1):
+            earlier_sums(s, k0, k1)
 
-        # the independent prefix: every gather is its row of the products
+        # the independent prefix: every gather is its row of the products,
+        # and no pivot of it reaches another, so its sums are complete
         npre = _independent_prefix(k0, *sums)
         rows = [prefix_rows(s, npre) for s in (0, 1)]
-        vk = np.array([[estimator(s, r, _NO_PIVOTS, _NO_DATA) for r in range(npre)]
-                       for s in (0, 1)])
+        vk = 1.0 + np.abs(est_sum[:, :npre])
         seg, idx, val = rows[0]
         on_diag = idx == k0 + seg
         pivot = np.zeros(npre)
@@ -692,13 +726,12 @@ def crout_ilu_level(
 
         for k in range(k0 + npre, k1):
             r = k - k0
-            own = own_pivots(0, r, k0), own_pivots(1, r, k0)
-            vk = estimator(0, r, *own[0]), estimator(1, r, *own[1])
+            vk = 1.0 + abs(est_sum[0, r]), 1.0 + abs(est_sum[1, r])
             # a candidate its estimators defer is not gathered, and its
             # column is gathered only if the pivot on its row passes
             pivot = 0.0
             if vk[0] <= cond_thresh and vk[1] <= cond_thresh:
-                idx, val = gather(0, r, *own[1])
+                idx, val = gather(0, r, *own_pivots(1, r, k0))
                 at = idx.searchsorted(k)
                 if at < idx.size and idx[at] == k:
                     pivot = val[at]
@@ -706,7 +739,7 @@ def crout_ilu_level(
                 for s in (0, 1):
                     flat[s].ptr[k + 1] = flat[s].ptr[k]
                 continue
-            cidx, cval = gather(1, r, *own[0])
+            cidx, cval = gather(1, r, *own_pivots(0, r, k0))
             eliminated[k] = True
             diag[k] = pivot
             store(0, k, k0, k1, idx, val / pivot, vk[0])
@@ -732,7 +765,7 @@ def crout_ilu_level(
 
     # the elimination's working set is dead; each flat buffer goes once its
     # factor is built
-    mats = sums = earlier = rows = mult = acc = touched = None
+    mats = sums = earlier = rows = mult = est_sum = acc = touched = None
     u_mat = unit_form(flat.pop(0), sp.csr_matrix)
     l_mat = unit_form(flat.pop(0), sp.csc_matrix)
     d = diag[elim]
@@ -767,89 +800,167 @@ def crout_ilu_level(
     return level, schur
 
 
+def _orthonormalize(q: np.ndarray, k: int, lo: int = 0) -> None:
+    """Columns k, k + 1, ... of q orthonormalized in place, in order,
+    against its orthonormal columns lo..k-1 and each other: block
+    classical Gram-Schmidt, each projection applied twice, on halves of
+    the block in turn."""
+    x = q[:, k:]
+    if k > lo:
+        for _ in range(2):
+            x -= q[:, lo:k] @ (q[:, lo:k].T @ x)
+    if x.shape[1] == 1:
+        x /= np.linalg.norm(x)
+        return
+    h = k + x.shape[1] // 2
+    _orthonormalize(q[:, :h], k, k)
+    _orthonormalize(q, h, k)
+
+
+def _start_block(n: int, j0: int, j1: int) -> np.ndarray:
+    """Columns j0..j1-1 of a fixed pseudo-random block of n rows, entries
+    in [-1/2, 1/2): splitmix64's output function of each entry's index (a
+    generator of numpy.random would cost its first import's memory)."""
+    z = np.arange(j0 * n + 1, j1 * n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return ((z >> np.uint64(11)) * 2.0 ** -53 - 0.5).reshape(j1 - j0, n).T
+
+
+def _near_null(lu, piv, s: sp.csr_matrix, dr, dc, cut: float):
+    """Orthonormal bases (u, v), n x k, of the left and right singular
+    subspaces of T = diag(dr) S diag(dc), S = ``s``, whose singular values
+    are at most ``cut``, given S's LU: block inverse iteration.
+
+    A block of b directions starts from columns k..k+b-1 of a fixed block
+    (_start_block), orthogonalized against the k directions already found.
+    Each of _TAIL_SWEEPS sweeps applies T^-1 = diag(dc)^-1 S^-1 diag(dr)^-1
+    (dgetrs, trans N) and orthonormalizes the block against v and within
+    itself in order, then T^-T (trans T) and the same against u.  Column j
+    of such an orthogonal iteration tends to the j-th smallest singular
+    direction, and |T v_j| bounds its singular value from above: the
+    leading columns with |T v_j| <= cut join u and v.  If every column did,
+    the block doubles and the search goes on past them; otherwise it ends."""
+    n = s.shape[0]
+    u = v = np.zeros((n, 0), order="F")
+    b = _TAIL_BLOCK
+    while True:
+        k = u.shape[1]
+        b = min(b, n - k)
+        qu = np.asfortranarray(np.c_[u, _start_block(n, k, k + b)])
+        _orthonormalize(qu, k)
+        qv = np.asfortranarray(np.c_[v, np.empty((n, b))])
+        for _ in range(_TAIL_SWEEPS):
+            qv[:, k:] = dgetrs(lu, piv, qu[:, k:] / dr[:, None])[0] / dc[:, None]
+            _orthonormalize(qv, k)
+            qu[:, k:] = dgetrs(lu, piv, qv[:, k:] / dc[:, None], trans=1)[0] / dr[:, None]
+            _orthonormalize(qu, k)
+        sigma = np.linalg.norm(dr[:, None] * (s @ (dc[:, None] * qv[:, k:])), axis=0)
+        under = int(np.argmin(np.r_[sigma <= cut, False]))
+        u, v = qu[:, :k + under], qv[:, :k + under]
+        if under < b or k + under == n:
+            return u.copy(order="F"), v.copy(order="F")
+        b *= 2
+
+
 def _dense_tail(s: sp.csr_matrix, dropped: bool):
     """The dense factorization that ends the recursion, of the Schur
-    complement ``s``, and whether its rank was truncated; ``dropped`` says
+    complement ``s``, and whether its rank was cut; ``dropped`` says
     whether a level's dropping made ``s``, rather than exact elimination.
 
-    dgetrf's LU is kept when it has no zero pivot and dgecon's 1-norm
-    estimate of the reciprocal condition is at least _TAIL_RCOND.  Every
-    tail the benchmark's workloads reach with a Crout level before it reads
-    5.6e-5 to 1.1e-2; a first Schur complement reads 5e-9 to 2e-7, since
-    ILU dropping leaves it a near-null direction that partial pivoting does
-    not see.  Such a tail is equilibrated (_ruiz: a row or column with no
-    nonzero keeps the scale 1) and factorized by QR with column pivoting,
-    dgeqp3 in the LU's buffer.
+    Every tail keeps dgetrf's LU with partial pivoting.  With no zero pivot
+    and dgecon's 1-norm estimate of the reciprocal condition at least
+    _TAIL_RCOND, that LU is the tail: every tail the benchmark's workloads
+    reach with a Crout level before it reads 5.6e-5 to 1.1e-2.  A first
+    Schur complement reads 5e-9 to 2e-7, since ILU dropping leaves it a
+    near-null direction that partial pivoting does not see.  For such a
+    tail the singular directions of T = diag(dr) S diag(dc) (_ruiz: a row
+    or column with no nonzero keeps the scale 1) at or under the cut are
+    found by inverse iteration through the LU (_near_null), and the solve
+    gives 0 along them.  A zero S has rank 0.
 
-    Where a level dropped entries, the rank is cut at the first |R_ii| <=
-    _TAIL_RANK_TOL |R_11|: each dropped entry is up to droptol (0.001 to
+    S's LU is one of T too, P T = L' U' with U' = diag(dr) U diag(dc) in
+    pivot order, and each pivot of U' at or below eps |T| (the norm
+    below), an exact zero included, is raised to it with its sign.  Without
+    that floor the near-null singular values of the LU can spread over
+    more than 1/eps, and the iteration loses all but the least of them to
+    rounding: the LU of a dense rank-1 tail of n 1000 holds pivots down to
+    5e-78, and 997 of its 999 null directions were left uncut.  On S's
+    scale, eps |S|_1, the floor would also raise the pivots of rows that S
+    scales far down and T does not: with rows scaled by 1e-20 to 1e-60 the
+    solve was then off by 2.3 relative.
+
+    The cut is relative to T's largest column 2-norm, the |R_11| of a QR
+    with column pivoting of T.  Where a level dropped entries it is
+    _TAIL_RANK_TOL, since each dropped entry is up to droptol (0.001 to
     0.02 in the cavity runs) relative to its inverse-norm estimate, so a
     direction that small may be the dropping's rather than the input's.  On
-    the benchmark's first Schur complements that cut falls in a gap: the
-    smallest |R_ii| / |R_11| is 2e-7 to 5e-6, the next 0.08 to 0.3.  The
-    solve then gives 0 along the cut direction: that suits a near-null
-    direction the outer Krylov solver need not resolve, as the cavity's
-    constant pressure mode, but a nonsingular system whose solution needs it
-    can stall.  Where ``s`` is exact (no level eliminated, or droptol is 0),
-    an ill-conditioned tail is the input's own and keeps every column above
-    n eps |R_11|, the numerical rank, so that a nonsingular system is still
-    solved exactly: only a numerically singular tail is cut.
+    the benchmark's first Schur complements that cut falls in a gap: T's
+    least singular value is 2e-8 to 2e-7 of that norm, the next 0.05 to
+    0.06.  Giving 0 along a cut direction suits one the outer Krylov solver
+    need not resolve, as the cavity's constant pressure mode, but a
+    nonsingular system whose solution needs it can stall.  Where ``s`` is
+    exact (no level eliminated, or droptol is 0), the cut is n eps, the
+    numerical rank, so that a nonsingular system is still solved exactly.
 
-    Q stays in dgeqp3's Householder form, so the tail holds one n x n
-    array however it is factorized.  An explicit Q^T of the kept rank
-    would make a solve one gemv in place of dormqr (0.10 against 0.23 ms
-    at n 537), but it is a second n x n array: on the L5 cavity run it put
-    the peak resident memory 4.6 MiB above that of Crout levels on the
-    same Schur complements, against 1.6 MiB.  For the same reason the
-    scalings come first, before the dense array is allocated."""
+    The tail holds one n x n array, 2k vectors and, unless it is a plain
+    LU, the scalings; it reads ``s`` in runs of rows (_row_runs) while it
+    holds the LU."""
     n = s.shape[0]
-    dr, dc = _ruiz(s)
-    tail = s.toarray(order="F")
-    anorm = dlange("1", tail)
-    lu, piv, info = dgetrf(tail, overwrite_a=1)
+    uncut = np.zeros((n, 0))
+    lu = s.toarray(order="F")
+    anorm = dlange("1", lu)
+    if anorm == 0.0:
+        return _DenseTail(None, None, uncut, uncut, None, None), True
+    lu, piv, info = dgetrf(lu, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
     if info == 0 and dgecon(lu, anorm)[0] >= _TAIL_RCOND:
-        return _LUTail(lu, piv), False
-    tail = s.toarray(out=lu)
-    lu = piv = None
-    tail *= dr[:, None]
-    tail *= dc
-    lwork = int(dgeqp3(tail, lwork=-1, overwrite_a=1)[3][0])
-    qr, jpvt, tau, _, info = dgeqp3(tail, lwork=lwork, overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of geqp3")
-    d = np.abs(np.diag(qr))
+        return _DenseTail(lu, piv, uncut, uncut, None, None), False
+    dr, dc = _ruiz(s)
+    # T's largest column 2-norm, dc_j (sum_i (dr_i s_ij)^2)^(1/2)
+    squares = np.zeros(n)
+    for r0, r1, at, counts, _, _ in _row_runs(s):
+        w = np.repeat(dr[r0:r1], counts) * s.data[at]
+        squares += np.bincount(s.indices[at], w * w, minlength=n)
+    norm = np.sqrt((squares * dc * dc).max())
+    # U' = diag(dr[rows]) U diag(dc), rows the pivot rows in order
+    rows = np.arange(n)
+    for i, p in enumerate(piv.tolist()):
+        rows[i], rows[p] = rows[p], rows[i]
+    scale = dr[rows] * dc
+    tiny = np.flatnonzero(np.abs(lu.diagonal() * scale) <= _EPS * norm)
+    lu[tiny, tiny] = np.copysign(_EPS * norm / scale[tiny], lu[tiny, tiny])
     tol = _TAIL_RANK_TOL if dropped else n * _EPS
-    rank = int(np.argmax(np.r_[d <= tol * d[0], True]))
-    # R over the kept rank, bordered by the identity: the triangular solve
-    # then gives 0 on the columns left out
-    qr[:rank, rank:] = 0.0
-    qr[rank:, rank:] = np.eye(n - rank)
-    return _QRTail(qr, tau[:rank], jpvt - 1, dr, dc), rank < n
+    u, v = _near_null(lu, piv, s, dr, dc, tol * norm)
+    return _DenseTail(lu, piv, u, v, dr, dc), u.shape[1] > 0
 
 
 def _dense_beats_crout(s: sp.csr_matrix) -> bool:
     """Whether ``s`` goes to the dense tail rather than to a Crout level:
     n^3 <= _DENSE_CUBE_PER_ENTRY * nnz.
 
-    Measured with one BLAS thread on the five Schur complements of the
-    benchmark's workloads (n 530 to 2394, 70k to 607k stored entries), a
-    Crout level and the dense tail of its Schur complement cost 1.2-2.0 us
-    per stored entry, whatever alpha, and _dense_tail of the whole
-    complement 2.1-2.4e-10 s per n^3 (the QR route, which a first Schur
-    complement takes).  So the dense tail factorizes faster up to n^3 / nnz
-    of 5600 to 9000 by level, 5700 in the median.  It is taken only up to
-    about half that, so that the half of the Crout route's cost it saves
-    pays for its dearer solves: on the benchmark's Oseen operator, solved
-    480 times per factorization, a dense tail of n 677 would save 70 ms of
-    factorization and cost 0.38 ms more per solve (0.72 against 0.34 ms for
-    a Crout level and its tail of 227).  And it is taken only below 2857,
-    the first Schur complement of the L5 Re 200 Oseen operator at the
-    Stokes guess under the default alpha and droptol: as a dense tail of n
-    525 it would take that factor from 2.8 to 8.7 times nnz(A), where L4
-    and L6 hold 3.7 and 3.1.  Hence 2500.  n^3 / nnz is at least n, so no
-    level above 2500 unknowns qualifies."""
+    Measured with one BLAS thread on the six Schur complements of the
+    benchmark's workloads and of criterion 7's L5 operator (n 525 to 2394,
+    51k to 607k stored entries, each factorized as the input), a Crout
+    level and the dense tail of its Schur complement cost 0.8-2.1 us per
+    stored entry, and _dense_tail of the whole complement 0.3-1.6e-10 s per
+    n^3 (an LU, with the search for near-null directions where the
+    condition estimate asks for it).  So the dense tail factorizes faster
+    up to n^3 / nnz of 5400 to 47000 by complement, and its dearer solves
+    no longer outweigh that: on the benchmark's Oseen operator, solved 480
+    times per factorization, a dense tail of n 677 would save 96 ms of
+    factorization and cost 0.06 ms more per solve (0.23 against 0.17 ms
+    for a Crout level and its tail of 227).  What holds the threshold is
+    the factor's size: the first Schur complement of the L5 Re 200 Oseen
+    operator at the Stokes guess under the default alpha and droptol reads
+    2857, and as a dense tail of n 525 it would take that factor from 2.8
+    to 8.7 times nnz(A), where L4 and L6 hold 3.7 and 3.1 (criterion 7).
+    Hence 2500, below it.  n^3 / nnz is at least n, so no level above 2500
+    unknowns qualifies."""
     return s.shape[0] ** 3 <= _DENSE_CUBE_PER_ENTRY * s.nnz
 
 
@@ -858,11 +969,11 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
     statically defer, Crout-eliminate, then recurse on the Schur complement
     until it is at most dense_switch unknowns or, with the default
     dense_switch, until a dense factorization beats a Crout level on it
-    (_dense_beats_crout).  The dense tail is an LU with partial pivoting if
-    it is well conditioned, else a rank-truncated QR with column pivoting,
-    and then the factor is flagged ``perturbed`` if the rank was cut
-    (_dense_tail): after a level that eliminated with droptol > 0, at a
-    relative threshold; otherwise only if numerically singular.  A
+    (_dense_beats_crout).  The dense tail is an LU with partial pivoting,
+    and if it is ill-conditioned its near-null directions are cut, and the
+    factor flagged ``perturbed`` (_dense_tail): after a level that
+    eliminated with droptol > 0, those under a relative threshold;
+    otherwise only if numerically singular.  A
     non-finite stored entry, and a tail larger than both dense_switch and
     4000, are a FactorizationError, raised before equilibration and before
     the dense allocation, and so is a Schur complement bounded at more than
@@ -933,7 +1044,6 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
 
 _NO_DATA = np.zeros(0)
 _NO_INDICES = np.zeros(0, np.intc)
-_NO_PIVOTS = np.zeros(0, np.intp)
 
 
 def _substitute(trans: str, t, b: np.ndarray) -> np.ndarray:
@@ -974,10 +1084,11 @@ def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
 def ml_solve(m: MultilevelFactor, v: np.ndarray) -> np.ndarray:
     """Apply the factored preconditioner: one multilevel forward/backward
     substitution pass on each level's stored unit-triangular factors, and
-    between them the dense tail's solve.  A rank-truncated tail gives the
-    basic solution: the kept columns' unknowns from Q^T (dr v) and R,
-    scaled by dc, and 0 for the columns left out, so the tail's matrix
-    maps it to v less v's (scaled) component outside the kept range.
+    between them the dense tail's solve.  A tail with cut directions gives
+    0 along them: its LU solve between projections off the cut left and
+    right singular directions of its equilibrated form, so the tail's
+    matrix maps the solution to v less v's (scaled) component along the
+    cut left directions.
     Leaves the factor unchanged; concurrent calls on one factor are safe."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (m.n,):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.lapack import dormqr
 
 from saddlesolve import mlilu
 from saddlesolve.sparse import as_csr
@@ -128,21 +127,15 @@ def check_permutation(order, n):
 
 def reassemble(m):
     """Rebuild the dense matrix a MultilevelFactor represents; exact
-    factorizations reproduce the input.  A QR tail must keep its full
-    rank (the factor is not perturbed)."""
+    factorizations reproduce the input.  The tail must keep its full rank
+    (the factor is not perturbed)."""
 
     def tail_dense():
         if m.tail_n == 0:
             return np.zeros((0, 0))
         n = m.tail_n
-        if isinstance(m.tail, mlilu._QRTail):
-            t = m.tail
-            assert t.tau.size == n, "a rank-truncated tail does not reassemble"
-            q = dormqr("L", "N", t.qr, t.tau, np.eye(n), n)[0]
-            out = np.empty((n, n))
-            out[:, t.cols] = q @ np.triu(t.qr)
-            return out / t.dr[:, None] / t.dc
-        lu, piv = m.tail
+        assert m.tail.rank == n, "a rank-cut tail does not reassemble"
+        lu, piv = m.tail.lu, m.tail.piv
         low = np.tril(lu, -1) + np.eye(n)
         up = np.triu(lu)
         prod = low @ up

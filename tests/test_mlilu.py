@@ -280,10 +280,10 @@ class TestFactorize:
         a = sp.csr_matrix(dense)
         a = sp.csr_matrix((np.zeros(9), (np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3))), shape=(3, 3))
         m = factorize(as_csr(a), FactorParams(alpha=3.0, droptol=0.0, dense_switch=3))
-        assert m.perturbed
+        assert m.perturbed and m.tail_rank == 0
         v = np.ones(3)
         out = ml_solve(m, v)  # must be usable, never aborts
-        assert np.all(np.isfinite(out))
+        assert np.array_equal(out, np.zeros(3))
 
     def test_fill_caps_recorded_and_respected(self):
         a, _ = random_sparse(80, 0.2, seed=10, diag_shift=2.0)
@@ -422,7 +422,7 @@ class TestFactorize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        arrays = [a.data, a.indices, a.indptr, *(m.tail or ())]
+        arrays = [a.data, a.indices, a.indptr, *(x for x in m.tail or () if x is not None)]
         for lev in m.levels:
             arrays += [lev.L.data, lev.L.indices, lev.L.indptr, lev.U.data, lev.U.indices,
                        lev.U.indptr, lev.D, lev.order, lev.dr, lev.dc]
@@ -437,34 +437,88 @@ class TestFactorize:
                 assert np.abs(lev.D).min() >= params.pivot_floor
 
     @staticmethod
-    def _planted(rng, n):
-        """Singular values 1 to 10 and one of 1e-7, and the right singular
-        vector of the last."""
+    def _planted(rng, n, k=1):
+        """Singular values 1 to 10 and k of 1e-7, and the right singular
+        vectors of the k."""
         u = np.linalg.qr(rng.standard_normal((n, n)))[0]
         v = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        dense = (u * np.r_[rng.uniform(1.0, 10.0, n - 1), 1e-7]) @ v.T
-        return as_csr(sp.csr_matrix(dense)), v[:, -1]
+        dense = (u * np.r_[rng.uniform(1.0, 10.0, n - k), np.full(k, 1e-7)]) @ v.T
+        return as_csr(sp.csr_matrix(dense)), v[:, n - k:]
 
-    def test_a_planted_near_null_direction_is_cut_from_a_dropped_tail(self):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_planted_near_null_direction_is_cut_from_a_dropped_tail(self, k):
         # an LU with partial pivoting solves with it, and a vector outside
-        # the range comes back 1.7e6 times longer, along the near-null
-        # direction; the tail of a level that dropped entries cuts it
+        # the range comes back about 1e6 times longer, along the near-null
+        # directions; the tail of a level that dropped entries cuts them
         rng = np.random.default_rng(31)
         n = 40
-        a, null = self._planted(rng, n)
+        a, null = self._planted(rng, n, k)
         tail, perturbed = mlilu._dense_tail(a, dropped=True)
-        assert perturbed and tail.tau.size == n - 1
-        # accurate on the complement of the cut direction
+        assert perturbed and tail.rank == n - k
+        # accurate on the complement of the cut directions
         x = rng.standard_normal(n)
-        x -= (null @ x) * null
+        x -= null @ (null.T @ x)
         y, info = tail.solve(a @ x)
         assert info == 0
         off = y - x
-        off -= (null @ off) * null
+        off -= null @ (null.T @ off)
         assert np.linalg.norm(off) <= 1e-6 * np.linalg.norm(x)
-        # and bounded off the range: 0.37 times as long
+        # and bounded off the range
         r = rng.standard_normal(n)
         assert np.linalg.norm(tail.solve(r)[0]) <= 10 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("dropped", [True, False])
+    def test_a_zero_pivot_tail_is_cut_at_its_null_direction(self, dropped):
+        # row 7 is zero, so dgetrf meets an exact zero pivot; it is raised
+        # to the floor and the null direction cut, whether the cut is the
+        # dropping's 1e-3 or the exact tail's n eps
+        rng = np.random.default_rng(33)
+        n = 30
+        dense = rng.standard_normal((n, n))
+        dense[7] = 0.0
+        a = as_csr(sp.csr_matrix(dense))
+        assert scipy.linalg.lapack.dgetrf(dense)[2] > 0
+        tail, perturbed = mlilu._dense_tail(a, dropped)
+        assert perturbed and tail.rank == n - 1
+        # exact on the range: a consistent right-hand side is solved
+        x = rng.standard_normal(n)
+        y, info = tail.solve(a @ x)
+        assert info == 0 and np.all(np.isfinite(y))
+        assert np.linalg.norm(a @ y - a @ x) <= 1e-10 * np.linalg.norm(a @ x)
+
+    def test_a_rank_one_tail_keeps_rank_one(self):
+        # after its first pivot the LU holds rounding, pivots down to 4e-18:
+        # floored on T's scale they leave a near-null cluster the block
+        # search takes whole (a floor on S's scale left rank 7)
+        rng = np.random.default_rng(35)
+        n = 60
+        a = as_csr(sp.csr_matrix(np.outer(rng.standard_normal(n), rng.standard_normal(n))))
+        m = factorize(a)
+        assert not m.levels and m.perturbed and m.tail_rank == 1
+        b = a @ rng.standard_normal(n)
+        assert np.linalg.norm(a @ ml_solve(m, b) - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_rows_scaled_far_down_are_solved_exactly(self):
+        # rows scaled by 1e-20 to 1e-60 give pivots far below eps |S|_1, but
+        # equilibration undoes the scaling, so nothing is floored or cut (a
+        # floor on S's scale raised them, and the solve was off by 2.3)
+        rng = np.random.default_rng(36)
+        n = 30
+        dense = rng.standard_normal((n, n))
+        for row, scale in ((3, 1e-20), (7, 1e-40), (11, 1e-60)):
+            dense[row] *= scale
+        a = as_csr(sp.csr_matrix(dense))
+        m = factorize(a)
+        assert not m.levels and not m.perturbed and m.tail_rank == n
+        x = rng.standard_normal(n)
+        assert np.linalg.norm(ml_solve(m, a @ x) - x) <= 1e-8 * np.linalg.norm(x)
+
+    def test_the_dense_tail_is_deterministic(self):
+        # the start block is seeded: two factorizations give the same bytes
+        rng = np.random.default_rng(34)
+        a, _ = self._planted(rng, 40, 2)
+        tails = [mlilu._dense_tail(a, dropped=True)[0] for _ in range(2)]
+        assert [x.tobytes() for x in tails[0]] == [x.tobytes() for x in tails[1]]
 
     def test_an_exact_ill_conditioned_tail_keeps_its_rank(self):
         # with no level before it the tail is the input itself, which is
@@ -473,8 +527,7 @@ class TestFactorize:
         n = 40
         a, _ = self._planted(rng, n)
         m = factorize(a)
-        assert not m.levels and isinstance(m.tail, mlilu._QRTail)
-        assert not m.perturbed and m.tail_rank == n
+        assert not m.levels and not m.perturbed and m.tail_rank == n
         x = rng.standard_normal(n)
         assert np.linalg.norm(ml_solve(m, a @ x) - x) <= 1e-6 * np.linalg.norm(x)
 
@@ -494,7 +547,7 @@ class TestFactorize:
         else:
             params = FactorParams()
         m = factorize(a, params)
-        assert bool(m.levels) == exact_levels and isinstance(m.tail, mlilu._QRTail)
+        assert bool(m.levels) == exact_levels
         assert not m.perturbed and m.tail_rank == m.tail_n
         b = a @ np.random.default_rng(0).standard_normal(n)
         _, rep = fgmres(a, PrecondOperator(m), b,
@@ -505,7 +558,7 @@ class TestFactorize:
         rng = np.random.default_rng(32)
         dense = rng.standard_normal((600, 600))
         m = factorize(as_csr(sp.csr_matrix(dense)))
-        assert not m.levels and m.tail_n == 600 and isinstance(m.tail, mlilu._LUTail)
+        assert not m.levels and m.tail_n == 600 and m.tail_rank == 600 and not m.perturbed
         x = rng.standard_normal(600)
         assert np.allclose(ml_solve(m, dense @ x), x, rtol=0, atol=1e-8)
 
@@ -530,7 +583,7 @@ class TestFactorize:
                 continue
             m = factorize(a, FactorParams(alpha=5.0, droptol=0.01))
             assert [lev.n for lev in m.levels] == [2211, 677] and m.tail_n == 227
-            assert isinstance(m.tail, mlilu._LUTail) and not m.perturbed
+            assert m.tail_rank == m.tail_n and not m.perturbed
         assert [f"{r:.2g}" for r in ratios] == ["2.8e+05", "3.6e+03", "4.5e+06"]
 
 
@@ -592,7 +645,7 @@ def _substitute_on_stored_factors(m, v):
 
     def walk(li, v):
         if li == len(m.levels):
-            return scipy.linalg.lu_solve(m.tail, v, check_finite=False)
+            return scipy.linalg.lu_solve((m.tail.lu, m.tail.piv), v, check_finite=False)
         lev = m.levels[li]
         y = (lev.dr * v)[lev.order]
         y = spsolve_triangular(lev.L, y, lower=True, unit_diagonal=True)

@@ -3,11 +3,13 @@
     python tools/crout_levels.py PARENT_SRC CHANGE_SRC [--repeats N]
 
 Each argument is a ``src`` directory holding the ``saddlesolve`` package.
-The first tree runs the three benchmark workloads of
-``perfbench/workloads.py`` once each (``prepare`` with seed 0, ``setup``,
-``operation`` and ``check``), with ``mlilu.crout_ilu_level`` wrapped, and
-saves every call's input and the workload it came from; it fails if a
-workload's check fails.
+Each tree runs the three benchmark workloads of ``perfbench/workloads.py``
+once each (``prepare`` with seed 0, ``setup``, ``operation`` and
+``check``), with ``mlilu.crout_ilu_level`` wrapped, and saves every call's
+input and the workload it came from; it fails if a workload's check fails.
+If the two trees' lists of levels, (workload, n, stored entries,
+candidates) per call, differ, both lists are printed and it exits 1
+before timing; otherwise the first tree's inputs are timed.
 
 Then one subprocess with one BLAS thread loads both trees, each under its
 own package name, and factorizes each captured level N times (default 3)
@@ -56,8 +58,8 @@ def capture(a, params, n_candidates=None):
     a = a.tocsr()
     np.savez(f"{out}/level{len(calls)}.npz", data=a.data, indices=a.indices,
              indptr=a.indptr, shape=np.array(a.shape))
-    calls.append({"workload": workload, "params": dataclasses.asdict(params),
-                  "n_candidates": n_candidates})
+    calls.append({"workload": workload, "n": a.shape[0], "nnz": a.nnz,
+                  "params": dataclasses.asdict(params), "n_candidates": n_candidates})
     return inner(a, params, n_candidates)
 
 mlilu.crout_ilu_level = capture
@@ -163,10 +165,21 @@ def main(argv: list[str]) -> int:
             return 2
     differs = 0
     medians = {name: {} for name in trees}
-    with tempfile.TemporaryDirectory() as out:
-        _python(trees["parent"], ["-c", CAPTURE, out, str(PERFBENCH)])
-        with open(f"{out}/calls.json") as f:
-            workloads = [call["workload"] for call in json.load(f)]
+    with tempfile.TemporaryDirectory() as tmp:
+        levels = {}
+        for name, src in trees.items():
+            os.mkdir(f"{tmp}/{name}")
+            _python(src, ["-c", CAPTURE, f"{tmp}/{name}", str(PERFBENCH)])
+            with open(f"{tmp}/{name}/calls.json") as f:
+                levels[name] = [(c["workload"], c["n"], c["nnz"], c["n_candidates"])
+                                for c in json.load(f)]
+        if levels["parent"] != levels["change"]:
+            print("the trees factorize different levels (workload, n, nnz, candidates):")
+            for name, calls in levels.items():
+                print(f"{name}: {calls}")
+            return 1
+        out = f"{tmp}/parent"
+        workloads = [workload for workload, *_ in levels["parent"]]
         for i, workload in enumerate(workloads):
             z = np.load(f"{out}/level{i}.npz")
             n = int(z["shape"][0])

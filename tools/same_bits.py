@@ -10,8 +10,11 @@ which the first tree exports once so both sides read the same files.
 Every artifact, ``summary.txt`` included, is compared byte for byte, and
 so is each run's exit status.  Prints ``same <artifact>`` or ``DIFFERS
 <artifact>`` per artifact and ``same exit <run>`` or ``DIFFERS exit
-<run>`` per run, and exits 1 on any difference.  Given the same tree
-twice, it checks that reruns are byte-identical.
+<run>`` per run, and exits 1 on any difference.  For a run whose
+artifacts differ it also prints both trees' counts from ``summary.txt``
+(``converged``, ``nonlinear_iters`` and ``total_gmres``, or ``iterations``
+for ``linsolve``), so that bits that differ with equal counts show as such.
+Given the same tree twice, it checks that reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -31,6 +34,12 @@ CAVITY_RUNS = {
     # its dense Schur levels (n ~ 2000-2400) are the Crout kernel's heaviest gathers
     "cavity-l6-re1000-high": ["--level", "6", "--re", "1000", "--sigma", "1e-5",
                               "--regime", "high_re"],
+}
+
+# the counts printed from summary.txt when a run's artifacts differ
+COUNTS = {
+    "cavity": ("converged", "nonlinear_iters", "total_gmres"),
+    "linsolve": ("converged", "iterations"),
 }
 
 # the files each command writes besides summary.txt
@@ -71,6 +80,14 @@ def _content(path: Path) -> bytes | None:
     return path.read_bytes() if path.is_file() else None
 
 
+def _counts(summary: bytes | None, keys: tuple[str, ...]) -> str:
+    """The values of ``keys`` in a summary line, as key=value pairs."""
+    if summary is None:
+        return "no summary.txt"
+    fields = dict(f.split("=", 1) for f in summary.decode().split() if "=" in f)
+    return " ".join(f"{k}={fields.get(k)}" for k in keys)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -90,11 +107,17 @@ def main(argv: list[str]) -> int:
             status = {tree: _python(src, ["-m", "saddlesolve.cli", *args,
                                           "--output-dir", str(tmp / tree / run)])
                       for tree, src in trees.items()}
+            run_differs = 0
             for name in (*ARTIFACTS[args[0]], "summary.txt"):
                 a, b = (_content(tmp / tree / run / name) for tree in trees)
                 same = a is not None and a == b
-                differs += not same
+                run_differs += not same
                 print(f"{'same' if same else 'DIFFERS'} {run}/{name}")
+            if run_differs and args[0] in COUNTS:
+                print(f"counts {run}: " + "  ".join(
+                    f"{tree} {_counts(_content(tmp / tree / run / 'summary.txt'), COUNTS[args[0]])}"
+                    for tree in trees))
+            differs += run_differs
             same = status["parent"] == status["change"]
             differs += not same
             print(f"{'same' if same else 'DIFFERS'} exit {run}", flush=True)
