@@ -180,11 +180,11 @@ class LevelFactor:
 
 
 class _DenseTail(NamedTuple):
-    """dgetrf's LU of the dense tail S and the near-null directions cut
-    from it (_dense_tail): u and v, n x k, hold orthonormal bases of the
-    left and right singular subspaces of T = diag(dr) S diag(dc) under the
-    cut; dr and dc are None for a plain LU.  lu is None when S is zero,
-    whose rank is 0."""
+    """The dense tail S of n unknowns, n = u.shape[0]: dgetrf's LU and the
+    near-null directions cut from it (_dense_tail).  u and v, n x k, hold
+    orthonormal bases of the left and right singular subspaces of
+    T = diag(dr) S diag(dc) under the cut; dr and dc are None for a plain
+    LU.  lu is None when S is zero, or empty, whose rank is 0."""
 
     lu: np.ndarray | None
     piv: np.ndarray | None
@@ -197,35 +197,49 @@ class _DenseTail(NamedTuple):
     def rank(self) -> int:
         return 0 if self.lu is None else self.u.shape[0] - self.u.shape[1]
 
-    def solve(self, b: np.ndarray):
+    def solve(self, b: np.ndarray) -> np.ndarray:
         """x = diag(dc) (I - v v^T) T^-1 (I - u u^T) diag(dr) b, T^-1 through
-        the LU: a plain LU solve when nothing is cut."""
+        the LU: a plain LU solve when nothing is cut, and 0 for a zero S.
+        The LU solve holds _TAIL_LOCK."""
         if self.lu is None:
-            return np.zeros(b.size), 0
+            return np.zeros(b.size)
         if self.u.shape[1]:
             b = b - (self.u @ (self.u.T @ (self.dr * b))) / self.dr
-        x, info = dgetrs(self.lu, self.piv, b)
+        with _TAIL_LOCK:
+            x, info = dgetrs(self.lu, self.piv, b)
+        if info:
+            raise np.linalg.LinAlgError(f"illegal value in argument {-info} of the tail solve")
         if self.v.shape[1]:
             x -= self.dc * (self.v @ (self.v.T @ (x / self.dc)))
-        return x, info
+        return x
 
 
 @dataclass
 class MultilevelFactor:
-    """The levels, then the dense tail of tail_n unknowns, None if tail_n
-    is 0, perturbed if its rank was cut."""
+    """The levels of an n x n factor, then its dense tail of tail_n
+    unknowns (0 if the levels eliminate them all) and rank tail_rank,
+    perturbed if that rank was cut.  total_nnz counts the levels' stored
+    entries and the tail's tail_n^2."""
 
     levels: list[LevelFactor]
-    tail: _DenseTail | None
-    tail_n: int
-    perturbed: bool
-    total_nnz: int
+    tail: _DenseTail
     n: int
 
     @property
+    def tail_n(self) -> int:
+        return self.tail.u.shape[0]
+
+    @property
     def tail_rank(self) -> int:
-        """The dense tail's rank: tail_n unless directions were cut."""
-        return self.tail_n if self.tail is None else self.tail.rank
+        return self.tail.rank
+
+    @property
+    def perturbed(self) -> bool:
+        return self.tail_rank < self.tail_n
+
+    @property
+    def total_nnz(self) -> int:
+        return sum(lev.nnz for lev in self.levels) + self.tail_n ** 2
 
 
 def _scale(a: sp.csr_matrix, dr: np.ndarray, dc: np.ndarray) -> sp.csr_matrix:
@@ -866,10 +880,10 @@ def _near_null(lu, piv, s: sp.csr_matrix, dr, dc, cut: float):
         b *= 2
 
 
-def _dense_tail(s: sp.csr_matrix, dropped: bool):
+def _dense_tail(s: sp.csr_matrix, dropped: bool) -> _DenseTail:
     """The dense factorization that ends the recursion, of the Schur
-    complement ``s``, and whether its rank was cut; ``dropped`` says
-    whether a level's dropping made ``s``, rather than exact elimination.
+    complement ``s``, maybe empty; ``dropped`` says whether a level's
+    dropping made ``s``, rather than exact elimination.
 
     Every tail keeps dgetrf's LU with partial pivoting.  With no zero pivot
     and dgecon's 1-norm estimate of the reciprocal condition at least
@@ -880,7 +894,7 @@ def _dense_tail(s: sp.csr_matrix, dropped: bool):
     tail the singular directions of T = diag(dr) S diag(dc) (_ruiz: a row
     or column with no nonzero keeps the scale 1) at or under the cut are
     found by inverse iteration through the LU (_near_null), and the solve
-    gives 0 along them.  A zero S has rank 0.
+    gives 0 along them.  A zero or empty S has rank 0.
 
     S's LU is one of T too, P T = L' U' with U' = diag(dr) U diag(dc) in
     pivot order, and each pivot of U' at or below eps |T| (the norm
@@ -914,12 +928,12 @@ def _dense_tail(s: sp.csr_matrix, dropped: bool):
     lu = s.toarray(order="F")
     anorm = dlange("1", lu)
     if anorm == 0.0:
-        return _DenseTail(None, None, uncut, uncut, None, None), True
+        return _DenseTail(None, None, uncut, uncut, None, None)
     lu, piv, info = dgetrf(lu, overwrite_a=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
     if info == 0 and dgecon(lu, anorm)[0] >= _TAIL_RCOND:
-        return _DenseTail(lu, piv, uncut, uncut, None, None), False
+        return _DenseTail(lu, piv, uncut, uncut, None, None)
     dr, dc = _ruiz(s)
     # T's largest column 2-norm, dc_j (sum_i (dr_i s_ij)^2)^(1/2)
     squares = np.zeros(n)
@@ -936,7 +950,7 @@ def _dense_tail(s: sp.csr_matrix, dropped: bool):
     lu[tiny, tiny] = np.copysign(_EPS * norm / scale[tiny], lu[tiny, tiny])
     tol = _TAIL_RANK_TOL if dropped else n * _EPS
     u, v = _near_null(lu, piv, s, dr, dc, tol * norm)
-    return _DenseTail(lu, piv, u, v, dr, dc), u.shape[1] > 0
+    return _DenseTail(lu, piv, u, v, dr, dc)
 
 
 def _dense_beats_crout(s: sp.csr_matrix) -> bool:
@@ -1030,16 +1044,7 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
         raise FactorizationError(f"dense tail of {tail_n} unknowns after {len(levels)} "
                                  f"levels exceeds the limit of {tail_limit}")
     dropped = params.droptol > 0 and any(lev.n_b for lev in levels)
-    tail, perturbed = _dense_tail(current, dropped) if tail_n else (None, False)
-    total = sum(lev.nnz for lev in levels) + tail_n * tail_n
-    return MultilevelFactor(
-        levels=levels,
-        tail=tail,
-        tail_n=tail_n,
-        perturbed=perturbed,
-        total_nnz=int(total),
-        n=n0,
-    )
+    return MultilevelFactor(levels=levels, tail=_dense_tail(current, dropped), n=n0)
 
 
 _NO_DATA = np.zeros(0)
@@ -1062,13 +1067,7 @@ def _substitute(trans: str, t, b: np.ndarray) -> np.ndarray:
 
 def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
     if li == len(m.levels):
-        if m.tail is None:
-            return v.copy()
-        with _TAIL_LOCK:
-            x, info = m.tail.solve(v)
-        if info:
-            raise np.linalg.LinAlgError(f"illegal value in argument {-info} of the tail solve")
-        return x
+        return m.tail.solve(v)
     lev = m.levels[li]
     y = (lev.dr * v)[lev.order]
     y = _substitute("N", lev.L, y)
@@ -1084,10 +1083,9 @@ def _solve_from(m: MultilevelFactor, li: int, v: np.ndarray) -> np.ndarray:
 def ml_solve(m: MultilevelFactor, v: np.ndarray) -> np.ndarray:
     """Apply the factored preconditioner: one multilevel forward/backward
     substitution pass on each level's stored unit-triangular factors, and
-    between them the dense tail's solve.  A tail with cut directions gives
-    0 along them: its LU solve between projections off the cut left and
-    right singular directions of its equilibrated form, so the tail's
-    matrix maps the solution to v less v's (scaled) component along the
+    between them the dense tail's solve (_DenseTail.solve), which gives 0
+    along the tail's cut directions: the tail's matrix maps its solution
+    to its right-hand side less that side's (scaled) component along the
     cut left directions.
     Leaves the factor unchanged; concurrent calls on one factor are safe."""
     v = np.asarray(v, dtype=np.float64)

@@ -137,8 +137,16 @@ class StepRecord:
     omega: float
 
 
+# the previous step as the first step reads it: no inner iterations, eta 0,
+# an infinite residual norm and the Picard phase
+_BEFORE_FIRST = StepRecord(-1, "picard", np.inf, 0.0, 0, False, 0.0)
+
+
 @dataclass
 class NonlinearReport:
+    """One record per accepted step.  total_gmres also counts the inner
+    iterations of a step whose line search failed, which has no record."""
+
     steps: list[StepRecord] = field(default_factory=list)
     converged: bool = False
     total_gmres: int = 0
@@ -206,24 +214,20 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
     if norm_f0 == 0.0:
         raise ValueError("residual at the initial guess is zero; nothing to solve")
 
-    s_prev = x_prev = None
-    prev_iters = 0
-    factor = None
-    eta_prev = 0.0
-    norm_f_prev = np.inf
-    was_nt = False
+    s_prev = x_prev = factor = None
     norm_f = norm_f0
     report = NonlinearReport()
 
     for k in range(cfg.max_nonlinear):
         if norm_f <= cfg.sigma * norm_f0:
             break
+        prev = report.steps[-1] if report.steps else _BEFORE_FIRST
         started_nt = norm_f <= cfg.beta * norm_f0
-        first_newton = started_nt and not was_nt
+        first_newton = started_nt and prev.phase != "newton"
         j_op = prob.operator(x, started_nt)
 
         do_refactor = factor is None or refactor_needed(
-            prev_iters, s_prev, x_prev, first_newton, cfg
+            prev.gmres_iters, s_prev, x_prev, first_newton, cfg
         )
         if do_refactor:
             # drop the old factor first: one factor is alive at a time
@@ -236,8 +240,7 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
                 break
 
         if started_nt:
-            eta = eta_newton(norm_f, norm_f_prev, eta_prev, cfg.eta_max,
-                             cfg.sigma, norm_f0)
+            eta = eta_newton(norm_f, prev.normF, prev.eta, cfg.eta_max, cfg.sigma, norm_f0)
         else:
             eta = cfg.picard_eta
         k_refine = cfg.refine_steps if started_nt else 1
@@ -269,11 +272,7 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
         s_prev = omega * s
         x = x_new
         fx = f_new
-        norm_f_prev = norm_f
         norm_f = norm_new
-        eta_prev = eta
-        was_nt = started_nt
-        prev_iters = krep.iterations
 
     report.converged = bool(norm_f <= cfg.sigma * norm_f0)
     report.final_normF = norm_f

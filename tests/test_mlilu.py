@@ -422,7 +422,7 @@ class TestFactorize:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        arrays = [a.data, a.indices, a.indptr, *(x for x in m.tail or () if x is not None)]
+        arrays = [a.data, a.indices, a.indptr, *(x for x in m.tail if x is not None)]
         for lev in m.levels:
             arrays += [lev.L.data, lev.L.indices, lev.L.indptr, lev.U.data, lev.U.indices,
                        lev.U.indptr, lev.D, lev.order, lev.dr, lev.dc]
@@ -453,19 +453,18 @@ class TestFactorize:
         rng = np.random.default_rng(31)
         n = 40
         a, null = self._planted(rng, n, k)
-        tail, perturbed = mlilu._dense_tail(a, dropped=True)
-        assert perturbed and tail.rank == n - k
+        tail = mlilu._dense_tail(a, dropped=True)
+        assert tail.rank < n and tail.rank == n - k
         # accurate on the complement of the cut directions
         x = rng.standard_normal(n)
         x -= null @ (null.T @ x)
-        y, info = tail.solve(a @ x)
-        assert info == 0
+        y = tail.solve(a @ x)
         off = y - x
         off -= null @ (null.T @ off)
         assert np.linalg.norm(off) <= 1e-6 * np.linalg.norm(x)
         # and bounded off the range
         r = rng.standard_normal(n)
-        assert np.linalg.norm(tail.solve(r)[0]) <= 10 * np.linalg.norm(r)
+        assert np.linalg.norm(tail.solve(r)) <= 10 * np.linalg.norm(r)
 
     @pytest.mark.parametrize("dropped", [True, False])
     def test_a_zero_pivot_tail_is_cut_at_its_null_direction(self, dropped):
@@ -478,12 +477,12 @@ class TestFactorize:
         dense[7] = 0.0
         a = as_csr(sp.csr_matrix(dense))
         assert scipy.linalg.lapack.dgetrf(dense)[2] > 0
-        tail, perturbed = mlilu._dense_tail(a, dropped)
-        assert perturbed and tail.rank == n - 1
+        tail = mlilu._dense_tail(a, dropped)
+        assert tail.rank < n and tail.rank == n - 1
         # exact on the range: a consistent right-hand side is solved
         x = rng.standard_normal(n)
-        y, info = tail.solve(a @ x)
-        assert info == 0 and np.all(np.isfinite(y))
+        y = tail.solve(a @ x)
+        assert np.all(np.isfinite(y))
         assert np.linalg.norm(a @ y - a @ x) <= 1e-10 * np.linalg.norm(a @ x)
 
     def test_a_rank_one_tail_keeps_rank_one(self):
@@ -517,12 +516,12 @@ class TestFactorize:
         # the start block is seeded: two factorizations give the same bytes
         rng = np.random.default_rng(34)
         a, _ = self._planted(rng, 40, 2)
-        tails = [mlilu._dense_tail(a, dropped=True)[0] for _ in range(2)]
+        tails = [mlilu._dense_tail(a, dropped=True) for _ in range(2)]
         assert [x.tobytes() for x in tails[0]] == [x.tobytes() for x in tails[1]]
 
     def test_an_exact_ill_conditioned_tail_keeps_its_rank(self):
         # with no level before it the tail is the input itself, which is
-        # nonsingular: its QR keeps every column and solves it exactly
+        # nonsingular: no direction falls under the cut, and it is solved exactly
         rng = np.random.default_rng(31)
         n = 40
         a, _ = self._planted(rng, n)
@@ -596,10 +595,18 @@ class TestMlSolve:
         assert np.linalg.norm(a @ x - v) / np.linalg.norm(v) <= 1e-10
 
     def test_identity_factor(self):
+        # the one level eliminates all 12 unknowns: the tail is empty
         a = as_csr(sp.eye(12, format="csr"))
         m = factorize(a, FactorParams(alpha=2.0, droptol=0.0, dense_switch=3))
+        assert [lev.n_b for lev in m.levels] == [12]
+        assert m.tail_n == 0 and m.tail_rank == 0 and not m.perturbed
+        assert m.total_nnz == m.levels[0].nnz
         v = np.arange(12, dtype=float)
         assert np.allclose(ml_solve(m, v), v)
+        # the same tail straight from a 0 x 0 Schur complement
+        tail = mlilu._dense_tail(as_csr(sp.csr_matrix((0, 0))), dropped=False)
+        assert tail.rank == 0 and tail.u.shape == (0, 0)
+        assert tail.solve(np.zeros(0)).shape == (0,)
 
     def test_approximate_solve_and_fgmres(self):
         rng = np.random.default_rng(14)

@@ -50,6 +50,11 @@ def test_tracer_records_every_factorization_and_solve_layer(monkeypatch):
         "mlilu.factorize", "mlilu.equilibrate", "ordering.reorder", "mlilu.static_defer",
         "mlilu.crout_ilu_level", "mlilu.ml_solve", "krylov.precond_apply", "krylov.fgmres",
     }
+    # the factor's derived counts reach the benchmark's metrics unchanged
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["mlilu.tail_n"] == m.tail_n
+    assert metrics["mlilu.tail_perturbed"] == int(m.perturbed)
+    assert metrics["mlilu.factor_nnz_ratio"] == m.total_nnz / a.nnz
 
 
 def test_tracer_records_every_cavity_and_nonlinear_layer(monkeypatch):

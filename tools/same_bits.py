@@ -5,8 +5,10 @@
 Each argument is a ``src`` directory holding the ``saddlesolve`` package.
 Both trees run the same CLI commands, each with PYTHONPATH set to its own
 ``src``, one BLAS thread and its own output directory: four cavity runs,
-and ``linsolve`` and ``factor-stats`` on the level-4 Re 100 Stokes system,
-which the first tree exports once so both sides read the same files.
+``linsolve`` and ``factor-stats`` on the level-4 Re 100 Stokes system, and
+``factor-stats`` on 2 I of n 600, whose one level eliminates every unknown
+and leaves an empty dense tail.  The first tree exports both systems once,
+so both sides read the same files.
 Every artifact, ``summary.txt`` included, is compared byte for byte, and
 so is each run's exit status.  Prints ``same <artifact>`` or ``DIFFERS
 <artifact>`` per artifact and ``same exit <run>`` or ``DIFFERS exit
@@ -51,11 +53,13 @@ ARTIFACTS = {
 
 EXPORT = """
 import sys
+import scipy.sparse as sp
 from saddlesolve import cavity, mm_write
 prob = cavity.build_problem(4, re=100.0)
 mm_write(cavity.stokes_operator(prob), sys.argv[1] + "/stokes.mtx")
 mm_write(cavity.stokes_rhs(prob), sys.argv[1] + "/rhs.mtx")
 mm_write(cavity.null_vector(prob), sys.argv[1] + "/null.mtx")
+mm_write(2.0 * sp.eye(600, format="csr"), sys.argv[1] + "/identity2.mtx")
 """
 
 
@@ -72,6 +76,7 @@ def _runs(system: Path) -> dict[str, list[str]]:
                         "--rhs", str(system / "rhs.mtx"),
                         "--null-vector", str(system / "null.mtx"), "--refine-steps", "2"]
     runs["factor-stats"] = ["factor-stats", "--matrix", str(system / "stokes.mtx")]
+    runs["factor-stats-empty-tail"] = ["factor-stats", "--matrix", str(system / "identity2.mtx")]
     return runs
 
 
