@@ -29,14 +29,15 @@ def _pair(text):
     return tuple(float(v) for v in text.split(","))
 
 
-# --set NAME=VALUE parsers, one per SolverConfig / FactorParams field
-# (factor_params itself is set through its own fields, except alpha and
-# droptol, which hybrid_newton sets per phase from alpha_pair/droptol_pair)
+# --set NAME=VALUE parsers, one per SolverConfig / FactorParams field but
+# sigma and regime, which --sigma and --regime set (factor_params itself is
+# set through its own fields, except alpha and droptol, which hybrid_newton
+# sets per phase from alpha_pair/droptol_pair)
 _SOLVER_PARSERS = {
-    "sigma": float, "eta_max": float, "beta": float, "epsilon": float,
+    "eta_max": float, "beta": float, "epsilon": float,
     "alpha_pair": _pair, "droptol_pair": _pair, "m": int, "n_trigger": int,
     "theta": float, "refine_steps": int, "max_nonlinear": int,
-    "max_halvings": int, "gmres_cap": int, "picard_eta": float, "regime": str,
+    "max_halvings": int, "gmres_cap": int, "picard_eta": float,
 }
 _FACTOR_PARSERS = {
     "cond_thresh": float, "diag_thresh": float, "dense_switch": int,

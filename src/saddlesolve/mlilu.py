@@ -3,13 +3,12 @@
 Each level equilibrates, reorders, statically defers small diagonals, runs
 the Crout elimination of crout_ilu_level (which describes the kernel) and
 recurses on its Schur complement.  A dense factorization ends the
-recursion, once the complement is small (dense_switch) or, by default,
-dense enough that a dense factorization beats a Crout level on it
-(_dense_beats_crout).  That tail is a rank-revealing LU (_dense_tail):
-LAPACK's LU with partial pivoting, and if its condition estimate says it
-is ill-conditioned, the near-null directions that inverse iteration
-through that LU finds under a relative threshold are cut from it (T. F.
-Chan, Math. Comp. 42, 1984).  That sees the near-null direction that ILU
+recursion where _dense_beats_crout places it, or at an explicit
+dense_switch (FactorParams).  That tail is a rank-revealing LU
+(_dense_tail): LAPACK's LU with partial pivoting, and if its condition
+estimate says it is ill-conditioned, the near-null directions that
+inverse iteration through that LU finds under a relative threshold are
+cut from it (T. F. Chan, Math. Comp. 42, 1984).  That sees the near-null direction that ILU
 dropping leaves in a saddle point system's Schur complement (the HIFIR
 design of Chen & Jiao, arXiv:2106.09877).  factorize holds one level's
 working set at a time, in every case.
@@ -26,7 +25,6 @@ can return wrong solutions, off by O(1) relative to serial ones.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -62,13 +60,13 @@ __all__ = [
 _TINY = np.finfo(np.float64).tiny  # every pivot at or below it is deferred
 _CAP_FLOOR = 5  # retained entries per row/column regardless of the fill cap
 _MAX_LEVELS = 30
-_MAX_DENSE_TAIL = 4000  # largest dense tail allocated when dense_switch is below it
+_MAX_DENSE_TAIL = 4000  # largest dense tail allocated, and largest dense_switch
 # most entries a level's Schur product may be bounded at, per stored entry
 # of the level: the cavity operators' first levels measure 19-35 (L6-L8,
 # alpha 5 to 50), an arrow matrix's n / 3, which passes 256 from n 770
 _MAX_SCHUR_GROWTH = 256
-# with the default dense_switch, a level whose n^3 is at most this many
-# times its stored entries goes to the dense tail (_dense_beats_crout)
+# the default rule's size and density thresholds (_dense_beats_crout)
+_DENSE_SIZE = 500
 _DENSE_CUBE_PER_ENTRY = 2500
 # a tail is a plain LU when dgecon's 1-norm estimate of its reciprocal
 # condition is at least _TAIL_RCOND; otherwise the singular directions of
@@ -119,13 +117,10 @@ class FactorParams:
     relative static-deferring threshold on scaled diagonals; a pivot whose
     post-equilibration magnitude is at or below pivot_floor or the smallest
     normal float64 (whose reciprocal could overflow) is deferred.
-    dense_switch=None resolves to min(max(500, sqrt(n)), 2000), and then a
-    level whose n^3 is at most 2500 times its stored entries goes to the
-    dense tail too, however large (see factorize).  An explicit
-    dense_switch, even that same value, turns the density rule off: the
-    tail is then exactly what is left at n <= dense_switch, which the tests
-    and forced-switch runs rely on to place it.  After 30 levels, whatever
-    is left goes to the dense tail.
+    dense_switch=None places the dense tail by _dense_beats_crout; an
+    explicit dense_switch, in [1, 4000], makes it what is left at
+    n <= dense_switch.  After 30 levels, whatever is left goes to the
+    dense tail.
     """
 
     alpha: float = 2.0
@@ -144,8 +139,8 @@ class FactorParams:
             raise ValueError("cond_thresh must exceed 1")
         if not (0 < self.diag_thresh < 1):
             raise ValueError("diag_thresh must be in (0, 1)")
-        if self.dense_switch is not None and self.dense_switch < 1:
-            raise ValueError("dense_switch must be >= 1")
+        if self.dense_switch is not None and not 1 <= self.dense_switch <= _MAX_DENSE_TAIL:
+            raise ValueError(f"dense_switch must be in [1, {_MAX_DENSE_TAIL}]")
         if not (self.pivot_floor >= 0):
             raise ValueError("pivot_floor must be >= 0")
 
@@ -223,7 +218,10 @@ class MultilevelFactor:
 
     levels: list[LevelFactor]
     tail: _DenseTail
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.levels[0].n if self.levels else self.tail_n
 
     @property
     def tail_n(self) -> int:
@@ -954,7 +952,8 @@ def _dense_tail(s: sp.csr_matrix, dropped: bool) -> _DenseTail:
 
 
 def _dense_beats_crout(s: sp.csr_matrix) -> bool:
-    """Whether ``s`` goes to the dense tail rather than to a Crout level:
+    """Whether ``s`` goes to the dense tail rather than to a Crout level,
+    the default rule (dense_switch=None): n <= _DENSE_SIZE or
     n^3 <= _DENSE_CUBE_PER_ENTRY * nnz.
 
     Measured with one BLAS thread on the six Schur complements of the
@@ -974,25 +973,27 @@ def _dense_beats_crout(s: sp.csr_matrix) -> bool:
     2857, and as a dense tail of n 525 it would take that factor from 2.8
     to 8.7 times nnz(A), where L4 and L6 hold 3.7 and 3.1 (criterion 7).
     Hence 2500, below it.  n^3 / nnz is at least n, so no level above 2500
-    unknowns qualifies."""
-    return s.shape[0] ** 3 <= _DENSE_CUBE_PER_ENTRY * s.nnz
+    unknowns qualifies.  The size clause keeps a small sparse system whole:
+    the 22 x 22 five-point Laplacian (n^3 / nnz 48,600) factorizes as one
+    dense tail in 6 ms, against 51 ms for a Crout level and its tail of 48,
+    and a structurally empty row is cut from a tail, where a level refuses it."""
+    n = s.shape[0]
+    return n <= _DENSE_SIZE or n ** 3 <= _DENSE_CUBE_PER_ENTRY * s.nnz
 
 
 def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> MultilevelFactor:
     """Full multilevel factorization: per level equilibrate, reorder,
     statically defer, Crout-eliminate, then recurse on the Schur complement
-    until it is at most dense_switch unknowns or, with the default
-    dense_switch, until a dense factorization beats a Crout level on it
-    (_dense_beats_crout).  The dense tail is an LU with partial pivoting,
-    and if it is ill-conditioned its near-null directions are cut, and the
-    factor flagged ``perturbed`` (_dense_tail): after a level that
-    eliminated with droptol > 0, those under a relative threshold;
-    otherwise only if numerically singular.  A
-    non-finite stored entry, and a tail larger than both dense_switch and
-    4000, are a FactorizationError, raised before equilibration and before
-    the dense allocation, and so is a Schur complement bounded at more than
-    256 entries per stored entry of its level (crout_ilu_level), before it
-    is allocated.  A level that accepts no pivot is kept, with n_b 0 and
+    until it goes to the dense tail (FactorParams.dense_switch).  The dense
+    tail is an LU with partial pivoting, and if it is ill-conditioned its
+    near-null directions are cut, and the factor flagged ``perturbed``
+    (_dense_tail): after a level that eliminated with droptol > 0, those
+    under a relative threshold; otherwise only if numerically singular.  A
+    non-finite stored entry, and a tail of more than _MAX_DENSE_TAIL
+    unknowns, are a FactorizationError, raised before equilibration and
+    before the dense allocation, and so is a Schur complement bounded at
+    more than 256 entries per stored entry of its level (crout_ilu_level),
+    before it is allocated.  A level that accepts no pivot is kept, with n_b 0 and
     unit L and U, and ends the recursion: its Schur complement, the level's
     scaled and reordered matrix, is the tail.
 
@@ -1010,16 +1011,12 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
         k = int(np.argmin(finite))
         row = int(np.searchsorted(a.indptr, k, side="right")) - 1
         raise FactorizationError(f"non-finite entry {a.data[k]} at ({row}, {a.indices[k]})")
-    n0 = a.shape[0]
-    dense_switch = params.dense_switch
-    if dense_switch is None:
-        dense_switch = min(max(500, math.isqrt(n0)), 2000)
 
     levels: list[LevelFactor] = []
     current = a
     for _ in range(_MAX_LEVELS):
-        if current.shape[0] <= dense_switch or (params.dense_switch is None
-                                                and _dense_beats_crout(current)):
+        if (_dense_beats_crout(current) if params.dense_switch is None
+                else current.shape[0] <= params.dense_switch):
             break
         dr, dc = equilibrate(current)
         scaled = _scale(current, dr, dc)
@@ -1039,12 +1036,11 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
             break
 
     tail_n = current.shape[0]
-    tail_limit = max(dense_switch, _MAX_DENSE_TAIL)
-    if tail_n > tail_limit:
+    if tail_n > _MAX_DENSE_TAIL:
         raise FactorizationError(f"dense tail of {tail_n} unknowns after {len(levels)} "
-                                 f"levels exceeds the limit of {tail_limit}")
+                                 f"levels exceeds the limit of {_MAX_DENSE_TAIL}")
     dropped = params.droptol > 0 and any(lev.n_b for lev in levels)
-    return MultilevelFactor(levels=levels, tail=_dense_tail(current, dropped), n=n0)
+    return MultilevelFactor(levels=levels, tail=_dense_tail(current, dropped))
 
 
 _NO_DATA = np.zeros(0)

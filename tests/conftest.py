@@ -30,6 +30,17 @@ def random_saddle(nb, ne, seed, shift=4.0):
     return as_csr(sp.csr_matrix(dense))
 
 
+def laplacian_2d(nx):
+    """5-point Laplacian on an nx-by-nx grid, natural (row-major) order."""
+    n = nx * nx
+    main = 4.0 * np.ones(n)
+    ex = np.ones(n - 1)
+    ex[np.arange(1, n) % nx == 0] = 0.0
+    ey = np.ones(n - nx)
+    a = sp.diags([main, -ex, -ex, -ey, -ey], [0, 1, -1, nx, -nx], format="csr")
+    return as_csr(a)
+
+
 def reference_crout(a, params, ncand):
     """Dense reference for ``mlilu.crout_ilu_level``: the same pivot order,
     deferral tests, dual dropping and fill caps, written as plain dense row

@@ -73,8 +73,9 @@ def test_cavity_rejects_unknown_override(tmp_path, capsys, monkeypatch):
 
     cases = [
         (override("not_a_param=1"), "unknown parameter 'not_a_param'"),
-        (override("sigma=2"), "sigma must be in (0, 1)"),
-        (override("regime=mid"), "regime must be one of"),
+        (override("sigma=2"), "unknown parameter 'sigma'"),
+        (override("regime=mid"), "unknown parameter 'regime'"),
+        (["--level", "3", "--sigma", "2"], "sigma must be in (0, 1)"),
         (override("m=abc"), "bad value for m"),
         (override("dense_switch=None"), "bad value for dense_switch"),
         (override("m=300"), "m must be <= gmres_cap"),
@@ -90,7 +91,8 @@ def test_cavity_rejects_unknown_override(tmp_path, capsys, monkeypatch):
         (override("pivot_floor=nan"), "pivot_floor must be >= 0"),
         (override("diag_thresh=0"), "diag_thresh must be in (0, 1)"),
         (override("diag_thresh=1"), "diag_thresh must be in (0, 1)"),
-        (override("dense_switch=0"), "dense_switch must be >= 1"),
+        (override("dense_switch=0"), "dense_switch must be in [1, 4000]"),
+        (override("dense_switch=4001"), "dense_switch must be in [1, 4000]"),
         (override("sigma"), "override must be name=value, got 'sigma'"),
         (["--level", "2"], "argument --level: invalid choice: 2"),
     ]
@@ -110,8 +112,10 @@ def test_override_table_covers_every_config_field():
     from saddlesolve.mlilu import FactorParams
     from saddlesolve.nonlinear import SolverConfig
 
-    # phase_params is derived (init=False), not settable
-    solver = {f.name for f in fields(SolverConfig) if f.init} - {"factor_params"}
+    # phase_params is derived (init=False), not settable; --sigma and
+    # --regime set sigma and regime
+    solver = {f.name for f in fields(SolverConfig) if f.init} - {"factor_params", "sigma",
+                                                                 "regime"}
     assert set(cli._SOLVER_PARSERS) == solver
     # SolverConfig rejects factor_params' alpha and droptol: each phase takes
     # them from alpha_pair and droptol_pair
@@ -450,7 +454,8 @@ def _bad_input_files(tmp_path):
     mm_write(as_csr(sp.csr_matrix(np.ones((2, 3)))), tmp_path / "wide.mtx")
     mm_write(np.ones(5), tmp_path / "v5.mtx")
     mm_write(np.zeros(4), tmp_path / "z4.mtx")
-    # above dense_switch (500 unknowns by default), so a level equilibrates it
+    # above the default rule's 500 unknowns and too sparse for its density
+    # clause (_dense_beats_crout), so a level equilibrates it
     mm_write(_last_row_empty(600), tmp_path / "empty600.mtx")
     (tmp_path / "bad.mtx").write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n")
     (tmp_path / "symwide.mtx").write_text(
@@ -554,13 +559,15 @@ def test_a_schur_complement_over_budget_exits_2_with_one_line(tmp_path, capsys, 
 
 
 def test_structurally_empty_row_below_dense_switch_is_perturbed(tmp_path, capsys):
-    # the whole matrix goes to the dense tail, whose zero row is cut
-    mm_write(_last_row_empty(6), tmp_path / "a.mtx")
-    rc = main(["factor-stats", "--matrix", str(tmp_path / "a.mtx"),
-               "--output-dir", str(tmp_path)])
-    assert rc == 0
-    printed = capsys.readouterr().out
-    assert "tail_n=6 tail_rank=5 " in printed and "perturbed=1" in printed
+    # the whole matrix goes to the dense tail, whose zero row is cut; at
+    # n 400 (n^3 / nnz 160,400) by the default rule's size clause alone
+    for n in (6, 400):
+        mm_write(_last_row_empty(n), tmp_path / "a.mtx")
+        rc = main(["factor-stats", "--matrix", str(tmp_path / "a.mtx"),
+                   "--output-dir", str(tmp_path)])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        assert f"tail_n={n} tail_rank={n - 1} " in printed and "perturbed=1" in printed
 
 
 def test_factor_stats_reports_the_rank_the_stokes_tail_keeps(tmp_path, capsys):

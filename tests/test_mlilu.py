@@ -28,6 +28,7 @@ from saddlesolve.sparse import as_csr
 from conftest import (
     arrow,
     cyclic_permutation,
+    laplacian_2d,
     random_saddle,
     random_sparse,
     reassemble,
@@ -564,7 +565,8 @@ class TestFactorize:
     def test_the_default_switch_keeps_the_benchmark_levels_sparse(self, monkeypatch):
         # n^3 / nnz: 2.8e5 and 4.5e6 on the L5 and L6 operators, 3563 on the
         # Schur complement of the L5 Re 1000 Oseen operator that the
-        # benchmark solves 60 times, above the 2500 that goes dense
+        # benchmark solves 60 times, above the 2500 that goes dense, and
+        # 250 on its tail of 227, at most 500 unknowns
         ratios = []
         inner = mlilu._dense_beats_crout
 
@@ -583,7 +585,18 @@ class TestFactorize:
             m = factorize(a, FactorParams(alpha=5.0, droptol=0.01))
             assert [lev.n for lev in m.levels] == [2211, 677] and m.tail_n == 227
             assert m.tail_rank == m.tail_n and not m.perturbed
-        assert [f"{r:.2g}" for r in ratios] == ["2.8e+05", "3.6e+03", "4.5e+06"]
+        assert [f"{r:.2g}" for r in ratios] == ["2.8e+05", "3.6e+03", "2.5e+02", "4.5e+06"]
+
+    def test_the_default_switch_keeps_a_small_sparse_system_whole(self):
+        # n^3 / nnz is 48,600, far above 2500: the size clause alone sends
+        # the 22 x 22 Laplacian to the tail, which one iteration solves
+        a = laplacian_2d(22)
+        m = factorize(a)
+        assert not m.levels and m.tail_n == 484 == m.n and m.tail_rank == 484
+        b = a @ np.random.default_rng(0).standard_normal(484)
+        _, rep = fgmres(a, PrecondOperator(m), b,
+                        GmresParams(restart=30, max_iters=100, rtol=1e-10))
+        assert rep.converged and rep.iterations == 1
 
 
 class TestMlSolve:

@@ -439,4 +439,4 @@ class TestSolverConfig:
 
     def test_boundary_values_accepted(self):
         SolverConfig(m=200, gmres_cap=200, epsilon=1e-12, eta_max=0.999,
-                     picard_eta=1e-3)
+                     picard_eta=1e-3, factor_params=FactorParams(dense_switch=4000))

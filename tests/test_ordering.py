@@ -7,18 +7,7 @@ from saddlesolve import ordering
 from saddlesolve.ordering import reorder
 from saddlesolve.sparse import as_csr
 
-from conftest import check_permutation, random_saddle, random_sparse
-
-
-def laplacian_2d(nx):
-    """5-point Laplacian on an nx-by-nx grid, natural (row-major) order."""
-    n = nx * nx
-    main = 4.0 * np.ones(n)
-    ex = np.ones(n - 1)
-    ex[np.arange(1, n) % nx == 0] = 0.0
-    ey = np.ones(n - nx)
-    a = sp.diags([main, -ex, -ex, -ey, -ey], [0, 1, -1, nx, -nx], format="csr")
-    return as_csr(a)
+from conftest import check_permutation, laplacian_2d, random_saddle, random_sparse
 
 
 def symbolic_fill(a, order):

@@ -5,10 +5,12 @@
 Each argument is a ``src`` directory holding the ``saddlesolve`` package.
 Both trees run the same CLI commands, each with PYTHONPATH set to its own
 ``src``, one BLAS thread and its own output directory: four cavity runs,
-``linsolve`` and ``factor-stats`` on the level-4 Re 100 Stokes system, and
+``linsolve`` and ``factor-stats`` on the level-4 Re 100 Stokes system,
 ``factor-stats`` on 2 I of n 600, whose one level eliminates every unknown
-and leaves an empty dense tail.  The first tree exports both systems once,
-so both sides read the same files.
+and leaves an empty dense tail, and ``factor-stats`` on the 22 x 22
+five-point Laplacian, which the default rule's size clause sends to the
+dense tail whole.  The first tree exports these systems once, so both
+sides read the same files.
 Every artifact, ``summary.txt`` included, is compared byte for byte, and
 so is each run's exit status.  Prints ``same <artifact>`` or ``DIFFERS
 <artifact>`` per artifact and ``same exit <run>`` or ``DIFFERS exit
@@ -60,6 +62,8 @@ mm_write(cavity.stokes_operator(prob), sys.argv[1] + "/stokes.mtx")
 mm_write(cavity.stokes_rhs(prob), sys.argv[1] + "/rhs.mtx")
 mm_write(cavity.null_vector(prob), sys.argv[1] + "/null.mtx")
 mm_write(2.0 * sp.eye(600, format="csr"), sys.argv[1] + "/identity2.mtx")
+lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(22, 22))
+mm_write(sp.kronsum(lap, lap, format="csr"), sys.argv[1] + "/laplacian22.mtx")
 """
 
 
@@ -77,6 +81,8 @@ def _runs(system: Path) -> dict[str, list[str]]:
                         "--null-vector", str(system / "null.mtx"), "--refine-steps", "2"]
     runs["factor-stats"] = ["factor-stats", "--matrix", str(system / "stokes.mtx")]
     runs["factor-stats-empty-tail"] = ["factor-stats", "--matrix", str(system / "identity2.mtx")]
+    runs["factor-stats-laplacian"] = ["factor-stats", "--matrix",
+                                      str(system / "laplacian22.mtx")]
     return runs
 
 
