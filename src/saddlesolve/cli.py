@@ -99,8 +99,18 @@ def run_cavity(args) -> int:
     out = args.output_dir
     cfg = args.cfg
     prob = cav.build_problem(args.level, args.re, bc_kind=args.bc)
-    nlp = cav.nonlinear_problem(prob, cav.stokes_initial_guess(prob))
-    x, report = hybrid_newton(nlp, cfg)
+    # a Reynolds number so small that nu = 2/Re overflows the Stokes system
+    # (a singular pinned matrix) or the initial residual (the one ValueError
+    # hybrid_newton raises for a cavity) is an unusable input
+    unusable = f"Reynolds number {args.re:g} is unusable: "
+    try:
+        guess = cav.stokes_initial_guess(prob)
+    except RuntimeError as exc:
+        raise _BadInput(unusable + str(exc)) from None
+    try:
+        x, report = hybrid_newton(cav.nonlinear_problem(prob, guess), cfg)
+    except ValueError as exc:
+        raise _BadInput(unusable + str(exc)) from None
 
     report.write_csv(out / "convergence.csv")
     cav.write_solution_csv(prob, x, out / "solution.csv")
@@ -114,8 +124,8 @@ def run_cavity(args) -> int:
 
 
 class _BadInput(Exception):
-    """An input file or output directory that cannot be used:
-    one 'error:' line, exit 2."""
+    """An input file, Reynolds number or output directory that cannot be
+    used: one 'error:' line, exit 2."""
 
 
 def _read(path, kind):

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange, dlaswp
 # the compiled substitution spsolve_triangular ends in, called without that
 # wrapper's per-call set-up; test_mlilu pins its bits to the public wrapper
 from scipy.sparse.linalg._dsolve._superlu import gstrs
@@ -76,13 +76,13 @@ _DENSE_CUBE_PER_ENTRY = 2500
 _TAIL_RCOND = 3e-6
 _TAIL_RANK_TOL = 1e-3
 # sweeps of inverse iteration (_near_null): on the L5 cavity's two cut
-# tails one sweep left the direction found 6e-6 and 6e-7 off in angle and
-# the solve 7e-7 and 1e-8 from the exactly truncated pseudo-inverse; two
-# reach rounding, 6e-15
+# tails one sweep left the direction found 9e-6 and 8e-7 off in angle and
+# the solve 2e-7 and 7e-8 from the exactly truncated pseudo-inverse; two
+# reach rounding, 6e-15 to 7e-15
 _TAIL_SWEEPS = 2
 # directions in the first block (_near_null): those tails have one under
 # the cut, and a block of two finds it and the next, above the cut, in one
-# round; they were built 1.5 ms faster than with blocks of one or four
+# round; blocks of one or four built them 0.5 to 2.3 ms slower
 _TAIL_BLOCK = 2
 # stored entries per run of rows (_row_runs): a pass over the dense tail's
 # Schur complement holds temporaries near 0.5 MB next to its LU (in one
@@ -812,69 +812,46 @@ def crout_ilu_level(
     return level, schur
 
 
-def _orthonormalize(q: np.ndarray, k: int, lo: int = 0) -> None:
-    """Columns k, k + 1, ... of q orthonormalized in place, in order,
-    against its orthonormal columns lo..k-1 and each other: block
-    classical Gram-Schmidt, each projection applied twice, on halves of
-    the block in turn."""
-    x = q[:, k:]
-    if k > lo:
-        for _ in range(2):
-            x -= q[:, lo:k] @ (q[:, lo:k].T @ x)
-    if x.shape[1] == 1:
-        x /= np.linalg.norm(x)
-        return
-    h = k + x.shape[1] // 2
-    _orthonormalize(q[:, :h], k, k)
-    _orthonormalize(q, h, k)
-
-
-def _start_block(n: int, j0: int, j1: int) -> np.ndarray:
-    """Columns j0..j1-1 of a fixed pseudo-random block of n rows, entries
-    in [-1/2, 1/2): splitmix64's output function of each entry's index (a
-    generator of numpy.random would cost its first import's memory)."""
-    z = np.arange(j0 * n + 1, j1 * n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return ((z >> np.uint64(11)) * 2.0 ** -53 - 0.5).reshape(j1 - j0, n).T
-
-
 def _near_null(lu, piv, s: sp.csr_matrix, dr, dc, cut: float):
     """Orthonormal bases (u, v), n x k, of the left and right singular
     subspaces of T = diag(dr) S diag(dc), S = ``s``, whose singular values
     are at most ``cut``, given S's LU: block inverse iteration.
 
-    A block of b directions starts from columns k..k+b-1 of a fixed block
-    (_start_block), orthogonalized against the k directions already found.
-    Each of _TAIL_SWEEPS sweeps applies T^-1 = diag(dc)^-1 S^-1 diag(dr)^-1
-    (dgetrs, trans N) and orthonormalizes the block against v and within
-    itself in order, then T^-T (trans T) and the same against u.  Column j
-    of such an orthogonal iteration tends to the j-th smallest singular
-    direction, and |T v_j| bounds its singular value from above: the
-    leading columns with |T v_j| <= cut join u and v.  If every column did,
-    the block doubles and the search goes on past them; otherwise it ends."""
+    A block of b directions starts from b standard normal columns of a
+    numpy Generator seeded once per call, so that a rerun gives the same
+    bytes.  A block is orthonormalized against the k directions already
+    found by projecting it off them twice, then by Householder QR
+    (np.linalg.qr): first against u, then after each of _TAIL_SWEEPS
+    sweeps' T^-1 = diag(dc)^-1 S^-1 diag(dr)^-1 (dgetrs, trans N) against
+    v, and after its T^-T (trans T) against u.  Q's leading j columns span
+    the block's leading j, as Gram-Schmidt in column order would, so
+    column j of this orthogonal iteration tends to the j-th smallest
+    singular direction, and |T v_j| bounds its singular value from above:
+    the leading columns with |T v_j| <= cut join u and v.  If every column
+    did, the block doubles and the search goes on past them; otherwise it
+    ends."""
+
+    def orthonormal(basis, x):
+        for _ in range(2):
+            x -= basis @ (basis.T @ x)
+        return np.linalg.qr(x)[0]
+
     n = s.shape[0]
-    u = v = np.zeros((n, 0), order="F")
+    rng = np.random.default_rng(0)
+    u = v = np.zeros((n, 0))
     b = _TAIL_BLOCK
     while True:
         k = u.shape[1]
         b = min(b, n - k)
-        qu = np.asfortranarray(np.c_[u, _start_block(n, k, k + b)])
-        _orthonormalize(qu, k)
-        qv = np.asfortranarray(np.c_[v, np.empty((n, b))])
+        qu = orthonormal(u, rng.standard_normal((n, b)))
         for _ in range(_TAIL_SWEEPS):
-            qv[:, k:] = dgetrs(lu, piv, qu[:, k:] / dr[:, None])[0] / dc[:, None]
-            _orthonormalize(qv, k)
-            qu[:, k:] = dgetrs(lu, piv, qv[:, k:] / dc[:, None], trans=1)[0] / dr[:, None]
-            _orthonormalize(qu, k)
-        sigma = np.linalg.norm(dr[:, None] * (s @ (dc[:, None] * qv[:, k:])), axis=0)
+            qv = orthonormal(v, dgetrs(lu, piv, qu / dr[:, None])[0] / dc[:, None])
+            qu = orthonormal(u, dgetrs(lu, piv, qv / dc[:, None], trans=1)[0] / dr[:, None])
+        sigma = np.linalg.norm(dr[:, None] * (s @ (dc[:, None] * qv)), axis=0)
         under = int(np.argmin(np.r_[sigma <= cut, False]))
-        u, v = qu[:, :k + under], qv[:, :k + under]
+        u, v = np.c_[u, qu[:, :under]], np.c_[v, qv[:, :under]]
         if under < b or k + under == n:
-            return u.copy(order="F"), v.copy(order="F")
+            return u, v
         b *= 2
 
 
@@ -939,11 +916,9 @@ def _dense_tail(s: sp.csr_matrix, dropped: bool) -> _DenseTail:
         w = np.repeat(dr[r0:r1], counts) * s.data[at]
         squares += np.bincount(s.indices[at], w * w, minlength=n)
     norm = np.sqrt((squares * dc * dc).max())
-    # U' = diag(dr[rows]) U diag(dc), rows the pivot rows in order
-    rows = np.arange(n)
-    for i, p in enumerate(piv.tolist()):
-        rows[i], rows[p] = rows[p], rows[i]
-    scale = dr[rows] * dc
+    # U' = diag(dr[rows]) U diag(dc), rows the pivot rows in order: dgetrf's
+    # interchanges applied to dr
+    scale = dlaswp(dr[:, None], piv)[:, 0] * dc
     tiny = np.flatnonzero(np.abs(lu.diagonal() * scale) <= _EPS * norm)
     lu[tiny, tiny] = np.copysign(_EPS * norm / scale[tiny], lu[tiny, tiny])
     tol = _TAIL_RANK_TOL if dropped else n * _EPS

@@ -8,6 +8,8 @@ comment lines are cut out of the body only when it holds a '%'.  numpy's
 compiled reader parses the rest: one record per coordinate line, one value
 per array token.  A '%' after data on a line is malformed.  Only a body
 that fails to parse is split into numbered lines, to name the bad one.
+Files are read as Latin-1, so a comment line may hold any byte; a byte
+outside ASCII anywhere else makes its line malformed.
 Symmetric files hold the lower triangle and skew-symmetric ones
 the strict lower triangle, as scipy's mmwrite writes them.  Values are written
 with 17 significant digits (a bitwise round trip); NaN or infinite values are
@@ -47,18 +49,19 @@ def mm_read(path, kind: str = "matrix"):
     array format), a 1-D float array for kind="vector" (one column only)."""
     if kind not in ("matrix", "vector"):
         raise ValueError(f"kind must be 'matrix' or 'vector', got {kind!r}")
-    with open(path, "r", encoding="ascii") as f:
+    with open(path, "r", encoding="latin-1") as f:
         first = f.readline()
         # the comments and blank lines up to the size line one by one, then the body at once
         size_no, size_line = 2, f.readline()
-        while size_line and (size_line.startswith("%") or not size_line.strip()):
+        while size_line and (size_line.startswith("%")
+                             or size_line.isascii() and not size_line.strip()):
             size_no, size_line = size_no + 1, f.readline()
         text = f.read()
     if not first:
         raise MatrixMarketError(f"{path}: empty file")
 
     header = first.split()
-    if len(header) != 5 or header[0] != "%%MatrixMarket":
+    if len(header) != 5 or header[0] != "%%MatrixMarket" or not first.isascii():
         _fail(path, 1, first, "expected '%%MatrixMarket object format field symmetry' header")
     obj, fmt, field, symmetry = (w.lower() for w in header[1:])
     if obj != "matrix":
@@ -75,6 +78,8 @@ def mm_read(path, kind: str = "matrix"):
     if not size_line:
         raise MatrixMarketError(f"{path}: missing size line")
     coordinate = fmt == "coordinate"
+    if not size_line.isascii():
+        _fail(path, size_no, size_line, "size line entries must be integers")
     size_tok = size_line.split()
     if len(size_tok) != (3 if coordinate else 2):
         _fail(path, size_no, size_line, "coordinate size line needs 'nrows ncols nnz'"
@@ -149,6 +154,10 @@ def _parse_body(path, text, start, coordinate: bool) -> np.ndarray:
     token; if that fails, name the first bad data line."""
     entry = np.dtype([("i", np.intp), ("j", np.intp), ("v", np.float64)])
     data = _COMMENT_LINE.sub("", text) if "%" in text else text
+    if not data.isascii():  # numpy and str.split take some such bytes for blanks
+        _fail(path, *next((n, line) for n, line in enumerate(text.split("\n"), start)
+                          if not (line.isascii() or line.startswith("%"))),
+              "malformed coordinate entry" if coordinate else "malformed value")
     parsed = _loadtxt(data.split("\n"), entry) if coordinate else _loadtxt(data.split(), np.float64)
     if parsed is not None:
         return parsed

@@ -41,6 +41,21 @@ def test_cavity_rejects_degenerate_re(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("re, message", [
+    ("1e-307", "Stokes initial guess: the pinned matrix is singular"),
+    ("1e-302", "residual at the initial guess is not finite"),
+])
+def test_a_reynolds_number_too_small_exits_2_with_one_line(tmp_path, capsys, re, message):
+    # nu = 2/Re overflows the Stokes system or the initial residual: an
+    # unusable input, not a run that did not converge
+    out = tmp_path / "out"
+    assert main(["cavity", "--level", "3", "--re", re, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert f"Reynolds number {re} is unusable: {message}" in err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("re", ["nan", "inf"])
 def test_cavity_rejects_non_finite_re(tmp_path, capsys, monkeypatch, re):
     # a usage error before any assembly, not exit 1 with a traceback
@@ -465,6 +480,9 @@ def _bad_input_files(tmp_path):
     mm_write(as_csr(sp.csr_matrix(nan)), tmp_path / "nan.mtx")
     mm_write(np.array([1.0, np.nan, 1.0, 1.0]), tmp_path / "nan4.mtx")
     mm_write(np.full(4, 1e160), tmp_path / "huge4.mtx")
+    # a UTF-8 comment is read; a byte outside ASCII in a value is not
+    (tmp_path / "utf8.mtx").write_bytes("%%MatrixMarket matrix array real general\n"
+                                        "% café\n4 1\n1.0\n2.0é\n3.0\n4.0\n".encode())
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -488,6 +506,7 @@ def _bad_input_files(tmp_path):
     (["factor-stats", "--matrix", "symwide.mtx"], "symmetric storage needs a square matrix"),
     (["linsolve", "--matrix", "a.mtx", "--null-vector", "huge4.mtx"],
      "null vector must be finite, with a norm that does not overflow"),
+    (["linsolve", "--matrix", "a.mtx", "--rhs", "utf8.mtx"], "utf8.mtx:5: malformed value"),
 ])
 def test_bad_input_files_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, message):
     _bad_input_files(tmp_path)

@@ -467,6 +467,25 @@ class TestFactorize:
         r = rng.standard_normal(n)
         assert np.linalg.norm(tail.solve(r)) <= 10 * np.linalg.norm(r)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 59])
+    def test_the_cut_directions_are_orthonormal_and_under_the_cut(self, k):
+        # k planted directions of n 40, or a dense rank-1 tail of n 60 (59
+        # directions); from k 2 on the search doubles its block
+        rng = np.random.default_rng(37)
+        if k < 40:
+            n = 40
+            a, _ = self._planted(rng, n, k)
+        else:
+            n = k + 1
+            a = as_csr(sp.csr_matrix(np.outer(rng.standard_normal(n), rng.standard_normal(n))))
+        tail = mlilu._dense_tail(a, dropped=True)
+        assert tail.rank == n - k
+        for q in (tail.u, tail.v):
+            assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-13
+        t = tail.dr[:, None] * a.toarray() * tail.dc
+        cut = 1e-3 * np.linalg.norm(t, axis=0).max()
+        assert np.linalg.norm(t @ tail.v, axis=0).max() <= cut
+
     @pytest.mark.parametrize("dropped", [True, False])
     def test_a_zero_pivot_tail_is_cut_at_its_null_direction(self, dropped):
         # row 7 is zero, so dgetrf meets an exact zero pivot; it is raised

@@ -349,3 +349,33 @@ def test_body_without_percent_reads_as_body_with_only_comment_lines(tmp_path, fm
         assert got.tobytes() == want.tobytes()
     else:
         assert (got != want).nnz == 0 and got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["coordinate", "array"])
+def test_a_utf8_comment_line_reads_the_same_matrix(tmp_path, fmt):
+    body = "3 3 2\n1 1 1.5\n3 2 -2.0\n" if fmt == "coordinate" else "2 1\n1.5\n-2.0\n"
+    plain, accented = tmp_path / "plain.mtx", tmp_path / "accented.mtx"
+    plain.write_text(f"%%MatrixMarket matrix {fmt} real general\n{body}")
+    size, *data = body.splitlines(keepends=True)
+    accented.write_bytes(f"%%MatrixMarket matrix {fmt} real general\n% café\n{size}"
+                         f"{data[0]}% naïve, 1 2 3.0\n{''.join(data[1:])}".encode())
+    want, got = mm_read(plain), mm_read(accented)
+    for x, y in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("coordinate real general\n2 2 2\n1 1 1.0é\n2 2 1.0\n", r":3: malformed coordinate entry"),
+    # a no-break space, byte 0xa0 in Latin-1, is a blank to numpy's reader
+    # and to str.split
+    ("coordinate real general\n% c\n2 2 2\n1 1 1.0\n2\u00a02 1.0\n",
+     r":5: malformed coordinate entry"),
+    ("array real general\n2 1\n% c\n1.0\n2.0\u00a03.0\n", r":5: malformed value"),
+    ("coordinate real general\n2\u00a02 1\n1 1 1.0\n", r":2: size line entries must be integers"),
+    ("coordinate réal general\n2 2 1\n1 1 1.0\n", r":1: expected '%%MatrixMarket"),
+], ids=["data-letter", "data-space", "array-space", "size-space", "header"])
+def test_a_non_ascii_byte_outside_a_comment_names_its_line(tmp_path, text, message):
+    path = tmp_path / "latin1_data.mtx"
+    path.write_bytes(("%%MatrixMarket matrix " + text).encode("latin-1"))
+    with pytest.raises(MatrixMarketError, match=message):
+        mm_read(path)

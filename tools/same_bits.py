@@ -7,10 +7,12 @@ Both trees run the same CLI commands, each with PYTHONPATH set to its own
 ``src``, one BLAS thread and its own output directory: four cavity runs,
 ``linsolve`` and ``factor-stats`` on the level-4 Re 100 Stokes system,
 ``factor-stats`` on 2 I of n 600, whose one level eliminates every unknown
-and leaves an empty dense tail, and ``factor-stats`` on the 22 x 22
+and leaves an empty dense tail, ``factor-stats`` on the 22 x 22
 five-point Laplacian, which the default rule's size clause sends to the
-dense tail whole.  The first tree exports these systems once, so both
-sides read the same files.
+dense tail whole, and ``linsolve`` on a seeded dense rank-1 matrix of n 60,
+whose tail cuts 59 directions in the near-null search's doubling rounds.
+The first tree exports these systems once, so both sides read the same
+files.
 Every artifact, ``summary.txt`` included, is compared byte for byte, and
 so is each run's exit status.  Prints ``same <artifact>`` or ``DIFFERS
 <artifact>`` per artifact and ``same exit <run>`` or ``DIFFERS exit
@@ -55,6 +57,7 @@ ARTIFACTS = {
 
 EXPORT = """
 import sys
+import numpy as np
 import scipy.sparse as sp
 from saddlesolve import cavity, mm_write
 prob = cavity.build_problem(4, re=100.0)
@@ -64,6 +67,9 @@ mm_write(cavity.null_vector(prob), sys.argv[1] + "/null.mtx")
 mm_write(2.0 * sp.eye(600, format="csr"), sys.argv[1] + "/identity2.mtx")
 lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(22, 22))
 mm_write(sp.kronsum(lap, lap, format="csr"), sys.argv[1] + "/laplacian22.mtx")
+rng = np.random.default_rng(35)
+rank1 = np.outer(rng.standard_normal(60), rng.standard_normal(60))
+mm_write(sp.csr_matrix(rank1), sys.argv[1] + "/rank1.mtx")
 """
 
 
@@ -79,6 +85,7 @@ def _runs(system: Path) -> dict[str, list[str]]:
     runs["linsolve"] = ["linsolve", "--matrix", str(system / "stokes.mtx"),
                         "--rhs", str(system / "rhs.mtx"),
                         "--null-vector", str(system / "null.mtx"), "--refine-steps", "2"]
+    runs["linsolve-rank-one"] = ["linsolve", "--matrix", str(system / "rank1.mtx")]
     runs["factor-stats"] = ["factor-stats", "--matrix", str(system / "stokes.mtx")]
     runs["factor-stats-empty-tail"] = ["factor-stats", "--matrix", str(system / "identity2.mtx")]
     runs["factor-stats-laplacian"] = ["factor-stats", "--matrix",
