@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,8 +121,8 @@ class CavityMesh:
 
 
 def build_mesh(level: int) -> CavityMesh:
-    if not (3 <= level <= 12):
-        raise ValueError("mesh level must be between 3 and 12")
+    if not (isinstance(level, Integral) and 3 <= level <= 12):
+        raise ValueError("mesh level must be an integer between 3 and 12")
     ncell = 2 ** (level - 1)       # squares per side
     m = 2 * ncell                  # fine intervals per side
     coords_1d = -1.0 + 2.0 * np.arange(m + 1) / m
@@ -231,10 +232,6 @@ class CavityProblem:
     def n_unknowns(self) -> int:
         return self.mesh.n_unknowns
 
-    def boundary_velocity(self):
-        """(u_x, u_y) Dirichlet data on the full node grid."""
-        return self.lid_values, np.zeros(self.mesh.n_nodes)
-
 
 def build_problem(level: int, re: float, bc_kind: str = "standard") -> CavityProblem:
     """Assemble the constant operators for a cavity at the given Reynolds
@@ -274,6 +271,7 @@ def build_problem(level: int, re: float, bc_kind: str = "standard") -> CavityPro
 
 
 def split_state(prob: CavityProblem, x: np.ndarray):
+    """Views of x's [u_x, u_y, p] blocks: the one statement of the layout."""
     nvi = prob.mesh.n_velocity
     return x[:nvi], x[nvi:2 * nvi], x[2 * nvi:]
 
@@ -281,9 +279,8 @@ def split_state(prob: CavityProblem, x: np.ndarray):
 def expand_state(prob: CavityProblem, x: np.ndarray):
     """Full-grid velocity fields (Dirichlet data injected) and pressure."""
     ux_i, uy_i, p = split_state(prob, x)
-    ubx, uby = prob.boundary_velocity()
-    ux = ubx.copy()
-    uy = uby.copy()
+    ux = prob.lid_values.copy()
+    uy = np.zeros(prob.mesh.n_nodes)
     ux[prob.mesh.interior] = ux_i
     uy[prob.mesh.interior] = uy_i
     return ux, uy, p
@@ -376,16 +373,14 @@ def nonlinear_problem(prob: CavityProblem, x0: np.ndarray) -> NonlinearProblem:
 
 def null_vector(prob: CavityProblem) -> np.ndarray:
     """Unit vector spanning the constant-pressure null space."""
-    nvi = prob.mesh.n_velocity
-    npd = prob.mesh.n_pressure
-    q = np.zeros(2 * nvi + npd)
-    q[2 * nvi:] = 1.0 / math.sqrt(npd)
+    q = np.zeros(prob.n_unknowns)
+    split_state(prob, q)[2][:] = 1.0 / math.sqrt(prob.mesh.n_pressure)
     return q
 
 
 def stokes_rhs(prob: CavityProblem) -> np.ndarray:
     """Right-hand side of the Stokes system: boundary lift of the lid."""
-    ubx, uby = prob.boundary_velocity()
+    ubx, uby, _ = expand_state(prob, np.zeros(prob.n_unknowns))
     intr = prob.mesh.interior
     mom_x = -(prob.nu * (prob.stiffness_full @ ubx))[intr]
     mom_y = -(prob.nu * (prob.stiffness_full @ uby))[intr]
@@ -410,7 +405,7 @@ def stokes_initial_guess(prob: CavityProblem) -> np.ndarray:
     except RuntimeError as exc:
         raise RuntimeError(f"Stokes initial guess: the pinned matrix is singular ({exc})") from exc
     x = np.append(lu.solve(stokes_rhs(prob)[:-1]), 0.0)
-    p = x[2 * prob.mesh.n_velocity:]
+    p = split_state(prob, x)[2]
     p -= p.mean()
     return x
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,32 +30,27 @@ def _pair(text):
     return tuple(float(v) for v in text.split(","))
 
 
-# --set NAME=VALUE parsers, one per SolverConfig / FactorParams field but
-# sigma and regime, which --sigma and --regime set (factor_params itself is
-# set through its own fields, except alpha and droptol, which hybrid_newton
-# sets per phase from alpha_pair/droptol_pair)
-_SOLVER_PARSERS = {
-    "eta_max": float, "beta": float, "epsilon": float,
-    "alpha_pair": _pair, "droptol_pair": _pair, "m": int, "n_trigger": int,
-    "theta": float, "refine_steps": int, "max_nonlinear": int,
-    "max_halvings": int, "gmres_cap": int, "picard_eta": float,
-}
-_FACTOR_PARSERS = {
-    "cond_thresh": float, "diag_thresh": float, "dense_switch": int,
-    "pivot_floor": float,
-}
+# --set NAME=VALUE: every init field of SolverConfig and FactorParams, parsed
+# by its annotation, but the five with another route: --sigma and --regime
+# set sigma and regime, factor_params is set through its own fields, and
+# hybrid_newton sets alpha and droptol per phase from alpha_pair/droptol_pair.
+# An annotation without a parser is a KeyError here, at import.
+_PARSERS = {"float": float, "int": int, "int | None": int, "Optional[tuple]": _pair}
+_OVERRIDES = {f.name: (cls, _PARSERS[f.type])
+              for cls in (SolverConfig, FactorParams) for f in fields(cls)
+              if f.init and f.name not in {"sigma", "regime", "factor_params", "alpha", "droptol"}}
 
 
 def _override(text):
-    """Parse one --set NAME=VALUE into (name, typed value)."""
+    """Parse one --set NAME=VALUE into (config class, name, typed value)."""
     name, sep, value = (part.strip() for part in text.partition("="))
     if not sep:
         raise argparse.ArgumentTypeError(f"override must be name=value, got {text!r}")
-    parse = _SOLVER_PARSERS.get(name) or _FACTOR_PARSERS.get(name)
-    if parse is None:
+    if name not in _OVERRIDES:
         raise argparse.ArgumentTypeError(f"unknown parameter {name!r}")
+    cls, parse = _OVERRIDES[name]
     try:
-        return name, parse(value)
+        return cls, name, parse(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad value for {name}: {value!r}") from None
 
@@ -64,13 +60,12 @@ def _solver_config(args) -> SolverConfig:
     regime = args.regime
     if regime == "auto":
         regime = "low_re" if args.re < 200 else "high_re"
-    solver_kwargs = {"sigma": args.sigma, "regime": regime}
-    factor_kwargs = {}
-    for name, value in args.set or []:
-        (factor_kwargs if name in _FACTOR_PARSERS else solver_kwargs)[name] = value
-    if factor_kwargs:
-        solver_kwargs["factor_params"] = FactorParams(**factor_kwargs)
-    return SolverConfig(**solver_kwargs)
+    kwargs = {SolverConfig: {}, FactorParams: {}}
+    for cls, name, value in args.set or []:
+        kwargs[cls][name] = value
+    return SolverConfig(sigma=args.sigma, regime=regime,
+                        factor_params=FactorParams(**kwargs[FactorParams]),
+                        **kwargs[SolverConfig])
 
 
 def _out_dir(args) -> Path:
@@ -201,8 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multilevel-ILU preconditioned solvers for sparse saddle-point systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags more than one subcommand takes
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output-dir", default=None)
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--matrix", required=True)
+    system.add_argument("--alpha", type=float, default=5.0)
+    system.add_argument("--droptol", type=float, default=0.01)
 
-    pc = sub.add_parser("cavity", help="run the lid-driven cavity benchmark")
+    pc = sub.add_parser("cavity", parents=[output], help="run the lid-driven cavity benchmark")
     pc.add_argument("--level", type=int, choices=range(3, 13), required=True,
                     metavar="{3..12}", help="mesh level")
     pc.add_argument("--re", type=_positive_float, required=True, help="Reynolds number")
@@ -211,27 +213,20 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--regime", choices=["auto", "low_re", "high_re"], default="auto")
     pc.add_argument("--set", action="append", type=_override, metavar="NAME=VALUE",
                     help="override a solver or factorization parameter")
-    pc.add_argument("--output-dir", default=None)
     pc.set_defaults(func=run_cavity)
 
-    pl = sub.add_parser("linsolve", help="solve an external Matrix Market system")
-    pl.add_argument("--matrix", required=True)
+    pl = sub.add_parser("linsolve", parents=[system, output],
+                        help="solve an external Matrix Market system")
     pl.add_argument("--rhs", default=None)
     pl.add_argument("--null-vector", default=None)
-    pl.add_argument("--alpha", type=float, default=5.0)
-    pl.add_argument("--droptol", type=float, default=0.01)
     pl.add_argument("--restart", type=int, default=30)
     pl.add_argument("--rtol", type=float, default=1e-10)
     pl.add_argument("--max-iters", type=int, default=200)
     pl.add_argument("--refine-steps", type=int, default=1)
-    pl.add_argument("--output-dir", default=None)
     pl.set_defaults(func=run_linsolve)
 
-    pf = sub.add_parser("factor-stats", help="dump per-level factorization statistics")
-    pf.add_argument("--matrix", required=True)
-    pf.add_argument("--alpha", type=float, default=5.0)
-    pf.add_argument("--droptol", type=float, default=0.01)
-    pf.add_argument("--output-dir", default=None)
+    pf = sub.add_parser("factor-stats", parents=[system, output],
+                        help="dump per-level factorization statistics")
     pf.set_defaults(func=run_factor_stats)
 
     return parser

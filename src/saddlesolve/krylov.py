@@ -10,6 +10,7 @@ preconditioned vectors so the sweeps may vary between iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +36,9 @@ class GmresParams:
     rtol: float = 1e-6
 
     def __post_init__(self):
+        for name in ("restart", "max_iters"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.restart < 1:
             raise ValueError("restart must be >= 1")
         if self.max_iters < self.restart:
@@ -53,6 +57,8 @@ class PrecondOperator:
 
     def __init__(self, factor: MultilevelFactor, j_op=None,
                  null_basis: np.ndarray | None = None, refine_steps: int = 1):
+        if not isinstance(refine_steps, Integral):
+            raise ValueError("refine_steps must be an integer")
         if refine_steps < 1:
             raise ValueError("refine_steps must be >= 1")
         if refine_steps > 1 and j_op is None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -139,6 +140,8 @@ class FactorParams:
             raise ValueError("cond_thresh must exceed 1")
         if not (0 < self.diag_thresh < 1):
             raise ValueError("diag_thresh must be in (0, 1)")
+        if self.dense_switch is not None and not isinstance(self.dense_switch, Integral):
+            raise ValueError("dense_switch must be an integer")
         if self.dense_switch is not None and not 1 <= self.dense_switch <= _MAX_DENSE_TAIL:
             raise ValueError(f"dense_switch must be in [1, {_MAX_DENSE_TAIL}]")
         if not (self.pivot_floor >= 0):

@@ -14,6 +14,7 @@ on the next step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -88,6 +89,8 @@ class SolverConfig:
             raise ValueError("theta must be in (0, 0.5)")
         for name in ("m", "n_trigger", "refine_steps", "max_nonlinear",
                      "max_halvings", "gmres_cap"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer")
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.m > self.gmres_cap:

@@ -30,6 +30,14 @@ class TestMesh:
         with pytest.raises(ValueError):
             cav.build_mesh(13)
 
+    @pytest.mark.parametrize("level", [3.5, 4.0, "4"])
+    def test_non_integer_level_refused(self, level):
+        # a numpy integer is a level; anything else is refused here, not as
+        # an IndexError deep in the mesh build
+        assert cav.build_mesh(np.int64(3)).level == 3
+        with pytest.raises(ValueError, match="mesh level must be an integer"):
+            cav.build_mesh(level)
+
     def test_node_order_lexicographic_by_y_then_x(self):
         mesh = cav.build_mesh(3)
         order = np.lexsort((mesh.nodes[:, 0], mesh.nodes[:, 1]))

@@ -120,22 +120,36 @@ def test_cavity_rejects_unknown_override(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
 
 
-def test_override_table_covers_every_config_field():
+def test_every_set_name_reaches_the_config():
+    # each init field of SolverConfig and FactorParams is a --set name, but
+    # the six with another route: --sigma and --regime set sigma and regime,
+    # factor_params is set through its own fields, phase_params is derived,
+    # and each phase takes alpha and droptol from alpha_pair and droptol_pair.
+    # A non-default value must reach the config _solver_config builds, with
+    # its type: a dropped name, a misrouted one or a wrong parser fails here
     from dataclasses import fields
 
     from saddlesolve import cli
     from saddlesolve.mlilu import FactorParams
     from saddlesolve.nonlinear import SolverConfig
 
-    # phase_params is derived (init=False), not settable; --sigma and
-    # --regime set sigma and regime
-    solver = {f.name for f in fields(SolverConfig) if f.init} - {"factor_params", "sigma",
-                                                                 "regime"}
-    assert set(cli._SOLVER_PARSERS) == solver
-    # SolverConfig rejects factor_params' alpha and droptol: each phase takes
-    # them from alpha_pair and droptol_pair
-    factor = {f.name for f in fields(FactorParams)} - {"alpha", "droptol"}
-    assert set(cli._FACTOR_PARSERS) == factor
+    other_route = {"sigma", "regime", "factor_params", "phase_params", "alpha", "droptol"}
+    explicit = {"alpha_pair": ("3,4", (3.0, 4.0)), "droptol_pair": ("0.05,0.005", (0.05, 0.005)),
+                "dense_switch": ("100", 100)}
+    for cls in (SolverConfig, FactorParams):
+        for f in fields(cls):
+            if not f.init or f.name in other_route:
+                continue
+            if f.name in explicit:
+                text, value = explicit[f.name]
+            else:
+                value = f.default / 2 if isinstance(f.default, float) else f.default + 1
+                text = repr(value)
+            args = cli.build_parser().parse_args(
+                ["cavity", "--level", "3", "--re", "50", "--set", f"{f.name}={text}"])
+            cfg = cli._solver_config(args)
+            got = getattr(cfg if cls is SolverConfig else cfg.factor_params, f.name)
+            assert (got, type(got)) == (value, type(value)), f.name
 
 
 def test_cavity_nonfinite_direction_writes_reports_and_fails(tmp_path, monkeypatch):

@@ -16,6 +16,19 @@ def make_factor(a, exact=True):
     return factorize(a, FactorParams(alpha=2.0, droptol=0.05, dense_switch=8))
 
 
+@pytest.mark.parametrize("make, name", [
+    (GmresParams, "restart"), (GmresParams, "max_iters"), (PrecondOperator, "refine_steps"),
+])
+def test_integer_parameters_refuse_non_integers(make, name):
+    # a numpy integer is accepted; a float is refused at construction, not
+    # as a TypeError inside fgmres or apply
+    a, _ = random_sparse(10, 0.4, seed=35, diag_shift=3.0)
+    args = (make_factor(a), a) if make is PrecondOperator else ()
+    assert getattr(make(*args, **{name: np.int64(40)}), name) == 40
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        make(*args, **{name: 40.5})
+
+
 class TestApplyPrecond:
     def test_k1_no_projector_is_plain_solve(self):
         from saddlesolve.mlilu import ml_solve

@@ -1174,6 +1174,14 @@ def test_crout_level_rejects_bad_input_up_front(shape, n_candidates, match):
         crout_ilu_level(a, FactorParams(), n_candidates)
 
 
+@pytest.mark.parametrize("dense_switch", [2.5, 100.0, "100"])
+def test_dense_switch_refuses_non_integers(dense_switch):
+    # a numpy integer is accepted; anything else is refused when it is built
+    assert FactorParams(dense_switch=np.int64(100)).dense_switch == 100
+    with pytest.raises(ValueError, match="dense_switch must be an integer"):
+        FactorParams(dense_switch=dense_switch)
+
+
 @pytest.mark.parametrize("consumer, name", [(equilibrate, "equilibrate"),
                                             (factorize, "factorize"),
                                             (mlilu.reorder, "reorder")])

@@ -437,6 +437,16 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=match):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["m", "n_trigger", "refine_steps", "max_nonlinear",
+                                      "max_halvings", "gmres_cap"])
+    def test_integer_fields_refuse_non_integers(self, name):
+        # a numpy integer is accepted; a float is refused here, not as a
+        # TypeError inside fgmres
+        default = getattr(SolverConfig, name)
+        assert getattr(SolverConfig(**{name: np.int64(default)}), name) == default
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SolverConfig(**{name: default + 0.5})
+
     def test_boundary_values_accepted(self):
         SolverConfig(m=200, gmres_cap=200, epsilon=1e-12, eta_max=0.999,
                      picard_eta=1e-3, factor_params=FactorParams(dense_switch=4000))

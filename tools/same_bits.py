@@ -4,7 +4,9 @@
 
 Each argument is a ``src`` directory holding the ``saddlesolve`` package.
 Both trees run the same CLI commands, each with PYTHONPATH set to its own
-``src``, one BLAS thread and its own output directory: four cavity runs,
+``src``, one BLAS thread and its own output directory: five cavity runs
+(one of them sets a solver and a factorization parameter of each parser
+kind through ``--set``),
 ``linsolve`` and ``factor-stats`` on the level-4 Re 100 Stokes system,
 ``factor-stats`` on 2 I of n 600, whose one level eliminates every unknown
 and leaves an empty dense tail, ``factor-stats`` on the 22 x 22
@@ -37,6 +39,10 @@ CAVITY_RUNS = {
                              "--regime", "high_re"],
     "cavity-l4-re100-regularized": ["--level", "4", "--re", "100", "--bc", "regularized",
                                     "--set", "refine_steps=1"],
+    # one --set override of each parser kind: int, float, pair and int | None
+    "cavity-l4-re100-overrides": ["--level", "4", "--re", "100", "--set", "n_trigger=15",
+                                  "--set", "picard_eta=0.2", "--set", "alpha_pair=3,3",
+                                  "--set", "cond_thresh=8", "--set", "dense_switch=100"],
     # its dense Schur levels (n ~ 2000-2400) are the Crout kernel's heaviest gathers
     "cavity-l6-re1000-high": ["--level", "6", "--re", "1000", "--sigma", "1e-5",
                               "--regime", "high_re"],
