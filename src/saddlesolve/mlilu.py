@@ -353,15 +353,11 @@ class _Flat:
         self.val[start:end] = val
         return end
 
-    def append(self, k: int, idx: np.ndarray, val: np.ndarray, sizes=None) -> None:
-        """Store vector k, or with ``sizes`` the vectors k, k + 1, ... of
-        those sizes, back to back in ``idx`` and ``val``."""
+    def append(self, k: int, idx: np.ndarray, val: np.ndarray, sizes) -> None:
+        """Store ``idx`` and ``val`` as the vectors k, k + 1, ... of ``sizes``."""
         start = self.ptr[k]
-        end = self.write(start, idx, val)
-        if sizes is None:
-            self.ptr[k + 1] = end
-        else:
-            self.ptr[k + 1:k + 1 + len(sizes)] = start + np.cumsum(sizes)
+        self.write(start, idx, val)
+        self.ptr[k + 1:k + 1 + len(sizes)] = start + np.cumsum(sizes)
 
     def at_indices(self, k0: int, k1: int):
         """The entries of the first k0 vectors at indices k0..k1-1, grouped
@@ -504,8 +500,11 @@ def crout_ilu_level(
     dense accumulator; its sorted unique indices are read off a boolean
     mask of the touched positions.  A gather with no in-block update only
     sorts its row of the product in place (scipy's compiled
-    csr_sort_indices).  The sum of every entry thus runs in the order of
-    one sequential gather.  SMMP leaves out sums that are exactly zero and
+    csr_sort_indices).  A gather's sum keeps its eliminated indices: k is
+    marked eliminated before its two stores, so one filter per stored
+    vector drops them and k's own index, before the division by the
+    pivot.  The sum of every entry thus runs in the order of one
+    sequential gather.  SMMP leaves out sums that are exactly zero and
     the accumulator keeps them, but the value drop stores none, so the
     block size changes no bit, at any droptol.
 
@@ -514,9 +513,10 @@ def crout_ilu_level(
     the run (_independent_prefix).  No pivot of the run then reaches
     another, so each of its gathers is its row of the product unchanged,
     and the L pivots are eliminated in one step, in index order: one
-    in-place row sort and eliminated-mask filter per side, the estimators
-    read off the block's sums, complete since no pivot of the run reaches
-    another, a vectorized deferral test, the running maxima by np.maximum.accumulate, a
+    in-place row sort per side, the estimators read off the block's sums,
+    complete since no pivot of the run reaches another, a vectorized
+    deferral test, the running maxima by np.maximum.accumulate, the
+    eliminated-mask filter once the accepted pivots are marked, a
     segmented drop and cap, one append per side, and their multipliers at
     the rest of the block recorded as in store.  The rest of the block
     runs one pivot at a time.
@@ -585,6 +585,7 @@ def crout_ilu_level(
     # by side and row in the block, sum_j mult_j v_j over the pivots that
     # reach the row so far, in pivot order
     est_sum = np.zeros((2, block))
+    est_rows = tuple(est_sum)  # by side, a 1-D view of est_sum's row
     acc = np.zeros(n)  # dense accumulator, all zero between gathers
     touched = np.zeros(n, dtype=bool)  # all False between gathers
 
@@ -608,13 +609,6 @@ def crout_ilu_level(
                      np.concatenate([f.ptr[:k0 + 1], m.indptr[k0 + 1:k1 + 1] - lo + end]),
                      f.idx[:tail], f.val[:tail], n)
 
-    def own_pivots(s, r, k0):
-        """The block's pivots whose side-s vectors reach block row r (their
-        indices k) and their multipliers there."""
-        row = mult[s, r]
-        j = row[:r].nonzero()[0]
-        return j + k0, row[j]
-
     def earlier_sums(s, k0, k1):
         """est_sum's side-s rows k0..k1-1 over the pivots before k0, summed
         one term at a time in pivot order (bincount adds its weights in
@@ -623,20 +617,22 @@ def crout_ilu_level(
         rows = np.repeat(np.arange(k1 - k0), np.diff(ptr))
         est_sum[s, :k1 - k0] = np.bincount(rows, vals * v[s][cands], minlength=k1 - k0)
 
-    def gather(s, r, own, own_vals):
-        """Side s's vector k0 + r of the active matrix, sorted and
-        restricted to the non-eliminated indices: row r of its block
-        product plus the updates of the block's pivots ``own``, whose
-        multipliers ``own_vals`` the other side stored."""
+    def gather(s, r, k0):
+        """Side s's vector k0 + r of the active matrix, sorted, its
+        eliminated indices left in for store to drop: row r of its block
+        product plus the updates of the block's pivots whose side-s vectors
+        reach it, weighted by the multipliers the other side stored there."""
         m, f = sums[s], flat[s]
         lo, hi = m.indptr[r], m.indptr[r + 1]
+        row = mult[1 - s, r, :r]
+        own = row.nonzero()[0]
         if own.size:
-            p = f.ptr
+            p = f.ptr[k0:k0 + r + 1].tolist()
             cuts = [slice(p[j], p[j + 1]) for j in own.tolist()]
             # intp indexes fastest; the flat buffers keep A's narrower index dtype
             gi = np.concatenate([m.indices[lo:hi], *[f.idx[c] for c in cuts]], dtype=np.intp)
             gv = np.concatenate([m.data[lo:hi], *[f.val[c] for c in cuts]])
-            gv[hi - lo:] *= (-own_vals * diag[own]).repeat([c.stop - c.start for c in cuts])
+            gv[hi - lo:] *= (-row[own] * diag[k0 + own]).repeat([c.stop - c.start for c in cuts])
             np.add.at(acc, gi, gv)
             touched[gi] = True
             uq = touched.nonzero()[0]
@@ -648,51 +644,63 @@ def crout_ilu_level(
             # the row is the sum as it is, sorted in place
             csr_sort_indices(1, m.indptr[r:r + 2], m.indices, m.data)
             uq, total = m.indices[lo:hi], m.data[lo:hi]
-        live = ~eliminated[uq]
-        return uq[live], total[live]
+        return uq, total
 
-    def store(s, k, k0, k1, idx, val, vk):
+    def store(s, k, k0, k1, idx, val, pivot, vk):
         """Record pivot k's side-s estimator ``vk`` in its state and
-        running maximum, drop, then store its side-s vector (``val``
-        already divided by the pivot) and note its entries at the block's
-        pending indices as its multipliers."""
+        running maximum, then store its side-s vector and note its entries
+        at the block's pending indices as its multipliers.  The gathered
+        ``idx`` still holds eliminated indices, k's own among them since k
+        is marked first: one filter drops them before the rest is divided
+        by ``pivot``, dropped and capped."""
         v[s][k] = vk
         est[s] = max(est[s], vk)
-        keep = (idx != k) & (np.abs(val) * est[s] > droptol)
+        live = ~eliminated[idx]
+        idx, val = idx[live], val[live] / pivot
+        keep = np.abs(val) * est[s] > droptol
         idx, val = idx[keep], val[keep]
-        if idx.size > caps[s, k]:
-            sel = np.lexsort((idx, -np.abs(val)))[:caps[s, k]]
+        cap = block_caps[s][k - k0]
+        if idx.size > cap:
+            sel = np.lexsort((idx, -np.abs(val)))[:cap]
             sel.sort()
             idx, val = idx[sel], val[sel]
-        flat[s].append(k, idx, val)
+        f = flat[s]
+        start = f.ptr[k]
+        end = f.ptr[k + 1] = start + idx.size
+        if end > f.val.size:
+            f.write(start, idx, val)  # grows the buffers
+        else:
+            f.idx[start:end], f.val[start:end] = idx, val
         lo, hi = idx.searchsorted((k + 1, k1))
-        at = idx[lo:hi] - k0
-        mult[s, at, k - k0] = val[lo:hi]
-        est_sum[s, at] += val[lo:hi] * vk
+        if hi > lo:
+            at = idx[lo:hi] - k0
+            mult[s, at, k - k0] = val[lo:hi]
+            est_rows[s][at] += val[lo:hi] * vk
 
     def prefix_rows(s, npre):
         """Rows 0..npre-1 of side s's block product, which no pivot of the
-        prefix updates: their entries, sorted in place within each row and
-        restricted to the non-eliminated indices, as (row, index, value)
-        arrays."""
+        prefix updates: their entries, sorted in place within each row,
+        eliminated indices left in for store_prefix to drop, as (row,
+        index, value) arrays."""
         m = sums[s]
         end = m.indptr[npre]
         csr_sort_indices(npre, m.indptr, m.indices, m.data)
         seg = np.repeat(np.arange(npre), np.diff(m.indptr[:npre + 1]))
-        idx, val = m.indices[:end], m.data[:end]
-        live = ~eliminated[idx]
-        return seg[live], idx[live], val[live]
+        return seg, m.indices[:end], m.data[:end]
 
     def store_prefix(s, k0, k1, accept, seg, idx, val, pivot, vk):
         """store for the prefix's pivots at once, an empty vector for each
-        deferred one: ``accept``, ``pivot`` and ``vk`` are by prefix row."""
+        deferred one: ``accept``, ``pivot`` and ``vk`` are by prefix row.
+        One filter drops the eliminated indices as in store: the accepted
+        ones of the prefix are marked, and a prefix row holds no prefix
+        index but its own."""
         pre = slice(k0, k0 + pivot.size)
         v[s][pre] = vk
         # every estimate is at least 1, so a deferred row leaves the maximum be
         run = np.maximum.accumulate(np.r_[est[s], np.where(accept, vk, 1.0)])
         est[s] = run[-1]
         caps_pre = caps[s, pre]
-        keep = accept[seg] & (idx != k0 + seg)
+        keep = accept[seg] & ~eliminated[idx]
         r, idx = seg[keep], idx[keep]
         val = val[keep] / pivot[r]
         keep = np.abs(val) * run[r + 1] > droptol
@@ -720,6 +728,7 @@ def crout_ilu_level(
         earlier = [f.at_indices(k0, k1) for f in flat]
         sums = [block_sums(s, k0, k1) for s in (0, 1)]
         mult.fill(0.0)
+        block_caps = caps[:, k0:k1].tolist()  # the caps store reads, as ints
         for s in (0, 1):
             earlier_sums(s, k0, k1)
 
@@ -741,12 +750,12 @@ def crout_ilu_level(
 
         for k in range(k0 + npre, k1):
             r = k - k0
-            vk = 1.0 + abs(est_sum[0, r]), 1.0 + abs(est_sum[1, r])
+            vk = 1.0 + abs(est_rows[0][r]), 1.0 + abs(est_rows[1][r])
             # a candidate its estimators defer is not gathered, and its
             # column is gathered only if the pivot on its row passes
             pivot = 0.0
             if vk[0] <= cond_thresh and vk[1] <= cond_thresh:
-                idx, val = gather(0, r, *own_pivots(1, r, k0))
+                idx, val = gather(0, r, k0)
                 at = idx.searchsorted(k)
                 if at < idx.size and idx[at] == k:
                     pivot = val[at]
@@ -754,11 +763,11 @@ def crout_ilu_level(
                 for s in (0, 1):
                     flat[s].ptr[k + 1] = flat[s].ptr[k]
                 continue
-            cidx, cval = gather(1, r, *own_pivots(0, r, k0))
+            cidx, cval = gather(1, r, k0)
             eliminated[k] = True
             diag[k] = pivot
-            store(0, k, k0, k1, idx, val / pivot, vk[0])
-            store(1, k, k0, k1, cidx, cval / pivot, vk[1])
+            store(0, k, k0, k1, idx, val, pivot, vk[0])
+            store(1, k, k0, k1, cidx, cval, pivot, vk[1])
 
     # -- the level in elimination-then-deferred order, and its Schur complement --
     elim = np.flatnonzero(eliminated)
@@ -780,7 +789,7 @@ def crout_ilu_level(
 
     # the elimination's working set is dead; each flat buffer goes once its
     # factor is built
-    mats = sums = earlier = rows = mult = est_sum = acc = touched = None
+    mats = sums = earlier = rows = mult = est_sum = est_rows = acc = touched = None
     u_mat = unit_form(flat.pop(0), sp.csr_matrix)
     l_mat = unit_form(flat.pop(0), sp.csc_matrix)
     d = diag[elim]

@@ -24,7 +24,9 @@ rounds the change took less CPU than the parent, each tree's
 ``tracemalloc`` peak in MiB over the call, measured in one more, fresh
 subprocess per tree, and ``same`` or ``DIFFERS`` for the dtypes and bytes
 of the returned factor and Schur complement; then, per workload, the sum
-of each tree's per-level CPU medians.  Exits 1 on any difference.
+of each tree's per-level CPU medians and in how many of the N rounds the
+change's summed level CPU (its levels' seconds of that round, added) was
+lower than the parent's.  Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -165,6 +167,8 @@ def main(argv: list[str]) -> int:
             return 2
     differs = 0
     medians = {name: {} for name in trees}
+    # by tree and workload, each round's CPU seconds summed over the levels
+    totals = {name: {} for name in trees}
     with tempfile.TemporaryDirectory() as tmp:
         levels = {}
         for name, src in trees.items():
@@ -193,6 +197,7 @@ def main(argv: list[str]) -> int:
             differs += not same
             for name in trees:
                 medians[name].setdefault(workload, []).append(float(np.median(seconds[name])))
+                totals[name][workload] = totals[name].get(workload, 0.0) + np.array(seconds[name])
             print(f"level {i} ({workload}): n {n}, {z['data'].size / n:.0f} nnz/row, "
                   f"block {blocks['parent']}/{blocks['change']}, "
                   f"CPU s {_per_tree(seconds, '.2f')}, "
@@ -200,8 +205,10 @@ def main(argv: list[str]) -> int:
                   f"tracemalloc peak MiB {peaks}, "
                   f"{'same' if same else 'DIFFERS'}", flush=True)
     for workload in medians["parent"]:
+        lower = int(np.sum(totals["change"][workload] < totals["parent"][workload]))
         print(f"{workload} summed medians, CPU s: "
-              + "  ".join(f"{name} {sum(medians[name][workload]):.2f}" for name in trees))
+              + "  ".join(f"{name} {sum(medians[name][workload]):.2f}" for name in trees)
+              + f", change's summed CPU lower in {lower} of {args.repeats} rounds")
     return 1 if differs else 0
 
 
