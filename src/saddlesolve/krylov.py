@@ -67,11 +67,11 @@ class PrecondOperator:
         self.j_op = j_op
         self.refine_steps = refine_steps
         if null_basis is not None:
+            nrm = finite_norm(null_basis, "null basis")
             null_basis = np.asarray(null_basis, dtype=np.float64)
             if null_basis.shape != (factor.n,):
                 raise ValueError(f"null basis length {null_basis.shape} does not match "
                                  f"factor size {factor.n}")
-            nrm = finite_norm(null_basis, "null basis")
             if nrm == 0:
                 raise ValueError("null basis must be nonzero")
             null_basis = null_basis / nrm
@@ -106,11 +106,14 @@ class KrylovReport:
 
 
 def finite_norm(v: np.ndarray, what: str):
-    """np.linalg.norm(v); a ValueError naming ``what`` if an entry of v is
-    not finite or the sum of squares the norm is taken of overflows (as it
-    does from entries of about 1e154), which raises no RuntimeWarning."""
+    """The 2-norm of v as float64; a ValueError naming ``what`` if v is
+    complex, if an entry of v is not finite or if the sum of squares the
+    norm is taken of overflows (as it does from entries of about 1e154),
+    which raises no RuntimeWarning."""
+    if np.iscomplexobj(v):
+        raise ValueError(f"{what} must be real")
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(v)
+        norm = np.linalg.norm(np.asarray(v, dtype=np.float64))
     if not np.isfinite(norm):
         raise ValueError(f"{what} must be finite, with a norm that does not overflow")
     return norm
@@ -126,18 +129,23 @@ def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray, params: GmresPa
     of the norm of w = A z_j (Saad, Iterative Methods for Sparse Linear
     Systems, 2nd ed., ch. 6), is treated as convergence to the current
     subspace and flagged on the report.  Scaling b by a power of 2 scales x
-    by it bit for bit, away from overflow and underflow; a b whose norm
-    overflows is refused.
+    by it bit for bit, away from overflow and subnormal entries; a complex
+    b, or one whose norm overflows, is refused.
     """
+    finite_norm(b, "right-hand side")
     b = np.asarray(b, dtype=np.float64)
     n = b.size
-    bnorm = finite_norm(b, "right-hand side")
     report = KrylovReport()
     x = np.zeros(n)
-    if bnorm == 0.0:
+    if not b.any():
         report.converged = True
         report.final_relres = 0.0
         return x, report
+    # solved at max |b| in [1/2, 1), where the squares of ||b|| cannot
+    # underflow; the scaling by a power of 2 is exact both ways
+    e = np.frexp(np.abs(b).max())[1]
+    b = np.ldexp(b, -e)
+    bnorm = np.linalg.norm(b)
 
     tol = params.rtol * bnorm
     total = 0
@@ -198,7 +206,7 @@ def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray, params: GmresPa
     report.iterations = total
     report.final_relres = rnorm / bnorm
     report.converged = bool(rnorm <= tol)
-    return x, report
+    return np.ldexp(x, e), report
 
 
 def eta_newton(normF_k: float, normF_km1: float, eta_prev: float,

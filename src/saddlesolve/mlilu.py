@@ -40,10 +40,8 @@ from scipy.sparse.linalg._dsolve._superlu import gstrs
 # without the symbolic pass that @ runs first to size its output, and the
 # in-place row sort behind sort_indices, called on a few rows of it
 from scipy.sparse._sparsetools import csr_matmat, csr_sort_indices
+from scipy.sparse.linalg import spilu
 
-# factorize calls reorder through this module's namespace, where
-# perfbench's tracer wraps it
-from .ordering import reorder
 from .sparse import as_csr
 
 __all__ = [
@@ -52,6 +50,7 @@ __all__ = [
     "LevelFactor",
     "MultilevelFactor",
     "equilibrate",
+    "reorder",
     "static_defer",
     "crout_ilu_level",
     "factorize",
@@ -102,9 +101,9 @@ _INT32_MAX = np.iinfo(np.int32).max
 
 
 class FactorizationError(ValueError):
-    """The matrix cannot be factorized as given (a non-finite entry, a
-    structurally empty row or column, or a Schur complement or dense tail
-    too large to allocate)."""
+    """The matrix cannot be factorized as given (a complex or non-finite
+    entry, a structurally empty row or column, or a Schur complement or
+    dense tail too large to allocate)."""
 
 
 @dataclass(frozen=True)
@@ -313,6 +312,44 @@ def _ruiz(a: sp.csr_matrix):
         dr[live_r] /= np.sqrt(rn[live_r])
         dc[live_c] /= np.sqrt(cn[live_c])
     return dr, dc
+
+
+def reorder(a: sp.csr_matrix) -> np.ndarray:
+    """Elimination order (old indices in elimination sequence) of a square
+    sparse matrix by SuperLU's multiple minimum degree on the pattern of
+    A + A^T (Liu, Modification of the minimum-degree algorithm by multiple
+    elimination, ACM TOMS 1985), a sibling of the approximate minimum degree
+    of Amestoy, Davis and Duff.  It is deterministic, and a graph with no
+    edges orders as the identity.
+
+    The ordering depends only on the pattern, and SuperLU forms the graph
+    of M + M^T from the matrix M it is given, so M holds only the upper
+    triangle of the pattern of A + A^T + I: as CSC, the CSR arrays of its
+    lower triangle.  (The lower triangle as CSC is the same graph, but
+    SuperLU then breaks minimum-degree ties another way.)  M has 1 off the
+    diagonal and 2 on it, and the incomplete driver spilu runs after the
+    ordering drops every entry below 0.99 times its column's largest, so
+    it keeps only the diagonal and never meets a zero pivot.  SuperLU
+    computes the column order from the pattern alone, before any numeric
+    work, in the same code for its complete and its incomplete driver, and
+    the numeric factorization leaves it as it is.  So the incomplete driver
+    (drop_tol 0.99, fill_factor 1) returns the complete LU's order without
+    paying for the complete LU.  perm_c is the forward permutation; its
+    argsort is the order.
+    """
+    n = a.shape[0]
+    if n != a.shape[1]:
+        raise ValueError("reorder requires a square matrix")
+    pat = sp.csr_matrix((np.ones(a.nnz, np.int8), a.indices, a.indptr), shape=a.shape)
+    lower = (sp.tril(pat, format="csr") + sp.tril(pat.T, format="csr")
+             + sp.eye(n, dtype=np.int8, format="csr"))
+    data = np.ones(lower.nnz)
+    # each sorted row of the lower triangle ends with its diagonal
+    data[lower.indptr[1:] - 1] = 2.0
+    m = sp.csc_matrix((data, lower.indices, lower.indptr), shape=a.shape)
+    lu = spilu(m, drop_tol=0.99, fill_factor=1, permc_spec="MMD_AT_PLUS_A",
+               diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    return np.argsort(lu.perm_c).astype(np.intp)
 
 
 def static_defer(diag: np.ndarray, diag_thresh: float):
@@ -976,7 +1013,7 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
     near-null directions are cut, and the factor flagged ``perturbed``
     (_dense_tail): after a level that eliminated with droptol > 0, those
     under a relative threshold; otherwise only if numerically singular.  A
-    non-finite stored entry, and a tail of more than _MAX_DENSE_TAIL
+    complex or non-finite stored entry, and a tail of more than _MAX_DENSE_TAIL
     unknowns, are a FactorizationError, raised before equilibration and
     before the dense allocation, and so is a Schur complement bounded at
     more than 256 entries per stored entry of its level (crout_ilu_level),
@@ -993,6 +1030,8 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
     a = as_csr(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("factorize requires a square matrix")
+    if np.iscomplexobj(a.data):
+        raise FactorizationError("matrix must be real")
     finite = np.isfinite(a.data)
     if not finite.all():
         k = int(np.argmin(finite))
@@ -1071,6 +1110,8 @@ def ml_solve(m: MultilevelFactor, v: np.ndarray) -> np.ndarray:
     to its right-hand side less that side's (scaled) component along the
     cut left directions.
     Leaves the factor unchanged; concurrent calls on one factor are safe."""
+    if np.iscomplexobj(v):
+        raise ValueError("vector must be real")
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (m.n,):
         raise ValueError(f"vector length {v.shape} does not match factor size {m.n}")

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .krylov import GmresParams, PrecondOperator, eta_newton, fgmres
+from .krylov import GmresParams, PrecondOperator, eta_newton, fgmres, finite_norm
 from .mlilu import FactorizationError, FactorParams, factorize
 from .mmio import write_csv
 
@@ -182,8 +182,7 @@ def armijo_damp(residual: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     {1, 1/2, 1/4, ...} with ||F(x + omega s)|| <= (1 - theta*omega)*||F(x)||.
     Returns (omega, x_new, F(x_new), ||F(x_new)||); raises LineSearchError
     when max_halvings is exhausted."""
-    if not np.all(np.isfinite(s)):
-        raise ValueError("search direction must be finite")
+    finite_norm(s, "search direction")
     omega = 1.0
     for _ in range(max_halvings + 1):
         trial = x + omega * s
@@ -208,12 +207,9 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
     factorizes again."""
     cfg = cfg or SolverConfig()
     x = np.asarray(prob.x0, dtype=np.float64).copy()
-    fx = np.asarray(prob.residual(x), dtype=np.float64)
-    # an entry that is not finite, or a norm that overflows (unwarned)
-    with np.errstate(over="ignore"):
-        norm_f0 = float(np.linalg.norm(fx))
-    if not np.isfinite(norm_f0):
-        raise ValueError("residual at the initial guess is not finite")
+    fx = prob.residual(x)
+    norm_f0 = float(finite_norm(fx, "residual at the initial guess"))
+    fx = np.asarray(fx, dtype=np.float64)
     if norm_f0 == 0.0:
         raise ValueError("residual at the initial guess is zero; nothing to solve")
 

@@ -43,7 +43,7 @@ def test_cavity_rejects_degenerate_re(tmp_path, capsys):
 
 @pytest.mark.parametrize("re, message", [
     ("1e-307", "Stokes initial guess: the pinned matrix is singular"),
-    ("1e-302", "residual at the initial guess is not finite"),
+    ("1e-302", "residual at the initial guess must be finite, with a norm that does not overflow"),
 ])
 def test_a_reynolds_number_too_small_exits_2_with_one_line(tmp_path, capsys, re, message):
     # nu = 2/Re overflows the Stokes system or the initial residual: an

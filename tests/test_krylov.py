@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from saddlesolve.krylov import GmresParams, PrecondOperator, eta_newton, fgmres
-from saddlesolve.mlilu import FactorParams, factorize
+from saddlesolve.mlilu import FactorParams, factorize, ml_solve
 from saddlesolve.sparse import as_csr
 
 from conftest import random_sparse
@@ -244,6 +244,37 @@ class TestFgmres:
             assert np.array_equal(xk, 2.0**k * x), k
             assert (repk.iterations, repk.breakdown, repk.residual_history) == (
                 rep.iterations, rep.breakdown, rep.residual_history), k
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    def test_a_system_whose_rhs_norm_underflows_is_solved(self, scale):
+        # below about 1e-154 the squares of ||b|| underflow to 0: the solve
+        # used to return x = 0 after 0 iterations, flagged converged
+        a, rng = random_sparse(300, 0.02, seed=48, diag_shift=2.0)
+        b = rng.standard_normal(300)
+        fp, params = FactorParams(droptol=0.05, dense_switch=20), GmresParams(rtol=1e-10)
+        x, rep = fgmres(a, PrecondOperator(factorize(a, fp)), b, params)
+        assert rep.converged and rep.iterations > 1
+        # b scaled, then A and b: x is scaled, then the same
+        for op, x_scale in ((a, scale), (scale * a, 1.0)):
+            xs, reps = fgmres(op, PrecondOperator(factorize(op, fp)), scale * b, params)
+            assert reps.converged and reps.iterations == rep.iterations
+            assert np.linalg.norm(xs / x_scale - x) <= 1e-12 * np.linalg.norm(x)
+
+
+_COMPLEX_INPUT = {
+    "factorize": lambda i3: factorize(1j * i3),
+    "ml_solve": lambda i3: ml_solve(factorize(i3), 1j * np.ones(3)),
+    "fgmres": lambda i3: fgmres(i3, None, 1j * np.ones(3), GmresParams()),
+    "PrecondOperator": lambda i3: PrecondOperator(factorize(i3), null_basis=1j * np.ones(3)),
+}
+
+
+@pytest.mark.parametrize("entry", _COMPLEX_INPUT)
+def test_complex_input_is_refused(entry):
+    # each used to warn and go on with the real part: ml_solve of 1j * ones
+    # returned zeros
+    with pytest.raises(ValueError, match="must be real"):
+        _COMPLEX_INPUT[entry](as_csr(sp.eye(3, format="csr")))
 
 
 class TestEtaNewton:

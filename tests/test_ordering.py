@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spilu, splu
 
-from saddlesolve import ordering
-from saddlesolve.ordering import reorder
+from saddlesolve import mlilu
+from saddlesolve.mlilu import reorder
 from saddlesolve.sparse import as_csr
 
 from conftest import check_permutation, laplacian_2d, random_saddle, random_sparse
@@ -134,13 +134,13 @@ def test_spilu_gets_the_upper_triangle_of_the_pattern(a, monkeypatch):
     # upper triangular, as CSC, with 1 off the diagonal and 2 on it: the
     # pattern of A + A^T + I is that of M + M^T
     seen = []
-    real = ordering.spilu
+    real = mlilu.spilu
 
     def spilu(m, **options):
         seen.append(m)
         return real(m, **options)
 
-    monkeypatch.setattr(ordering, "spilu", spilu)
+    monkeypatch.setattr(mlilu, "spilu", spilu)
     order = reorder(a)
     (got,) = seen
     n = a.shape[0]

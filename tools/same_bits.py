@@ -8,6 +8,8 @@ Both trees run the same CLI commands, each with PYTHONPATH set to its own
 (one of them sets a solver and a factorization parameter of each parser
 kind through ``--set``),
 ``linsolve`` and ``factor-stats`` on the level-4 Re 100 Stokes system,
+``linsolve`` on that system and its right-hand side scaled by 1e-170,
+where the squares of the right-hand side's norm underflow,
 ``factor-stats`` on 2 I of n 600, whose one level eliminates every unknown
 and leaves an empty dense tail, ``factor-stats`` on the 22 x 22
 five-point Laplacian, which the default rule's size clause sends to the
@@ -70,6 +72,8 @@ prob = cavity.build_problem(4, re=100.0)
 mm_write(cavity.stokes_operator(prob), sys.argv[1] + "/stokes.mtx")
 mm_write(cavity.stokes_rhs(prob), sys.argv[1] + "/rhs.mtx")
 mm_write(cavity.null_vector(prob), sys.argv[1] + "/null.mtx")
+mm_write(1e-170 * cavity.stokes_operator(prob), sys.argv[1] + "/stokes-tiny.mtx")
+mm_write(1e-170 * cavity.stokes_rhs(prob), sys.argv[1] + "/rhs-tiny.mtx")
 mm_write(2.0 * sp.eye(600, format="csr"), sys.argv[1] + "/identity2.mtx")
 lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(22, 22))
 mm_write(sp.kronsum(lap, lap, format="csr"), sys.argv[1] + "/laplacian22.mtx")
@@ -91,6 +95,10 @@ def _runs(system: Path) -> dict[str, list[str]]:
     runs["linsolve"] = ["linsolve", "--matrix", str(system / "stokes.mtx"),
                         "--rhs", str(system / "rhs.mtx"),
                         "--null-vector", str(system / "null.mtx"), "--refine-steps", "2"]
+    # the same system scaled by 1e-170, where the squares of ||b|| underflow
+    runs["linsolve-tiny"] = ["linsolve", "--matrix", str(system / "stokes-tiny.mtx"),
+                             "--rhs", str(system / "rhs-tiny.mtx"),
+                             "--null-vector", str(system / "null.mtx"), "--refine-steps", "2"]
     runs["linsolve-rank-one"] = ["linsolve", "--matrix", str(system / "rank1.mtx")]
     runs["factor-stats"] = ["factor-stats", "--matrix", str(system / "stokes.mtx")]
     runs["factor-stats-empty-tail"] = ["factor-stats", "--matrix", str(system / "identity2.mtx")]
