@@ -9,9 +9,16 @@ each block in lexicographic (y, x) node order, which makes the pressure
 null vector a trailing constant block.
 
 Dirichlet velocity data (no-slip walls, moving top lid; the two top
-corners take the lid value) is eliminated: assembled full-grid operators
-are cached and the reduced blocks are sliced from them, with boundary
+corners take the lid value) is eliminated: operators are assembled on the
+full node grid and the reduced blocks are sliced from them, with boundary
 contributions moved to right-hand sides inside the residual.
+
+Every assembly scatters element matrices over one of two patterns the mesh
+fixes, P2 x P2 and P1 x P2.  For each, the order in which scipy 1.17's
+COO -> CSR conversion sorts the entries is recorded once per problem;
+an assembly gathers its element values in that order and sums the
+duplicates as the conversion does, so it gives the conversion's bits
+without its sort (tests/test_cavity.py pins this against the COO path).
 """
 
 from __future__ import annotations
@@ -23,13 +30,15 @@ from numbers import Integral
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
+# the compiled steps of scipy's COO -> CSR conversion, which _assemble replays
+from scipy.sparse._sparsetools import (coo_tocsr, csr_has_sorted_indices, csr_sort_indices,
+                                       csr_sum_duplicates)
 
 # unused here; perfbench/spans.py wraps both names on this module by name
 from .krylov import fgmres  # noqa: F401
 from .mlilu import factorize  # noqa: F401
 from .mmio import write_csv
 from .nonlinear import NonlinearProblem
-from .sparse import as_csr
 
 __all__ = [
     "CavityMesh",
@@ -167,12 +176,32 @@ def build_mesh(level: int) -> CavityMesh:
     )
 
 
+def _record_sort(rows, cols, shape):
+    """Run scipy 1.17's COO -> CSR path once on the entry positions: the
+    row placement of ``coo_tocsr``, then the per-row ``csr_sort_indices``
+    when the rows are not sorted yet, with the index dtype it picks.
+    Returns (order, indptr, indices, shape): ``order[k]`` is the entry that
+    path puts at sorted position k, and ``indptr``/``indices`` are its
+    sorted rows, duplicates still in place."""
+    m = rows.size
+    n_rows, n_cols = shape
+    idx = np.int32 if max(m, n_rows, n_cols) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.empty(n_rows + 1, dtype=idx)
+    indices = np.empty(m, dtype=idx)
+    order = np.empty(m)
+    coo_tocsr(n_rows, n_cols, m, rows.astype(idx), cols.astype(idx),
+              np.arange(m, dtype=np.float64), indptr, indices, order)
+    if not csr_has_sorted_indices(n_rows, indptr, indices):
+        csr_sort_indices(n_rows, indptr, indices, order)
+    return order.astype(np.intp), indptr, indices, shape
+
+
 class _Quadrature:
     """Per-element-class basis tables; the mesh has two congruent triangle
-    shapes (even/odd triangle index) with constant affine maps.  The global
-    (rows, cols, shape) of every P2 x P2 (``vv``) and P1 x P2 (``pv``)
-    element entry are built once, class by class; the class loop of every
-    assembly and its scatter live in ``_assemble``."""
+    shapes (even/odd triangle index) with constant affine maps.  The sort
+    of every P2 x P2 (``vv``) and P1 x P2 (``pv``) element entry, class by
+    class, is recorded once; the class loop of every assembly and its
+    replay of the sort live in ``_assemble``."""
 
     def __init__(self, mesh: CavityMesh):
         phi, dphi = _p2_basis(_QP)
@@ -197,22 +226,29 @@ class _Quadrature:
             pv[0].append(np.repeat(mesh.p1_conn[c::2], 6, axis=1).ravel())
             pv[1].append(np.tile(tri, (1, 3)).ravel())
         nv, npd = mesh.n_nodes, mesh.n_pressure
-        self.vv = (np.concatenate(vv[0]), np.concatenate(vv[1]), (nv, nv))
-        self.pv = (np.concatenate(pv[0]), np.concatenate(pv[1]), (npd, nv))
+        self.vv = _record_sort(np.concatenate(vv[0]), np.concatenate(vv[1]), (nv, nv))
+        self.pv = _record_sort(np.concatenate(pv[0]), np.concatenate(pv[1]), (npd, nv))
 
 
 def _assemble(quad: _Quadrature, local, pattern=None) -> sp.csr_matrix:
-    """The one class loop and scatter of every assembly: ``local(cls)`` is
-    a class's element matrices, (n_elem, a, b), or one (a, b) matrix shared
-    by all its elements; they are scattered, class by class, over
-    ``pattern`` (``quad.vv`` by default, or ``quad.pv``) and summed into a
+    """The one class loop of every assembly: ``local(cls)`` is a class's
+    element matrices, (n_elem, a, b), or one (a, b) matrix shared by all its
+    elements; they are taken in the recorded order of ``pattern``
+    (``quad.vv`` by default, or ``quad.pv``) and their duplicates summed by
+    scipy's ``csr_sum_duplicates``, as ``sum_duplicates`` would, into a
     canonical CSR matrix."""
-    rows, cols, shape = quad.vv if pattern is None else pattern
+    order, indptr, indices, shape = quad.vv if pattern is None else pattern
     vals = []
     for cls in quad.classes:
         m = local(cls)
         vals.append(np.broadcast_to(m, (cls["tri"].shape[0], *m.shape[-2:])).ravel())
-    return as_csr(sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=shape))
+    data = np.concatenate(vals)[order]
+    indptr, indices = indptr.copy(), indices.copy()
+    csr_sum_duplicates(*shape, indptr, indices, data)
+    nnz = indptr[-1]
+    out = sp.csr_matrix((data[:nnz], indices[:nnz], indptr), shape=shape)
+    out.has_canonical_format = True
+    return out
 
 
 @dataclass
@@ -227,6 +263,8 @@ class CavityProblem:
     div_y_full: sp.csr_matrix = field(repr=False)
     div_x_red: sp.csr_matrix = field(repr=False)        # their interior columns
     div_y_red: sp.csr_matrix = field(repr=False)
+    grad_x_red: sp.csr_matrix = field(repr=False)       # their transposes
+    grad_y_red: sp.csr_matrix = field(repr=False)
 
     @property
     def n_unknowns(self) -> int:
@@ -256,6 +294,8 @@ def build_problem(level: int, re: float, bc_kind: str = "standard") -> CavityPro
     div_x = _assemble(quad, lambda c: -np.einsum("q,qp,qb->pb", c["wdet"], psi, c["gx"]), quad.pv)
     div_y = _assemble(quad, lambda c: -np.einsum("q,qp,qb->pb", c["wdet"], psi, c["gy"]), quad.pv)
     intr = mesh.interior
+    div_x_red = sp.csr_matrix(div_x[:, intr])
+    div_y_red = sp.csr_matrix(div_y[:, intr])
     return CavityProblem(
         mesh=mesh,
         re=re,
@@ -265,13 +305,18 @@ def build_problem(level: int, re: float, bc_kind: str = "standard") -> CavityPro
         stiffness_full=stiffness,
         div_x_full=div_x,
         div_y_full=div_y,
-        div_x_red=sp.csr_matrix(div_x[:, intr]),
-        div_y_red=sp.csr_matrix(div_y[:, intr]),
+        div_x_red=div_x_red,
+        div_y_red=div_y_red,
+        grad_x_red=div_x_red.T.tocsr(),
+        grad_y_red=div_y_red.T.tocsr(),
     )
 
 
 def split_state(prob: CavityProblem, x: np.ndarray):
-    """Views of x's [u_x, u_y, p] blocks: the one statement of the layout."""
+    """Views of x's [u_x, u_y, p] blocks: the one statement of the layout.
+    A state whose length is not n_unknowns is refused."""
+    if len(x) != prob.n_unknowns:
+        raise ValueError(f"state has {len(x)} entries; the cavity has {prob.n_unknowns} unknowns")
     nvi = prob.mesh.n_velocity
     return x[:nvi], x[nvi:2 * nvi], x[2 * nvi:]
 
@@ -340,12 +385,13 @@ def _velocity_block(prob: CavityProblem, x: np.ndarray, with_cross: bool):
 
 
 def _saddle(prob: CavityProblem, vel_blocks) -> sp.csr_matrix:
-    ex, ey = prob.div_x_red, prob.div_y_red
-    return as_csr(sp.bmat([
-        [vel_blocks[0][0], vel_blocks[0][1], ex.T],
-        [vel_blocks[1][0], vel_blocks[1][1], ey.T],
-        [ex, ey, None],
-    ], format="csr"))
+    """[[A, B^T], [B, 0]] stacked by scipy's compiled CSR hstack and vstack,
+    a None velocity block standing for a zero one."""
+    nvi, npd = prob.mesh.n_velocity, prob.mesh.n_pressure
+    rows = [[*(sp.csr_matrix((nvi, nvi)) if b is None else b for b in blocks), grad]
+            for blocks, grad in zip(vel_blocks, (prob.grad_x_red, prob.grad_y_red))]
+    rows.append([prob.div_x_red, prob.div_y_red, sp.csr_matrix((npd, npd))])
+    return sp.vstack([sp.hstack(row, format="csr") for row in rows], format="csr")
 
 
 def oseen_operator(prob: CavityProblem, x: np.ndarray) -> sp.csr_matrix:

@@ -23,6 +23,7 @@ __all__ = [
     "KrylovReport",
     "fgmres",
     "finite_norm",
+    "real_norm",
     "eta_newton",
 ]
 
@@ -105,15 +106,21 @@ class KrylovReport:
         write_csv(path, ("iteration", "relres"), enumerate(self.residual_history, 1))
 
 
-def finite_norm(v: np.ndarray, what: str):
+def real_norm(v: np.ndarray, what: str):
     """The 2-norm of v as float64; a ValueError naming ``what`` if v is
-    complex, if an entry of v is not finite or if the sum of squares the
-    norm is taken of overflows (as it does from entries of about 1e154),
-    which raises no RuntimeWarning."""
+    complex.  It is inf or NaN, with no RuntimeWarning, if an entry of v is
+    not finite or the sum of squares the norm is taken of overflows (as it
+    does from entries of about 1e154)."""
     if np.iscomplexobj(v):
         raise ValueError(f"{what} must be real")
     with np.errstate(over="ignore"):
-        norm = np.linalg.norm(np.asarray(v, dtype=np.float64))
+        return np.linalg.norm(np.asarray(v, dtype=np.float64))
+
+
+def finite_norm(v: np.ndarray, what: str):
+    """``real_norm(v, what)``, with a ValueError naming ``what`` also if it
+    is not finite."""
+    norm = real_norm(v, what)
     if not np.isfinite(norm):
         raise ValueError(f"{what} must be finite, with a norm that does not overflow")
     return norm

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .krylov import GmresParams, PrecondOperator, eta_newton, fgmres, finite_norm
+from .krylov import GmresParams, PrecondOperator, eta_newton, fgmres, finite_norm, real_norm
 from .mlilu import FactorizationError, FactorParams, factorize
 from .mmio import write_csv
 
@@ -180,20 +180,25 @@ def armijo_damp(residual: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 max_halvings: int):
     """Damped update by repeated halving: accept the first omega in
     {1, 1/2, 1/4, ...} with ||F(x + omega s)|| <= (1 - theta*omega)*||F(x)||.
-    Returns (omega, x_new, F(x_new), ||F(x_new)||); raises LineSearchError
-    when max_halvings is exhausted."""
+    Returns (omega, x_new, F(x_new), ||F(x_new)||).  A trial residual that is
+    not finite counts as no decrease; a complex one raises ValueError.
+    Raises LineSearchError when max_halvings is exhausted, saying how many
+    trial residuals were not finite."""
     finite_norm(s, "search direction")
-    omega = 1.0
+    omega, not_finite = 1.0, 0
     for _ in range(max_halvings + 1):
         trial = x + omega * s
-        f_trial = np.asarray(residual(trial), dtype=np.float64)
-        norm_trial = np.linalg.norm(f_trial)
+        f_trial = residual(trial)
+        norm_trial = real_norm(f_trial, "residual at a trial point")
         if norm_trial <= (1.0 - theta * omega) * normF:
-            return omega, trial, f_trial, norm_trial
+            return omega, trial, np.asarray(f_trial, dtype=np.float64), norm_trial
+        not_finite += not np.isfinite(norm_trial)
         omega *= 0.5
     raise LineSearchError(
         f"no residual decrease after {max_halvings} halvings "
         f"(||F|| = {normF:.3e})"
+        + (f"; {not_finite} of {max_halvings + 1} trial residuals were not finite"
+           if not_finite else "")
     )
 
 

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from saddlesolve import cavity as cav
 from saddlesolve.krylov import GmresParams, PrecondOperator, fgmres
 from saddlesolve.mlilu import FactorParams, factorize
+from saddlesolve.sparse import as_csr
 
 
 class TestMesh:
@@ -57,6 +58,82 @@ class TestMesh:
         cross = (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1]) - \
                 (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0])
         assert np.all(cross > 0)
+
+
+def _coo_entries(mesh):
+    """The (rows, cols) of every P2 x P2 and P1 x P2 element entry, class by
+    class, in the order the assembly takes the element values."""
+    tri = [mesh.triangles[c::2] for c in (0, 1)]
+    p1 = [mesh.p1_conn[c::2] for c in (0, 1)]
+    vv = (np.concatenate([np.repeat(t, 6, axis=1).ravel() for t in tri]),
+          np.concatenate([np.tile(t, (1, 6)).ravel() for t in tri]))
+    pv = (np.concatenate([np.repeat(p, 6, axis=1).ravel() for p in p1]),
+          np.concatenate([np.tile(t, (1, 3)).ravel() for t in tri]))
+    return vv, pv
+
+
+def _coo_assemble(entries):
+    """The assembly the recorded sort replaces: every element entry into a
+    coo_matrix, converted to canonical CSR by as_csr."""
+    def assemble(quad, local, pattern=None):
+        pattern = quad.vv if pattern is None else pattern
+        (rows, cols), shape = entries[pattern is quad.pv], pattern[-1]
+        vals = []
+        for cls in quad.classes:
+            m = local(cls)
+            vals.append(np.broadcast_to(m, (cls["tri"].shape[0], *m.shape[-2:])).ravel())
+        return as_csr(sp.coo_matrix((np.concatenate(vals), (rows, cols)), shape=shape))
+    return assemble
+
+
+def _bmat_saddle(prob, vel_blocks):
+    """The saddle stacking the compiled CSR hstack/vstack replaces."""
+    ex, ey = prob.div_x_red, prob.div_y_red
+    return as_csr(sp.bmat([[*vel_blocks[0], ex.T], [*vel_blocks[1], ey.T], [ex, ey, None]],
+                          format="csr"))
+
+
+def _assert_same_bits(a, b, key):
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape, key
+        assert np.array_equal(a.view(np.int64), b.view(np.int64)), key
+        return
+    assert type(a) is type(b) and a.shape == b.shape, key
+    for name in ("indptr", "indices"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), (key, name)
+    # through int64, so that a -0.0 where the COO path gives +0.0 fails
+    assert np.array_equal(a.data.view(np.int64), b.data.view(np.int64)), (key, "data")
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_recorded_sort_assembly_matches_the_coo_path(level, monkeypatch):
+    prob = cav.build_problem(level, re=100.0)
+    n, nvi = prob.n_unknowns, prob.mesh.n_velocity
+    stokes = cav.stokes_initial_guess(prob)
+    half = stokes.copy()
+    for block in cav.split_state(prob, half)[:2]:
+        block[:nvi // 2] = -0.0   # lexicographic (y, x) order: the lower half
+    states = {"stokes": stokes, "zero": np.zeros(n),
+              "random": np.random.default_rng(37).standard_normal(n), "half -0.0": half}
+
+    def evaluate(p):
+        out = {"stiffness": p.stiffness_full, "div_x": p.div_x_full, "div_y": p.div_y_full,
+               "stokes": cav.stokes_operator(p)}
+        for name, x in states.items():
+            out["oseen", name] = cav.oseen_operator(p, x)
+            out["newton", name] = cav.newton_operator(p, x)
+            out["residual", name] = cav.residual(p, x)
+        return out
+
+    recorded = evaluate(prob)
+    with monkeypatch.context() as m:
+        m.setattr(cav, "_assemble", _coo_assemble(_coo_entries(prob.mesh)))
+        m.setattr(cav, "_saddle", _bmat_saddle)
+        coo = evaluate(cav.build_problem(level, re=100.0))
+    assert recorded.keys() == coo.keys()
+    for key in coo:
+        _assert_same_bits(recorded[key], coo[key], key)
 
 
 class TestConstantOperators:
@@ -197,6 +274,17 @@ class TestOperators:
         q = cav.null_vector(prob)
         jinf = np.abs(op).sum(axis=1).max()
         assert np.abs(op @ q).max() <= 1e-12 * jinf
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_state_of_the_wrong_length_refused(cavity_level4, delta):
+    # one entry short or long used to fail in scipy's matmul
+    n = cavity_level4.n_unknowns
+    x = np.zeros(n + delta)
+    with pytest.raises(ValueError, match=f"state has {n + delta} entries; the cavity has {n} unknowns"):
+        cav.residual(cavity_level4, x)
+    with pytest.raises(ValueError, match=f"state has {n + delta} entries"):
+        cav.split_state(cavity_level4, x)
 
 
 class TestNullVector:

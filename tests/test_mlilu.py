@@ -1,9 +1,11 @@
 import gc
 import hashlib
+import os
+import subprocess
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +248,29 @@ class TestCroutLevel:
         assert counts == [before + 2] * 6 + [before] * 2
 
 
+_PEAK_MEMORY = """
+import gc, sys, tracemalloc
+from saddlesolve import cavity
+from saddlesolve.mlilu import FactorParams, factorize
+prob = cavity.build_problem(4, re=100.0)
+a = cavity.oseen_operator(prob, cavity.stokes_initial_guess(prob))
+params = FactorParams(alpha=5.0, droptol=float(sys.argv[1]))
+factorize(a, params)  # so that lazy imports are not counted
+gc.collect()
+tracemalloc.start()
+m = factorize(a, params)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+arrays = [a.data, a.indices, a.indptr, *(x for x in m.tail if x is not None)]
+for lev in m.levels:
+    arrays += [lev.L.data, lev.L.indices, lev.L.indptr, lev.U.data, lev.U.indices,
+               lev.U.indptr, lev.D, lev.order, lev.dr, lev.dc]
+print(peak, sum(x.nbytes for x in arrays))
+"""
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 class TestFactorize:
     def test_exact_limit_spd_tridiagonal(self):
         n = 100
@@ -407,28 +432,22 @@ class TestFactorize:
         assert np.allclose(ml_solve(m, a @ x), x, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("droptol", [0.01, 0.001])
-    def test_peak_memory_is_bounded_by_input_and_factor(self, cavity_level4,
-                                                        cavity_level4_stokes, droptol):
+    def test_peak_memory_is_bounded_by_input_and_factor(self, droptol):
         # a factorization holds one level's working set at a time: the old
         # Schur complement, the scaled copy and the elimination's buffers go
         # once they are used.  The peak measured 2.6 and 2.8 times the bytes
         # of the input and the factor, and 4.1 and 4.6 with all of them held
-        # to the end of the level: the bound lies between.
-        a = cavity.oseen_operator(cavity_level4, cavity_level4_stokes)
-        params = FactorParams(alpha=5.0, droptol=droptol)
-        factorize(a, params)  # so that lazy imports are not counted
-        gc.collect()
-        tracemalloc.start()
-        try:
-            m = factorize(a, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        arrays = [a.data, a.indices, a.indptr, *(x for x in m.tail if x is not None)]
-        for lev in m.levels:
-            arrays += [lev.L.data, lev.L.indices, lev.L.indptr, lev.U.data, lev.U.indices,
-                       lev.U.indptr, lev.D, lev.order, lev.dr, lev.dc]
-        assert peak <= 3.5 * sum(x.nbytes for x in arrays)
+        # to the end of the level: the bound lies between.  It is measured
+        # in a fresh process: scipy's SuperLU records every block it
+        # allocates in one process-wide dict, whose table can grow inside
+        # the ordering's spilu call by an amount the process's earlier
+        # SuperLU calls decide (0.59 MB, which stays allocated, after the
+        # tests before this one in a full run).
+        out = subprocess.run([sys.executable, "-c", _PEAK_MEMORY, str(droptol)],
+                             env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+                             capture_output=True, text=True).stdout
+        peak, nbytes = map(int, out.split())
+        assert peak <= 3.5 * nbytes
 
     def test_deferral_soundness(self):
         a = random_saddle(40, 15, seed=6)

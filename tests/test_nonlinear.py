@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from dataclasses import replace
 
@@ -376,6 +377,33 @@ class TestArmijo:
 
         with pytest.raises(LineSearchError):
             armijo_damp(res, np.array([1.0]), np.array([0.0]), 1.0, 1e-4, 10)
+
+    @pytest.mark.parametrize("defect,error,match", [
+        (lambda f: f + 0j, ValueError, "residual at a trial point must be real"),
+        (lambda f: np.full_like(f, np.nan), LineSearchError,
+         r"no residual decrease after 20 halvings \(\|\|F\|\| = 5\.000e\+00\); "
+         "21 of 21 trial residuals were not finite"),
+    ])
+    def test_defective_trial_residual(self, defect, error, match):
+        # F(x) = x^2 - 4 from x = 3, whose residual is real and finite; every
+        # trial residual is complex, or all NaN.  The first is refused at
+        # once, the second counts as no decrease, and the driver ends either
+        # with the cause in its report
+        prob = scalar_problem()
+        with pytest.raises(error, match=match):
+            armijo_damp(lambda x: defect(prob.residual(x)), prob.x0, np.array([-0.5]),
+                        5.0, 1e-4, 20)
+        calls = []
+
+        def defective_after_the_first(x):
+            calls.append(x)
+            f = prob.residual(x)
+            return f if len(calls) == 1 else defect(f)
+
+        _, rep = hybrid_newton(replace(prob, residual=defective_after_the_first),
+                               SolverConfig(factor_params=FactorParams(dense_switch=4)))
+        assert not rep.steps and not rep.converged
+        assert re.fullmatch(match, rep.message)
 
 
 def phase_thresholds(cfg, started_nt):

@@ -15,8 +15,11 @@ and leaves an empty dense tail, ``factor-stats`` on the 22 x 22
 five-point Laplacian, which the default rule's size clause sends to the
 dense tail whole, and ``linsolve`` on a seeded dense rank-1 matrix of n 60,
 whose tail cuts 59 directions in the near-null search's doubling rounds.
-The first tree exports these systems once, so both sides read the same
-files.
+Each tree exports these systems, so that a change to ``stokes_operator``,
+``stokes_rhs`` or the assembly shows, and every exported file is compared
+byte for byte, printing ``same system/<file>`` or ``DIFFERS
+system/<file>``; both sides then run on the first tree's files, so that
+the runs compare the solvers alone.
 Every artifact, ``summary.txt`` included, is compared byte for byte, and
 so is each run's exit status.  Prints ``same <artifact>`` or ``DIFFERS
 <artifact>`` per artifact and ``same exit <run>`` or ``DIFFERS exit
@@ -131,11 +134,17 @@ def main(argv: list[str]) -> int:
             return 2
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        system = tmp / "system"
-        system.mkdir()
-        _python(trees["parent"], ["-c", EXPORT, str(system)])
+        exported = {tree: tmp / "system" / tree for tree in trees}
+        for tree, src in trees.items():
+            exported[tree].mkdir(parents=True)
+            _python(src, ["-c", EXPORT, str(exported[tree])])
         differs = 0
-        for run, args in _runs(system).items():
+        for name in sorted({f.name for d in exported.values() for f in d.iterdir()}):
+            a, b = (_content(exported[tree] / name) for tree in trees)
+            same = a is not None and a == b
+            differs += not same
+            print(f"{'same' if same else 'DIFFERS'} system/{name}")
+        for run, args in _runs(exported["parent"]).items():
             status = {tree: _python(src, ["-m", "saddlesolve.cli", *args,
                                           "--output-dir", str(tmp / tree / run)])
                       for tree, src in trees.items()}
