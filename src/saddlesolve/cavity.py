@@ -176,24 +176,31 @@ def build_mesh(level: int) -> CavityMesh:
     )
 
 
-def _record_sort(rows, cols, shape):
-    """Run scipy 1.17's COO -> CSR path once on the entry positions: the
-    row placement of ``coo_tocsr``, then the per-row ``csr_sort_indices``
-    when the rows are not sorted yet, with the index dtype it picks.
-    Returns (order, indptr, indices, shape): ``order[k]`` is the entry that
-    path puts at sorted position k, and ``indptr``/``indices`` are its
-    sorted rows, duplicates still in place."""
-    m = rows.size
+def _record_sort(row_ids, col_ids, shape):
+    """Run scipy 1.17's COO -> CSR path once on the entry positions of an
+    element pattern, element e's entry (a, b) being (row_ids[e, a],
+    col_ids[e, b]) at e * na * nb + a * nb + b, in the index dtype that
+    path picks (int32 unless the length or a dimension exceeds its
+    maximum): the row placement of ``coo_tocsr``, then the per-row
+    ``csr_sort_indices`` when the rows are not sorted yet.  Its payload is
+    each entry's position, as the sort's permutation depends on the keys
+    alone.  Returns (order, indptr, indices, shape): ``order[k]`` is the
+    entry that path puts at sorted position k, and ``indptr``/``indices``
+    are its sorted rows, duplicates still in place."""
+    (ne, na), nb = row_ids.shape, col_ids.shape[1]
+    m = ne * na * nb
     n_rows, n_cols = shape
     idx = np.int32 if max(m, n_rows, n_cols) <= np.iinfo(np.int32).max else np.int64
+    rows = np.repeat(row_ids.astype(idx), nb, axis=1).ravel()
+    cols = np.tile(col_ids.astype(idx), (1, na)).ravel()
     indptr = np.empty(n_rows + 1, dtype=idx)
     indices = np.empty(m, dtype=idx)
-    order = np.empty(m)
-    coo_tocsr(n_rows, n_cols, m, rows.astype(idx), cols.astype(idx),
-              np.arange(m, dtype=np.float64), indptr, indices, order)
+    order = np.empty(m, dtype=np.intp)
+    coo_tocsr(n_rows, n_cols, m, rows, cols, np.arange(m, dtype=np.intp),
+              indptr, indices, order)
     if not csr_has_sorted_indices(n_rows, indptr, indices):
         csr_sort_indices(n_rows, indptr, indices, order)
-    return order.astype(np.intp), indptr, indices, shape
+    return order, indptr, indices, shape
 
 
 class _Quadrature:
@@ -209,7 +216,6 @@ class _Quadrature:
         self.phi = phi
         self.psi = psi
         self.classes = []
-        vv, pv = ([], []), ([], [])
         for c in (0, 1):
             tri = mesh.triangles[c::2]
             v = mesh.nodes[mesh.triangles[c, :3]]
@@ -221,13 +227,12 @@ class _Quadrature:
             self.classes.append(
                 dict(tri=tri, gx=grad[:, :, 0], gy=grad[:, :, 1], wdet=wdet)
             )
-            vv[0].append(np.repeat(tri, 6, axis=1).ravel())
-            vv[1].append(np.tile(tri, (1, 6)).ravel())
-            pv[0].append(np.repeat(mesh.p1_conn[c::2], 6, axis=1).ravel())
-            pv[1].append(np.tile(tri, (1, 3)).ravel())
+        # the elements class by class, as the assemblies take their values
+        tri = np.concatenate([mesh.triangles[c::2] for c in (0, 1)])
+        p1 = np.concatenate([mesh.p1_conn[c::2] for c in (0, 1)])
         nv, npd = mesh.n_nodes, mesh.n_pressure
-        self.vv = _record_sort(np.concatenate(vv[0]), np.concatenate(vv[1]), (nv, nv))
-        self.pv = _record_sort(np.concatenate(pv[0]), np.concatenate(pv[1]), (npd, nv))
+        self.vv = _record_sort(tri, tri, (nv, nv))
+        self.pv = _record_sort(p1, tri, (npd, nv))
 
 
 def _assemble(quad: _Quadrature, local, pattern=None) -> sp.csr_matrix:

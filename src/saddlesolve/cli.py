@@ -161,7 +161,10 @@ def run_linsolve(args) -> int:
     factor = factorize(a, args.params)
     precond = PrecondOperator(factor, j_op=a, null_basis=null,
                               refine_steps=args.refine_steps)
-    x, rep = fgmres(a, precond, b, args.gmres)
+    try:
+        x, rep = fgmres(a, precond, b, args.gmres)
+    except ValueError as exc:  # a product of the matrix that is not finite
+        raise _BadInput(exc) from None
 
     mm_write(x, out / "solution.mtx")
     rep.write_history_csv(out / "residual_history.csv")

@@ -87,9 +87,13 @@ class PrecondOperator:
         return z
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        """The refinement sweeps on v; a ValueError if a product J z is
+        complex or not finite."""
         z = self._project(ml_solve(self.factor, v))
         for _ in range(self.refine_steps - 1):
-            r = v - self.j_op @ z
+            jz = self.j_op @ z
+            finite_norm(jz, "refinement product J z")
+            r = v - jz
             z = z + self._project(ml_solve(self.factor, r))
         return z
 
@@ -137,7 +141,10 @@ def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray, params: GmresPa
     Systems, 2nd ed., ch. 6), is treated as convergence to the current
     subspace and flagged on the report.  Scaling b by a power of 2 scales x
     by it bit for bit, away from overflow and subnormal entries; a complex
-    b, or one whose norm overflows, is refused.
+    b, or one whose norm overflows, is refused.  So is every product of
+    ``a_op`` with an iterate or a preconditioned vector, where it enters,
+    before it reaches the Hessenberg matrix: a ValueError names it if it is
+    complex or not finite.
     """
     finite_norm(b, "right-hand side")
     b = np.asarray(b, dtype=np.float64)
@@ -157,7 +164,9 @@ def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray, params: GmresPa
     tol = params.rtol * bnorm
     total = 0
     while True:
-        r = b - a_op @ x
+        ax = a_op @ x
+        finite_norm(ax, "operator product A x")
+        r = b - ax
         rnorm = np.linalg.norm(r)
         if rnorm <= tol or total >= params.max_iters or report.breakdown:
             break
@@ -174,7 +183,7 @@ def fgmres(a_op, precond: PrecondOperator | None, b: np.ndarray, params: GmresPa
         for j in range(m):
             zmat[j] = precond.apply(basis[j]) if precond is not None else basis[j]
             w = a_op @ zmat[j]
-            w_norm = np.linalg.norm(w)
+            w_norm = finite_norm(w, "operator product A z")
             for i in range(j + 1):
                 h[i, j] = basis[i] @ w
                 w -= h[i, j] * basis[i]

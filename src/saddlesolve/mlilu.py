@@ -532,15 +532,15 @@ def crout_ilu_level(
     through one numeric pass of scipy's compiled SMMP (_smmp; Gustavson,
     ACM TOMS 1978), whose right operand is a view of the flat buffer, A_R
     written into its free tail.  In the block, a gather adds the updates
-    of the block's own pivots (the nonzero multipliers the block's pivots
-    stored at its index) to its row of that product, in index order, in a
-    dense accumulator; its sorted unique indices are read off a boolean
-    mask of the touched positions.  A gather with no in-block update only
-    sorts its row of the product in place (scipy's compiled
-    csr_sort_indices).  A gather's sum keeps its eliminated indices: k is
-    marked eliminated before its two stores, so one filter per stored
-    vector drops them and k's own index, before the division by the
-    pivot.  The sum of every entry thus runs in the order of one
+    of the block's own pivots (their stored vectors times the nonzero
+    weights -l_kj d_j or -u_jk d_j they noted at its index) to its row of
+    that product, in index order, in a dense accumulator; its sorted
+    unique indices are read off a boolean mask of the touched positions.
+    A gather with no in-block update only sorts its row of the product in
+    place (scipy's compiled csr_sort_indices).  A gather's sum keeps its
+    eliminated indices: k leaves the pending mask before its two stores,
+    so one filter per stored vector drops them and k's own index, before
+    the division by the pivot.  The sum of every entry thus runs in the order of one
     sequential gather.  SMMP leaves out sums that are exactly zero and
     the accumulator keeps them, but the value drop stores none, so the
     block size changes no bit, at any droptol.
@@ -553,7 +553,7 @@ def crout_ilu_level(
     in-place row sort per side, the estimators read off the block's sums,
     complete since no pivot of the run reaches another, a vectorized
     deferral test, the running maxima by np.maximum.accumulate, the
-    eliminated-mask filter once the accepted pivots are marked, a
+    pending-mask filter once the accepted pivots are marked, a
     segmented drop and cap, one append per side, and their multipliers at
     the rest of the block recorded as in store.  The rest of the block
     runs one pivot at a time.
@@ -607,8 +607,8 @@ def crout_ilu_level(
     cond_thresh = params.cond_thresh
     block = _block_size(acsr)
 
-    # by index: accepted as a pivot (a deferred or trailing index is not)
-    eliminated = np.zeros(n, dtype=bool)
+    # by index: not (yet) accepted as a pivot; a deferred or trailing index stays so
+    pending = np.ones(n, dtype=bool)
     # by candidate k: the pivot, and by side and k the incremental
     # inverse-norm estimator state and the stored vector (empty if k is
     # deferred); by side, the estimators' running maxima
@@ -616,8 +616,9 @@ def crout_ilu_level(
     v = list(np.zeros((2, ncand)))
     est = [1.0, 1.0]
     flat = [_Flat(ncand, acsr.nnz, acsr.indices.dtype) for _ in (0, 1)]
-    # by side, the multipliers of the block's own pivots, by (row in the
-    # block, pivot's place in the block): the other side's gathers add them
+    # by side, the weights -l_kj d_j (-u_jk d_j) of the block's own pivots j,
+    # by (row k in the block, j's place in the block): the other side's
+    # gathers add their stored vectors times them
     mult = np.zeros((2, block, block))
     # by side and row in the block, sum_j mult_j v_j over the pivots that
     # reach the row so far, in pivot order
@@ -658,7 +659,7 @@ def crout_ilu_level(
         """Side s's vector k0 + r of the active matrix, sorted, its
         eliminated indices left in for store to drop: row r of its block
         product plus the updates of the block's pivots whose side-s vectors
-        reach it, weighted by the multipliers the other side stored there."""
+        reach it, times the weights the other side stored there."""
         m, f = sums[s], flat[s]
         lo, hi = m.indptr[r], m.indptr[r + 1]
         row = mult[1 - s, r, :r]
@@ -669,7 +670,7 @@ def crout_ilu_level(
             # intp indexes fastest; the flat buffers keep A's narrower index dtype
             gi = np.concatenate([m.indices[lo:hi], *[f.idx[c] for c in cuts]], dtype=np.intp)
             gv = np.concatenate([m.data[lo:hi], *[f.val[c] for c in cuts]])
-            gv[hi - lo:] *= (-row[own] * diag[k0 + own]).repeat([c.stop - c.start for c in cuts])
+            gv[hi - lo:] *= row[own].repeat([c.stop - c.start for c in cuts])
             np.add.at(acc, gi, gv)
             touched[gi] = True
             uq = touched.nonzero()[0]
@@ -686,13 +687,14 @@ def crout_ilu_level(
     def store(s, k, k0, k1, idx, val, pivot, vk):
         """Record pivot k's side-s estimator ``vk`` in its state and
         running maximum, then store its side-s vector and note its entries
-        at the block's pending indices as its multipliers.  The gathered
-        ``idx`` still holds eliminated indices, k's own among them since k
-        is marked first: one filter drops them before the rest is divided
-        by ``pivot``, dropped and capped."""
+        at the block's later indices, times -``pivot``, as the weights the
+        other side's gathers add it with.  The gathered ``idx`` still holds
+        eliminated indices, k's own among them since k is marked first: one
+        filter on the pending mask drops them before the rest, and only the
+        rest, is divided by ``pivot``, dropped and capped."""
         v[s][k] = vk
         est[s] = max(est[s], vk)
-        live = ~eliminated[idx]
+        live = pending[idx]
         idx, val = idx[live], val[live] / pivot
         keep = np.abs(val) * est[s] > droptol
         idx, val = idx[keep], val[keep]
@@ -711,7 +713,7 @@ def crout_ilu_level(
         lo, hi = idx.searchsorted((k + 1, k1))
         if hi > lo:
             at = idx[lo:hi] - k0
-            mult[s, at, k - k0] = val[lo:hi]
+            mult[s, at, k - k0] = val[lo:hi] * -pivot
             est_rows[s][at] += val[lo:hi] * vk
 
     def prefix_rows(s, npre):
@@ -737,7 +739,7 @@ def crout_ilu_level(
         run = np.maximum.accumulate(np.r_[est[s], np.where(accept, vk, 1.0)])
         est[s] = run[-1]
         caps_pre = caps[s, pre]
-        keep = accept[seg] & ~eliminated[idx]
+        keep = accept[seg] & pending[idx]
         r, idx = seg[keep], idx[keep]
         val = val[keep] / pivot[r]
         keep = np.abs(val) * run[r + 1] > droptol
@@ -754,7 +756,7 @@ def crout_ilu_level(
         flat[s].append(k0, idx, val, sizes)
         own = (idx >= k0) & (idx < k1)
         at, r, val = idx[own] - k0, r[own], val[own]
-        mult[s, at, r] = val
+        mult[s, at, r] = val * -pivot[r]
         # in pivot order within each row: the entries are sorted by pivot
         np.add.at(est_sum[s], at, val * vk[r])
 
@@ -780,7 +782,7 @@ def crout_ilu_level(
         pivot[seg[on_diag]] = val[on_diag]
         accept = (np.abs(pivot) > pivot_floor) & (vk <= cond_thresh).all(axis=0)
         pre = slice(k0, k0 + npre)
-        eliminated[pre] = accept
+        pending[pre] = ~accept
         diag[pre] = pivot
         for s in (0, 1):
             store_prefix(s, k0, k1, accept, *rows[s], pivot, vk[s])
@@ -801,14 +803,14 @@ def crout_ilu_level(
                     flat[s].ptr[k + 1] = flat[s].ptr[k]
                 continue
             cidx, cval = gather(1, r, k0)
-            eliminated[k] = True
+            pending[k] = False
             diag[k] = pivot
             store(0, k, k0, k1, idx, val, pivot, vk[0])
             store(1, k, k0, k1, cidx, cval, pivot, vk[1])
 
     # -- the level in elimination-then-deferred order, and its Schur complement --
-    elim = np.flatnonzero(eliminated)
-    nonelim = np.flatnonzero(~eliminated)
+    elim = np.flatnonzero(~pending)
+    nonelim = np.flatnonzero(pending)
     n_b = elim.size
     order = np.concatenate([elim, nonelim])
     pos = np.empty(n, dtype=acsr.indices.dtype)
@@ -878,7 +880,9 @@ def _near_null(lu, piv, s: sp.csr_matrix, dr, dc, cut: float):
     singular direction, and |T v_j| bounds its singular value from above:
     the leading columns with |T v_j| <= cut join u and v.  If every column
     did, the block doubles and the search goes on past them; otherwise it
-    ends."""
+    ends.  A |T v_j| that is not finite, as an iteration through a pivot
+    the floor left subnormal on S's scale gives, is a FactorizationError:
+    such a direction is neither under the cut nor above it."""
 
     def orthonormal(basis, x):
         for _ in range(2):
@@ -897,6 +901,9 @@ def _near_null(lu, piv, s: sp.csr_matrix, dr, dc, cut: float):
             qv = orthonormal(v, dgetrs(lu, piv, qu / dr[:, None])[0] / dc[:, None])
             qu = orthonormal(u, dgetrs(lu, piv, qv / dc[:, None], trans=1)[0] / dr[:, None])
         sigma = np.linalg.norm(dr[:, None] * (s @ (dc[:, None] * qv)), axis=0)
+        if not np.isfinite(sigma).all():
+            raise FactorizationError(f"dense tail of {n} unknowns: the search for its "
+                                     "near-null directions is not finite")
         under = int(np.argmin(np.r_[sigma <= cut, False]))
         u, v = np.c_[u, qu[:, :under]], np.c_[v, qv[:, :under]]
         if under < b or k + under == n:
@@ -1017,7 +1024,8 @@ def factorize(a: sp.csr_matrix, params: FactorParams | None = None) -> Multileve
     unknowns, are a FactorizationError, raised before equilibration and
     before the dense allocation, and so is a Schur complement bounded at
     more than 256 entries per stored entry of its level (crout_ilu_level),
-    before it is allocated.  A level that accepts no pivot is kept, with n_b 0 and
+    before it is allocated, and a dense tail whose near-null search is not
+    finite (_near_null).  A level that accepts no pivot is kept, with n_b 0 and
     unit L and U, and ends the recursion: its Schur complement, the level's
     scaled and reordered matrix, is the tail.
 

@@ -205,7 +205,8 @@ def armijo_damp(residual: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
     """Run the hybrid outer loop until ||F(x)|| <= sigma * ||F(x0)|| or the
     step budget is exhausted.  Returns the final iterate and a report with
-    one record per accepted step; a sparsifier that cannot be factorized, a
+    one record per accepted step; a sparsifier that cannot be factorized, an
+    operator whose product with a Krylov vector is complex or not finite, a
     failed line search or a non-finite direction ends the loop early with
     the cause in report.message.  One factor is alive at a time: the loop
     lets go of the previous factor and its preconditioner before it
@@ -252,7 +253,11 @@ def hybrid_newton(prob: NonlinearProblem, cfg: SolverConfig | None = None):
                                   null_basis=prob.null_basis,
                                   refine_steps=k_refine)
         gp = GmresParams(restart=cfg.m, max_iters=cfg.gmres_cap, rtol=eta)
-        s, krep = fgmres(j_op, precond, -fx, gp)
+        try:
+            s, krep = fgmres(j_op, precond, -fx, gp)
+        except ValueError as exc:  # an operator product that is complex or not finite
+            report.message = str(exc)
+            break
         report.total_gmres += krep.iterations
 
         try:

@@ -131,6 +131,15 @@ def arrow(n, leaf=0.0):
     return as_csr(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
+def underflowing_tail():
+    """A 3 x 3 matrix with a structurally empty row, which the size clause
+    sends to the dense tail whole.  _ruiz scales its column 2 by 4.3e299,
+    so the pivot floor is subnormal on S's scale and inverse iteration
+    through it is not finite."""
+    return as_csr(sp.csr_matrix(np.array([[1e-300, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                          [0.0, 0.7098, 1e-300]])))
+
+
 def check_permutation(order, n):
     """Assert that the order array is a bijection on [0, n)."""
     assert np.array_equal(np.sort(order), np.arange(n)), "order is not a bijection on [0, n)"

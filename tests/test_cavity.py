@@ -438,11 +438,19 @@ def test_regularized_lid_observed_order_is_at_least_3():
     # y = 0 leaves it at 0.91, so the loss is not local to the lid; its
     # cause is unknown (the lid's corner discontinuity polluting the whole
     # solution is a guess that was not checked).
+    # Over the L3 grid's 7 x 7 interior nodes the rms differences of u_x,
+    # u_y and the pressure (pressure_to_nodes, its mean over those nodes
+    # removed) fall by 12.9, 17.5 and 4.4 from L4 -> L5 to L5 -> L6: order 3
+    # or more for the velocity and 2 for the pressure, as Taylor-Hood P2/P1
+    # gives for a smooth solution.  The boundary is left out: the lid's
+    # slope meets the walls' zero at the top corners, a pressure
+    # singularity whose largest vertex value grows with the level.
     from saddlesolve.nonlinear import SolverConfig, hybrid_newton
 
     coarse = cav.build_problem(3, re=100.0, bc_kind="regularized")
     y3, _ = cav.centerline_profile(coarse, np.zeros(coarse.n_unknowns))
-    u = {}
+    xy3 = coarse.mesh.nodes[coarse.mesh.interior]
+    u, fields = {}, {}
     for level in (4, 5, 6):
         prob = cav.build_problem(level, re=100.0, bc_kind="regularized")
         nlp = cav.nonlinear_problem(prob, cav.stokes_initial_guess(prob))
@@ -452,9 +460,22 @@ def test_regularized_lid_observed_order_is_at_least_3():
         at = np.searchsorted(y, y3)
         assert np.array_equal(y[at], y3)  # nested grids
         u[level] = ux[at]
+        # the L3 interior nodes among this level's: the coordinates are exact
+        match = (prob.mesh.nodes[:, None, :] == xy3).all(axis=2)
+        assert match.sum(axis=0).tolist() == [1] * len(xy3)
+        at = match.argmax(axis=0)
+        ux, uy, p = cav.expand_state(prob, x)
+        pn = cav.pressure_to_nodes(prob, p)[at]
+        fields[level] = np.stack([ux[at], uy[at], pn - pn.mean()])
     d45 = np.abs(u[5] - u[4]).max()
     d56 = np.abs(u[6] - u[5]).max()
     assert np.log2(d45 / d56) >= 3.0
+
+    def rms(d):
+        return np.sqrt(np.mean(d * d, axis=1))
+
+    ratio = rms(fields[5] - fields[4]) / rms(fields[6] - fields[5])
+    assert ratio[0] >= 6 and ratio[1] >= 6 and ratio[2] >= 3, ratio
 
 
 def test_write_solution_csv(tmp_path, cavity_level4, cavity_level4_stokes):

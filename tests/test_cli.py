@@ -7,7 +7,7 @@ from saddlesolve.cli import main
 from saddlesolve.mmio import mm_read, mm_write
 from saddlesolve.sparse import as_csr
 
-from conftest import arrow, cyclic_permutation, random_saddle
+from conftest import arrow, cyclic_permutation, random_saddle, underflowing_tail
 
 
 def test_cavity_small_run(tmp_path):
@@ -616,3 +616,35 @@ def test_factor_stats_reports_the_rank_the_stokes_tail_keeps(tmp_path, capsys):
     assert "tail_n=120 tail_rank=119 " in capsys.readouterr().out
     last = (tmp_path / "factor_stats.csv").read_text().splitlines()[-1]
     assert last == "2,120,120,0,14400"
+
+
+@pytest.mark.parametrize("command", ["factor-stats", "linsolve"])
+def test_a_tail_whose_near_null_search_is_not_finite_exits_2_with_one_line(
+        tmp_path, capsys, command):
+    # factor-stats used to report tail_rank=3 perturbed=0 and exit 0, and
+    # linsolve to run 200 iterations to relres=nan and exit 1
+    mm_write(underflowing_tail(), tmp_path / "a.mtx")
+    rc = main([command, "--matrix", str(tmp_path / "a.mtx"), "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == ("error: dense tail of 3 unknowns: the search for its near-null "
+                   "directions is not finite\n")
+    assert not (tmp_path / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("refine_steps, product", [(1, "operator product A z"),
+                                                   (2, "refinement product J z")])
+def test_a_product_that_overflows_exits_2_with_one_line(tmp_path, capsys, refine_steps,
+                                                        product):
+    # the solution of this nonsingular system is about 1e210, finite, but
+    # each term of its product with the first row, about 1e410, overflows:
+    # linsolve used to run 200 iterations to relres=nan and exit 1
+    a = np.array([[1e200, 1e200], [1e-200, 1e-200 * (1 + 1e-10)]])
+    mm_write(as_csr(sp.csr_matrix(a)), tmp_path / "a.mtx")
+    mm_write(np.ones(2), tmp_path / "b.mtx")
+    rc = main(["linsolve", "--matrix", str(tmp_path / "a.mtx"), "--rhs", str(tmp_path / "b.mtx"),
+               "--refine-steps", str(refine_steps), "--output-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {product} must be finite, with a norm that does not overflow\n"
+    assert not (tmp_path / "summary.txt").exists()

@@ -277,6 +277,32 @@ def test_complex_input_is_refused(entry):
         _COMPLEX_INPUT[entry](as_csr(sp.eye(3, format="csr")))
 
 
+def _defective(a, defect):
+    """``a`` with its first stored entry NaN or inf, or all of it times 1 + 1j."""
+    if defect == "complex":
+        return a * (1.0 + 1.0j)
+    a = a.copy()
+    a.data[0] = {"nan": np.nan, "inf": np.inf}[defect]
+    return a
+
+
+@pytest.mark.parametrize("defect, what", [("nan", "finite, with a norm that does not overflow"),
+                                          ("inf", "finite, with a norm that does not overflow"),
+                                          ("complex", "real")])
+def test_a_defective_operator_product_is_refused_where_it_enters(defect, what):
+    # fgmres used to run 200 iterations to a NaN solution on a NaN or inf
+    # product, and to warn and go on with the real part of a complex one;
+    # apply returned a NaN correction, or refused the complex residual as
+    # "vector must be real", naming no product
+    a, _ = random_sparse(10, 0.4, seed=36, diag_shift=3.0)
+    bad = _defective(a, defect)
+    factor = make_factor(a)
+    with pytest.raises(ValueError, match=f"^operator product A x must be {what}$"):
+        fgmres(bad, PrecondOperator(factor), np.ones(10), GmresParams())
+    with pytest.raises(ValueError, match=f"^refinement product J z must be {what}$"):
+        PrecondOperator(factor, j_op=bad, refine_steps=2).apply(np.ones(10))
+
+
 class TestEtaNewton:
     def test_plain_formula(self):
         assert eta_newton(0.3, 1.0, 0.1, 0.3, 1e-12, 1.0) == pytest.approx(0.081, abs=0)

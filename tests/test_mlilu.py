@@ -36,6 +36,7 @@ from conftest import (
     random_sparse,
     reassemble,
     reference_crout,
+    underflowing_tail,
 )
 
 
@@ -551,6 +552,17 @@ class TestFactorize:
         assert not m.levels and not m.perturbed and m.tail_rank == n
         x = rng.standard_normal(n)
         assert np.linalg.norm(ml_solve(m, a @ x) - x) <= 1e-8 * np.linalg.norm(x)
+
+    def test_a_tail_whose_near_null_search_is_not_finite_is_refused(self):
+        # it was reported full rank and unperturbed, and ml_solve of ones
+        # gave [nan, -inf, inf]; with 1 in place of 1e-300 it is cut to rank 2
+        with pytest.raises(FactorizationError, match="^dense tail of 3 unknowns: the search "
+                           "for its near-null directions is not finite$"):
+            factorize(underflowing_tail())
+        a = underflowing_tail()
+        a.data[a.data == 1e-300] = 1.0
+        m = factorize(a)
+        assert m.perturbed and m.tail_rank == 2
 
     def test_the_dense_tail_is_deterministic(self):
         # the start block is seeded: two factorizations give the same bytes

@@ -406,6 +406,30 @@ class TestArmijo:
         assert re.fullmatch(match, rep.message)
 
 
+@pytest.mark.parametrize("defect, what", [("nan", "finite, with a norm that does not overflow"),
+                                          ("inf", "finite, with a norm that does not overflow"),
+                                          ("complex", "real")])
+def test_a_defective_operator_product_ends_with_a_report(defect, what):
+    # the L3 Re 100 cavity with its operator callback's matrix made NaN or
+    # inf at its first stored entry, or complex: a NaN or inf product used
+    # to end in "search direction must be finite", after 200 GMRES
+    # iterations, and a complex one left hybrid_newton as a ValueError from
+    # ml_solve, "vector must be real", with no report
+    prob = cavity.build_problem(3, re=100.0)
+    nlp = cavity.nonlinear_problem(prob, cavity.stokes_initial_guess(prob))
+
+    def operator(x, started_nt):
+        j = nlp.operator(x, started_nt)
+        if defect == "complex":
+            return j * (1.0 + 1.0j)
+        j.data[0] = {"nan": np.nan, "inf": np.inf}[defect]
+        return j
+
+    _, rep = hybrid_newton(replace(nlp, operator=operator), SolverConfig())
+    assert not rep.steps and not rep.converged
+    assert rep.message == f"operator product A x must be {what}"
+
+
 def phase_thresholds(cfg, started_nt):
     fp = cfg.phase_params[int(started_nt)]
     return fp.alpha, fp.droptol
